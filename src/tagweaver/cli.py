@@ -43,15 +43,6 @@ from .workspace import (
 __all__ = ["build_arg_parser", "run_cli", "main"]
 
 
-class CLIError(Exception):
-    """A fatal CLI problem with an explicit exit code."""
-
-    def __init__(self, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.message = message
-        self.exit_code = exit_code
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -209,9 +200,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CLIError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.exit_code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

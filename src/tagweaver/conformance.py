@@ -38,7 +38,7 @@ from .statechart import (
     UnresolvedElement,
     resolve_element,
 )
-from .tagmodel import Context, TagModel, TagStatement, TagUse, TagValue
+from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
 
 __all__ = [
@@ -187,15 +187,30 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
             else:
                 types[tt.name] = (schema, tt)
 
-    pairs = _expand(model.body, "", inp, report)
+    # Each (identifier, context) is resolved once; identifier equality
+    # ignores line and col, so a failure is still reported at every use.
+    resolved: dict[tuple[ElementIdentifier, str], ElementHandle | str] = {}
+
+    def resolve(ref: ElementIdentifier, context_path: str) -> ElementHandle | None:
+        key = (ref, context_path)
+        if key not in resolved:
+            try:
+                resolved[key] = resolve_element(inp.target, ref, context_path)
+            except (UnresolvedElement, AmbiguousElement) as exc:
+                resolved[key] = str(exc)
+        found = resolved[key]
+        if isinstance(found, str):
+            report(Condition.E1_UNRESOLVED_ELEMENT, found, ref.line, ref.col)
+            return None
+        return found
+
+    pairs = _expand(model.body, "", resolve)
 
     attachments: list[Attachment] = []
     seen: set[tuple[str, str, NormalizedValue]] = set()
     for element_ref, context_path, tag in pairs:
-        try:
-            handle = resolve_element(inp.target, element_ref, context_path)
-        except (UnresolvedElement, AmbiguousElement) as exc:
-            report(Condition.E1_UNRESOLVED_ELEMENT, str(exc), element_ref.line, element_ref.col)
+        handle = resolve(element_ref, context_path)
+        if handle is None:
             continue
 
         entry = types.get(tag.name)
@@ -280,24 +295,17 @@ def _require_matching_inputs(inp: CheckInput) -> None:
         )
 
 
-def _expand(body, context_path: str, inp: CheckInput, report):
+def _expand(body, context_path: str, resolve):
     """Flatten contexts into (element_ref, context_path, tag_use) triples."""
 
     pairs: list[tuple] = []
     for item in body:
         if isinstance(item, Context):
-            try:
-                handle = resolve_element(inp.target, item.identifier, context_path)
-            except (UnresolvedElement, AmbiguousElement) as exc:
+            handle = resolve(item.identifier, context_path)
+            if handle is None:
                 # The whole block is unaddressable; one diagnostic, no cascade.
-                report(
-                    Condition.E1_UNRESOLVED_ELEMENT,
-                    str(exc),
-                    item.identifier.line,
-                    item.identifier.col,
-                )
                 continue
-            pairs.extend(_expand(item.body, handle.path, inp, report))
+            pairs.extend(_expand(item.body, handle.path, resolve))
         elif isinstance(item, TagStatement):
             for element_ref in item.element_refs:
                 for tag in item.tag_refs:

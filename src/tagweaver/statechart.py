@@ -22,12 +22,16 @@ inside a body is accepted as an elision marker and ignored.
 Beyond parsing, this module answers the question "which model element
 does this identifier denote?" for the element identifiers that appear in
 tag files: dotted state paths, the chart's own name, ``[A -> B]`` for
-transitions, and ``[expr]`` for invariants.
+transitions, and ``[expr]`` for invariants.  Resolution goes through a
+per-model element index (state paths, transition endpoints, invariant
+texts) that is built once per model, so each lookup is a few dictionary
+lookups rather than a walk of the chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError, ResolutionError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, Token, TokenCursor, tokenize
@@ -128,6 +132,10 @@ class StatechartModel:
     def qualified_name(self) -> str:
         return f"{self.package}.{self.name}"
 
+    @cached_property
+    def _index(self) -> _ElementIndex:
+        return _ElementIndex(self)
+
 
 @dataclass(frozen=True)
 class ElementHandle:
@@ -176,7 +184,7 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
             continue
         tok = cur.peek()
         if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-            states.append(_parse_state(cur, text, sibling_names))
+            states.append(_parse_state(cur, sibling_names))
         elif tok.kind == IDENT:
             transitions.append(_parse_transition(cur, text))
         elif tok.kind == BRACKET:
@@ -193,13 +201,14 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
         name=name_tok.value,
         states=tuple(states),
         transitions=tuple(transitions),
+        warnings=_duplicate_transition_warnings(transitions),
         source_name=filename,
     )
     _check_transitions(model, filename)
-    return _with_warnings(model)
+    return model
 
 
-def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str]) -> StateDef:
+def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
     initial = False
     final = False
     first = cur.peek()
@@ -235,7 +244,7 @@ def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str]) -> StateD
                 continue
             tok = cur.peek()
             if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-                substates.append(_parse_state(cur, text, nested_names))
+                substates.append(_parse_state(cur, nested_names))
             elif tok.kind == BRACKET:
                 cur.advance()
                 cur.expect(";")
@@ -280,9 +289,10 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
 
 
 def _check_transitions(model: StatechartModel, filename: str | None) -> None:
+    states = model._index.states
     for tr in model.transitions:
         for label, endpoint in (("source", tr.source), ("target", tr.target)):
-            if _find_state(model, endpoint) is None:
+            if endpoint not in states:
                 raise UnresolvedTransitionEndpoint(
                     f"transition {label} '{'.'.join(endpoint)}' does not name a state",
                     tr.line,
@@ -291,29 +301,21 @@ def _check_transitions(model: StatechartModel, filename: str | None) -> None:
                 )
 
 
-def _with_warnings(model: StatechartModel) -> StatechartModel:
-    seen: dict[tuple[str, str, str | None], TransitionDef] = {}
+def _duplicate_transition_warnings(transitions: list[TransitionDef]) -> tuple[str, ...]:
+    seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
     warnings: list[str] = []
-    for tr in model.transitions:
-        key = (_state_path(model, tr.source), _state_path(model, tr.target), tr.event)
+    for tr in transitions:
+        key = (tr.source, tr.target, tr.event)
         if key in seen:
+            src, tgt = ".".join(tr.source), ".".join(tr.target)
             event = f" : {tr.event}" if tr.event is not None else ""
             warnings.append(
-                f"duplicate transition {key[0]} -> {key[1]}{event} "
+                f"duplicate transition {src} -> {tgt}{event} "
                 f"(lines {seen[key].line} and {tr.line})"
             )
         else:
             seen[key] = tr
-    if not warnings:
-        return model
-    return StatechartModel(
-        package=model.package,
-        name=model.name,
-        states=model.states,
-        transitions=model.transitions,
-        warnings=tuple(warnings),
-        source_name=model.source_name,
-    )
+    return tuple(warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -321,40 +323,33 @@ def _with_warnings(model: StatechartModel) -> StatechartModel:
 # ---------------------------------------------------------------------------
 
 
-def _find_state(
-    model: StatechartModel, segments: tuple[str, ...], base: StateDef | None = None
-) -> StateDef | None:
-    """Walk ``segments`` one nesting level at a time; None when any step fails."""
+class _ElementIndex:
+    """Lookup tables over one model, built by one iterative pre-order walk.
 
-    if not segments:
-        return None
-    current = base
-    for seg in segments:
-        children = model.states if current is None else current.substates
-        current = next((st for st in children if st.name == seg), None)
-        if current is None:
-            return None
-    return current
+    ``states`` maps each state path (a tuple of segments) to its state, in
+    pre-order.  ``transitions`` maps ``(source, target)`` paths to their
+    transitions, in source order.  ``invariants`` maps normalized invariant
+    text to the path of the owning state, once per occurrence, in
+    pre-order.
+    """
 
-
-def _state_path(model: StatechartModel, segments: tuple[str, ...]) -> str:
-    return ".".join(segments)
-
-
-def _walk_states(
-    states: tuple[StateDef, ...], prefix: str = ""
-) -> list[tuple[str, StateDef]]:
-    out: list[tuple[str, StateDef]] = []
-    for st in states:
-        path = f"{prefix}{st.name}"
-        out.append((path, st))
-        out.extend(_walk_states(st.substates, prefix=f"{path}."))
-    return out
+    def __init__(self, model: StatechartModel):
+        self.states: dict[tuple[str, ...], StateDef] = {}
+        self.invariants: dict[str, list[tuple[str, ...]]] = {}
+        stack = [((st.name,), st) for st in reversed(model.states)]
+        while stack:
+            path, st = stack.pop()
+            self.states[path] = st
+            for inv in st.invariants_src:
+                self.invariants.setdefault(normalize_expression(inv), []).append(path)
+            stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
+        self.transitions: dict[tuple[tuple[str, ...], tuple[str, ...]], list[TransitionDef]] = {}
+        for tr in model.transitions:
+            self.transitions.setdefault((tr.source, tr.target), []).append(tr)
 
 
-def _transition_handle(model: StatechartModel, tr: TransitionDef) -> ElementHandle:
-    src = _state_path(model, tr.source)
-    tgt = _state_path(model, tr.target)
+def _transition_handle(tr: TransitionDef) -> ElementHandle:
+    src, tgt = ".".join(tr.source), ".".join(tr.target)
     return ElementHandle(path=f"[{src} -> {tgt}]", element_type=TRANSITION)
 
 
@@ -367,19 +362,13 @@ def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
     """
 
     handles = [ElementHandle(path=model.name, element_type=STATECHART)]
-
-    def visit(states: tuple[StateDef, ...], prefix: str) -> None:
-        for st in states:
-            path = f"{prefix}{st.name}"
-            handles.append(ElementHandle(path=path, element_type=STATE))
-            for inv in st.invariants_src:
-                norm = normalize_expression(inv)
-                handles.append(ElementHandle(path=f"{path}.[{norm}]", element_type=INVARIANT))
-            visit(st.substates, prefix=f"{path}.")
-
-    visit(model.states, prefix="")
-    for tr in model.transitions:
-        handles.append(_transition_handle(model, tr))
+    for segments, st in model._index.states.items():
+        path = ".".join(segments)
+        handles.append(ElementHandle(path=path, element_type=STATE))
+        for inv in st.invariants_src:
+            norm = normalize_expression(inv)
+            handles.append(ElementHandle(path=f"{path}.[{norm}]", element_type=INVARIANT))
+    handles.extend(_transition_handle(tr) for tr in model.transitions)
     return tuple(handles)
 
 
@@ -392,39 +381,44 @@ def resolve_element(
     back to the model root; the model's own name denotes the chart itself.
     Bracket identifiers of the shape ``[A -> B]`` denote the unique
     transition with those endpoints; any other bracket text denotes the
-    invariant with the same (whitespace-normalized) expression.
+    invariant with the same (whitespace-normalized) expression.  Every
+    lookup goes through the model's element index.
 
     Raises :class:`UnresolvedElement`, :class:`AmbiguousElement`, or
     :class:`AmbiguousTransition`.
     """
 
+    # Context search applies only when the context names a state.  An empty
+    # context and the chart's own name mean the root level; any other path,
+    # for example a transition's, offers no children.
+    context = None
+    if context_path not in ("", model.name):
+        context = tuple(context_path.split("."))
+        if context not in model._index.states:
+            context = None
     if ident.is_bracket:
-        return _resolve_bracket(model, ident.raw, context_path)
-    return _resolve_qualified(model, ident.path, context_path)
+        return _resolve_bracket(model, ident.raw, context)
+    return _resolve_qualified(model, ident.path, context_path, context)
 
 
 def _resolve_qualified(
-    model: StatechartModel, segments: tuple[str, ...], context_path: str
+    model: StatechartModel,
+    segments: tuple[str, ...],
+    context_path: str,
+    context: tuple[str, ...] | None,
 ) -> ElementHandle:
-    # Context first (only when the context names an actual state; an empty
-    # context and the chart's own name both mean the root level).
-    base = _context_base(model, context_path)
-    if base is not None and base is not _NO_CONTEXT:
-        found = _find_state(model, segments, base)
-        if found is not None:
-            return ElementHandle(
-                path=f"{context_path}.{'.'.join(segments)}", element_type=STATE
-            )
+    states = model._index.states
+    if context is not None and context + segments in states:
+        return ElementHandle(path=".".join(context + segments), element_type=STATE)
 
     # Root: the chart's own name denotes the chart, and may also be used
     # as an explicit leading segment.
     if segments[0] == model.name:
         if len(segments) == 1:
             return ElementHandle(path=model.name, element_type=STATECHART)
-        rest = segments[1:]
-        if _find_state(model, rest) is not None:
-            return ElementHandle(path=".".join(rest), element_type=STATE)
-    elif _find_state(model, segments) is not None:
+        if segments[1:] in states:
+            return ElementHandle(path=".".join(segments[1:]), element_type=STATE)
+    elif segments in states:
         return ElementHandle(path=".".join(segments), element_type=STATE)
 
     where = f" (context '{context_path}')" if context_path else ""
@@ -433,75 +427,46 @@ def _resolve_qualified(
     )
 
 
-_NO_CONTEXT = object()
-
-
-def _context_base(model: StatechartModel, context_path: str):
-    """The state to search under for a context path, or ``_NO_CONTEXT``.
-
-    ``""`` and the chart's own name mean the chart level (base ``None``);
-    a dotted state path means that state; anything else — for example the
-    path of a transition — offers no children, so context search is
-    skipped entirely.
-    """
-
-    if context_path == "" or context_path == model.name:
-        return None
-    segments = tuple(context_path.split("."))
-    base = _find_state(model, segments)
-    if base is None:
-        return _NO_CONTEXT
-    return base
-
-
-def _resolve_bracket(model: StatechartModel, raw: str, context_path: str) -> ElementHandle:
+def _resolve_bracket(
+    model: StatechartModel, raw: str, context: tuple[str, ...] | None
+) -> ElementHandle:
+    index = model._index
     endpoints = _parse_endpoints(raw)
     if endpoints is not None:
+        # Endpoints always resolve from the root, whatever the context.
         source, target = endpoints
-        if _find_state(model, source) is None or _find_state(model, target) is None:
+        if source not in index.states or target not in index.states:
             raise UnresolvedElement(
                 f"'[{normalize_expression(raw)}]' endpoints do not name states of '{model.name}'"
             )
-        src, tgt = _state_path(model, source), _state_path(model, target)
-        matches = [
-            tr
-            for tr in model.transitions
-            if _state_path(model, tr.source) == src and _state_path(model, tr.target) == tgt
-        ]
+        src, tgt = ".".join(source), ".".join(target)
+        matches = index.transitions.get(endpoints, [])
         if not matches:
             raise UnresolvedElement(f"no transition {src} -> {tgt} in '{model.name}'")
         if len(matches) > 1:
             raise AmbiguousTransition(
                 f"{len(matches)} transitions match {src} -> {tgt} in '{model.name}'"
             )
-        return _transition_handle(model, matches[0])
+        return _transition_handle(matches[0])
 
     # Invariant lookup by normalized expression text, context subtree first.
     norm = normalize_expression(raw)
-
-    def candidates(states: tuple[StateDef, ...], prefix: str) -> list[ElementHandle]:
-        found: list[ElementHandle] = []
-        for path, st in _walk_states(states, prefix):
-            for inv in st.invariants_src:
-                if normalize_expression(inv) == norm:
-                    found.append(
-                        ElementHandle(path=f"{path}.[{norm}]", element_type=INVARIANT)
-                    )
-        return found
-
-    base = _context_base(model, context_path)
-    matches: list[ElementHandle] = []
-    if base is not None and base is not _NO_CONTEXT:
-        if any(normalize_expression(inv) == norm for inv in base.invariants_src):
-            matches.append(ElementHandle(f"{context_path}.[{norm}]", INVARIANT))
-        matches.extend(candidates(base.substates, f"{context_path}."))
+    owners = index.invariants.get(norm, [])
+    matches: list[tuple[str, ...]] = []
+    if context is not None:
+        depth = len(context)
+        matches = [path for path in owners if len(path) > depth and path[:depth] == context]
+        # The context state's own invariants count once, however often the
+        # text repeats there; each occurrence below it counts.
+        if context in owners:
+            matches.append(context)
     if not matches:
-        matches = candidates(model.states, "")
+        matches = owners
     if not matches:
         raise UnresolvedElement(f"no invariant '[{norm}]' in '{model.name}'")
     if len(matches) > 1:
         raise AmbiguousElement(f"{len(matches)} invariants match '[{norm}]' in '{model.name}'")
-    return matches[0]
+    return ElementHandle(path=f"{'.'.join(matches[0])}.[{norm}]", element_type=INVARIANT)
 
 
 def _parse_endpoints(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]] | None:

@@ -19,6 +19,7 @@ from tagweaver import (
     parse_tag_model,
     parse_tag_schema,
 )
+from tagweaver import conformance
 from tagweaver.conformance import INT64_MAX, INT64_MIN
 
 GOLDEN_HEADER = (
@@ -325,6 +326,47 @@ class TestExpansion:
         assert resolved.attachments[0].element == ElementHandle(
             "Active.Call.[status!=isActive]", "Invariant"
         )
+
+
+class TestResolutionMemo:
+    BODY = (
+        " tag Missing with Monitored, Mystery;\n"
+        " tag Call, [nope] with Monitored;\n"
+        "   tag [nope] with Monitored;\n"
+        " tag Active with Monitored, Monitored;\n"
+        " tag Active with Monitored;\n"
+    )
+
+    def test_unresolved_reference_reported_at_every_pair(self, chart, schema, profile):
+        diags, resolved = run(self.BODY, chart, (schema,), profile)
+        assert resolved is None
+        assert [(d.line, d.col, d.message) for d in diags if d.condition == "E1"] == [
+            (4, 6, "'Missing' does not name an element of 'Mobile'"),
+            (4, 6, "'Missing' does not name an element of 'Mobile'"),
+            (5, 6, "'Call' does not name an element of 'Mobile'"),
+            (5, 12, "no invariant '[nope]' in 'Mobile'"),
+            (6, 8, "no invariant '[nope]' in 'Mobile'"),
+        ]
+
+    def test_duplicate_warnings_fire_per_pair(self, chart, schema, profile):
+        diags, _ = run(self.BODY, chart, (schema,), profile)
+        warnings = [d for d in diags if d.condition == "DuplicateTagWarning"]
+        assert [(d.line, d.col) for d in warnings] == [(7, 29), (8, 18)]
+
+    def test_each_reference_resolves_once_per_context(self, chart, schema, profile, monkeypatch):
+        calls = []
+        resolve = conformance.resolve_element
+
+        def counting(model, ident, context_path=""):
+            calls.append((ident.text, context_path))
+            return resolve(model, ident, context_path)
+
+        monkeypatch.setattr(conformance, "resolve_element", counting)
+        body = self.BODY + " within Active { tag Call, Call with Monitored; }\n"
+        run(body, chart, (schema,), profile)
+        assert sorted(calls) == [
+            ("Active", ""), ("Call", ""), ("Call", "Active"), ("Missing", ""), ("[nope]", "")
+        ]
 
 
 class TestInputContract:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,14 @@ from tagweaver import (
     pretty_print_statechart,
     resolve_element,
 )
-from util import random_statechart_text
+from util import (
+    addressable_refs,
+    bogus_refs,
+    flat_elements,
+    oracle_resolve,
+    random_statechart_text,
+    transition_counts,
+)
 
 Q = ElementIdentifier.qualified
 B = ElementIdentifier.bracket
@@ -207,6 +215,97 @@ class TestResolutionCornerCases:
         assert resolve_element(model, Q("Leaf"), context_path="B").path == "B.Leaf"
         with pytest.raises(UnresolvedElement):
             resolve_element(model, Q("Leaf"))
+
+
+class TestIndexedResolution:
+    def test_identical_invariants_in_one_state_are_ambiguous(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n state A { [busy]; [ busy ]; }\n}\n"
+        )
+        with pytest.raises(AmbiguousElement, match=r"^2 invariants match '\[busy\]' in 'X'$"):
+            resolve_element(model, B("busy"))
+        # Inside that state's own context the repeated text counts once.
+        handle = resolve_element(model, B("busy"), context_path="A")
+        assert handle == ElementHandle("A.[busy]", "Invariant")
+
+    def test_duplicate_transitions_are_ambiguous_in_any_context(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n state A;\n state B;\n"
+            " A -> B;\n A -> B : again;\n}\n"
+        )
+        for context in ("", "X", "A"):
+            with pytest.raises(AmbiguousTransition, match=r"^2 transitions match A -> B in 'X'$"):
+                resolve_element(model, B("A -> B"), context_path=context)
+
+    def test_transition_endpoints_resolve_from_the_root(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n"
+            " state P { state A; state B; }\n state A;\n state B;\n"
+            " P.A -> P.B;\n}\n"
+        )
+        with pytest.raises(UnresolvedElement, match=r"^no transition A -> B in 'X'$"):
+            resolve_element(model, B("A -> B"), context_path="P")
+        handle = resolve_element(model, B("P.A -> P.B"), context_path="P")
+        assert handle == ElementHandle("[P.A -> P.B]", "Transition")
+
+    @pytest.mark.parametrize(
+        "context", ["[Start -> Active]", "Active.Call.[status!=isActive]", "Ghost"]
+    )
+    def test_context_naming_no_state_falls_back_to_root(self, chart, context):
+        assert resolve_element(chart, Q("Active"), context) == ElementHandle("Active", "State")
+        assert resolve_element(chart, B("status=isActive"), context) == ElementHandle(
+            "Active.Busy.[status=isActive]", "Invariant"
+        )
+        with pytest.raises(UnresolvedElement, match=rf"\(context '{re.escape(context)}'\)$"):
+            resolve_element(chart, Q("Call"), context)
+
+    def test_context_subtree_shadows_same_text_elsewhere(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n"
+            " state A { [busy]; }\n state B { state C { [ busy ]; } }\n"
+            " state BB { state D { [busy]; } }\n}\n"
+        )
+        expected = ElementHandle("B.C.[busy]", "Invariant")
+        assert resolve_element(model, B("busy"), context_path="B") == expected
+        assert resolve_element(model, B("busy"), context_path="B.C") == expected
+        with pytest.raises(AmbiguousElement, match=r"^3 invariants match"):
+            resolve_element(model, B("busy"))
+
+    def test_chart_name_prefix_resolves_to_state(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n state A { state B; }\n state C;\n}\n"
+        )
+        assert resolve_element(model, Q("X", "A", "B")) == ElementHandle("A.B", "State")
+        assert resolve_element(model, Q("X", "C"), context_path="A") == ElementHandle("C", "State")
+        with pytest.raises(UnresolvedElement, match=r"^'X.B' does not name an element"):
+            resolve_element(model, Q("X", "B"), context_path="A")
+
+    def test_chart_name_context_means_root_even_with_a_same_named_state(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n state X { state Y; }\n state Y;\n}\n"
+        )
+        assert resolve_element(model, Q("Y"), context_path="X") == ElementHandle("Y", "State")
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_agrees_with_string_path_oracle(self, seed):
+        rng = random.Random(seed)
+        model = parse_statechart(
+            random_statechart_text(rng, max_extra_elements=12, unique_invariants=False)
+        )
+        elements, transitions = flat_elements(model), transition_counts(model)
+        refs = [ref for ref, _ in addressable_refs(model)] + bogus_refs(model)
+        refs += [B(key[1:-1]) for key in transitions]  # duplicates too
+        contexts = ["", model.name] + [p for p, kind in elements.items() if kind == "State"]
+        contexts += list(transitions)[:1]
+        for context in contexts:
+            for ref in refs:
+                try:
+                    handle = resolve_element(model, ref, context)
+                    got = (handle.path, handle.element_type)
+                except (UnresolvedElement, AmbiguousElement):
+                    got = None
+                expected = oracle_resolve(ref, context, model, elements, transitions)
+                assert got == expected, (ref.text, context)
 
 
 PARSE_ERRORS = [

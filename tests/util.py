@@ -174,11 +174,15 @@ def plan_keywords(plan: ManifestPlan) -> list[str]:
 _EXPRESSIONS = ["a > b", "x != y", "ready", "count = 0"]
 
 
-def random_statechart_text(rng: random.Random, max_extra_elements: int = 4) -> str:
+def random_statechart_text(
+    rng: random.Random, max_extra_elements: int = 4, unique_invariants: bool = True
+) -> str:
     """A small chart whose total element count stays within bounds.
 
     ``max_extra_elements`` caps states + invariants + transitions (the
-    chart itself comes on top).
+    chart itself comes on top).  A state carries at most one invariant;
+    with ``unique_invariants`` no two states share an expression, so every
+    invariant is addressable from the root.
     """
 
     budget = rng.randint(1, max_extra_elements)
@@ -199,7 +203,7 @@ def random_statechart_text(rng: random.Random, max_extra_elements: int = 4) -> s
                 lines.append(f"{indent}state {name} {{")
                 if budget > 0 and rng.random() < 0.5:
                     expr = rng.choice(_EXPRESSIONS)
-                    if expr not in used_exprs:  # keep invariants unambiguous
+                    if not unique_invariants or expr not in used_exprs:
                         used_exprs.append(expr)
                         lines.append(f"{indent}    [{expr}];")
                         budget -= 1
@@ -296,6 +300,70 @@ def transition_counts(target: StatechartModel) -> Counter:
     return counts
 
 
+def oracle_resolve(
+    ref: ElementIdentifier,
+    ctx: str,
+    target: StatechartModel,
+    elements: dict[str, str],
+    transitions: Counter,
+) -> tuple[str, str] | None:
+    """Resolve ``ref`` under context path ``ctx`` by string paths alone.
+
+    ``elements`` and ``transitions`` are ``flat_elements(target)`` and
+    ``transition_counts(target)``.  Returns (path, element_type), or None
+    when the reference is unresolved or ambiguous.
+    """
+
+    if ref.is_bracket:
+        raw = " ".join(ref.raw.split())
+        if "->" in raw:
+            left, _, right = raw.partition("->")
+            src_parts = [p.strip() for p in left.strip().split(".")]
+            tgt_parts = [p.strip() for p in right.strip().split(".")]
+            if all(p.isidentifier() for p in src_parts + tgt_parts):
+                src, tgt = ".".join(src_parts), ".".join(tgt_parts)
+                key = f"[{src} -> {tgt}]"
+                if (
+                    elements.get(src) == "State"
+                    and elements.get(tgt) == "State"
+                    and transitions.get(key, 0) == 1
+                ):
+                    return key, "Transition"
+                return None
+        # Invariant matching: context subtree first, then the whole chart.
+        needle = f".[{raw}]"
+        anywhere = [
+            path
+            for path, kind in elements.items()
+            if kind == "Invariant" and path.endswith(needle)
+        ]
+        in_context = (
+            [path for path in anywhere if path.startswith(f"{ctx}.")]
+            if elements.get(ctx) == "State"
+            else []
+        )
+        pool = in_context or anywhere
+        if len(pool) == 1:
+            return pool[0], "Invariant"
+        return None
+
+    dotted = ".".join(ref.path)
+    if ctx and elements.get(ctx) == "State":
+        candidate = f"{ctx}.{dotted}"
+        if elements.get(candidate) == "State":
+            return candidate, "State"
+    if dotted == target.name:
+        return target.name, "Statechart"
+    if ref.path[0] == target.name:
+        rest = ".".join(ref.path[1:])
+        if elements.get(rest) == "State":
+            return rest, "State"
+        return None
+    if elements.get(dotted) == "State":
+        return dotted, "State"
+    return None
+
+
 def oracle_check(
     tag_model: TagModel, target: StatechartModel, schemas: tuple[TagSchema, ...]
 ) -> tuple[list[tuple[str, str]], int | None]:
@@ -316,58 +384,6 @@ def oracle_check(
                 findings.append(("error", "E2"))
             else:
                 union[tt.name] = (schema, tt)
-
-    def resolve(ref, ctx: str):
-        """Return (path, element_type) or None."""
-
-        if ref.is_bracket:
-            raw = " ".join(ref.raw.split())
-            if "->" in raw:
-                left, _, right = raw.partition("->")
-                src_parts = [p.strip() for p in left.strip().split(".")]
-                tgt_parts = [p.strip() for p in right.strip().split(".")]
-                if all(p.isidentifier() for p in src_parts + tgt_parts):
-                    src, tgt = ".".join(src_parts), ".".join(tgt_parts)
-                    key = f"[{src} -> {tgt}]"
-                    if (
-                        elements.get(src) == "State"
-                        and elements.get(tgt) == "State"
-                        and transitions.get(key, 0) == 1
-                    ):
-                        return key, "Transition"
-                    return None
-            # Invariant matching: context subtree first, then the whole chart.
-            needle = f".[{raw}]"
-            anywhere = [
-                path
-                for path, kind in elements.items()
-                if kind == "Invariant" and path.endswith(needle)
-            ]
-            in_context = (
-                [path for path in anywhere if path.startswith(f"{ctx}.")]
-                if elements.get(ctx) == "State"
-                else []
-            )
-            pool = in_context or anywhere
-            if len(pool) == 1:
-                return pool[0], "Invariant"
-            return None
-
-        dotted = ".".join(ref.path)
-        if ctx and elements.get(ctx) == "State":
-            candidate = f"{ctx}.{dotted}"
-            if elements.get(candidate) == "State":
-                return candidate, "State"
-        if dotted == target.name:
-            return target.name, "Statechart"
-        if ref.path[0] == target.name:
-            rest = ".".join(ref.path[1:])
-            if elements.get(rest) == "State":
-                return rest, "State"
-            return None
-        if elements.get(dotted) == "State":
-            return dotted, "State"
-        return None
 
     def fingerprint(value: TagValue, tt, schema: TagSchema) -> tuple | None:
         """Typed value per the domain definitions; None on any violation."""
@@ -457,7 +473,7 @@ def oracle_check(
     def walk(body, ctx: str) -> None:
         for item in body:
             if isinstance(item, Context):
-                resolved = resolve(item.identifier, ctx)
+                resolved = oracle_resolve(item.identifier, ctx, target, elements, transitions)
                 if resolved is None:
                     findings.append(("error", "E1"))
                     continue
@@ -472,7 +488,7 @@ def oracle_check(
     attachments = 0
     seen: set[tuple] = set()
     for element_ref, ctx, tag in pairs:
-        resolved = resolve(element_ref, ctx)
+        resolved = oracle_resolve(element_ref, ctx, target, elements, transitions)
         if resolved is None:
             findings.append(("error", "E1"))
             continue
@@ -599,7 +615,7 @@ def random_wild_value(
     return TagValue.complex_of(*subtags)
 
 
-def _bogus_refs(target: StatechartModel) -> list[ElementIdentifier]:
+def bogus_refs(target: StatechartModel) -> list[ElementIdentifier]:
     return [
         ElementIdentifier.qualified("Ghost"),
         ElementIdentifier.qualified(target.name, "Ghost"),
@@ -621,7 +637,7 @@ def random_tag_model(
         ref for ref, kind in addressable_refs(target) if kind in ("State", "Statechart")
     ]
     if include_faults:
-        ref_pool += _bogus_refs(target)
+        ref_pool += bogus_refs(target)
 
     union: dict[str, tuple[TagSchema, TagTypeDef]] = {}
     for schema in schemas:
@@ -643,7 +659,7 @@ def random_tag_model(
         items = []
         for _ in range(rng.randint(1, 4 if depth else 6)):
             if depth < 2 and rng.random() < 0.2:
-                ident = rng.choice(state_refs + (_bogus_refs(target) if include_faults else []))
+                ident = rng.choice(state_refs + (bogus_refs(target) if include_faults else []))
                 items.append(Context(identifier=ident, body=make_body(depth + 1)))
             else:
                 refs = tuple(rng.choice(ref_pool) for _ in range(rng.randint(1, 2)))
