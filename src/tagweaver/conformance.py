@@ -206,6 +206,11 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
 
     pairs = _expand(model.body, "", resolve)
 
+    # A tag use's value is checked once, however many elements its
+    # statement tags; every pair still reports that use's value diagnostics.
+    # Keyed by identity: every use lives in ``model`` for the whole call.
+    checked_values: dict[int, tuple[list[Diagnostic], NormalizedValue | None]] = {}
+
     attachments: list[Attachment] = []
     seen: set[tuple[str, str, NormalizedValue]] = set()
     for element_ref, context_path, tag in pairs:
@@ -244,7 +249,10 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
                 tag.col,
             )
 
-        value_diags, normalized = _check_value(tag, tt, schema, model.source_name)
+        checked = checked_values.get(id(tag))
+        if checked is None:
+            checked = checked_values[id(tag)] = _check_value(tag, tt, schema, model.source_name)
+        value_diags, normalized = checked
         diags.extend(value_diags)
         if normalized is None:
             continue

@@ -15,7 +15,8 @@ vocabulary: identifiers, double-quoted strings, punctuation, ``//`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -33,11 +34,8 @@ ELLIPSIS = "..."
 ARROW = "->"
 EOF = "eof"
 
-_PUNCT = "{};,=:.|+*?()[]"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -60,144 +58,103 @@ def _string_repr(tok: Token) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One match skips whitespace and comments, then reads at most one token.
+# The token group is optional, so a match never fails and never backtracks
+# into the skipped part; where no token follows, ``tokenize`` takes its
+# slow path (end of input, a ``[...]`` capture, or an error).  The string
+# and block-comment bodies are unrolled loops, so a missing closing quote
+# or ``*/`` costs one pass over the rest of the text.  ``\w`` is exactly
+# ``str.isalnum()`` or ``_``; an identifier must also start with a letter
+# or ``_``, which ``tokenize`` checks.
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # one line; only \" and \\ escapes
+_SCAN = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*[^*]*\*+(?:[^*/][^*]*\*+)*/ )*
+    (?:
+        (\w+)                          # 1: identifier
+      | "(%s)"                         # 2: string body
+      | (->|\.\.\.|[{};,=:.|+*?()\]])  # 3: punctuation
+      | (\[)                           # 4: '[', raw capture or punctuation
+    )?
+    """
+    % _STRING_BODY,
+    re.VERBOSE,
+)
+_STRING_PREFIX = re.compile('"' + _STRING_BODY)
+_UNESCAPE = re.compile(r'\\(["\\])')
+_BRACKETS = re.compile(r"[\[\]]")
+
 
 def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> list[Token]:
     """Split ``text`` into tokens, ending with a single EOF token."""
 
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    scan = _SCAN.match
+    count = text.count
+    pos = 0
     line = 1
-    col = 1
-    n = len(text)
+    line_start = 0  # offset of the first character of ``line``
 
-    def error(message: str, at_line: int, at_col: int) -> ParseError:
-        return ParseError(message, at_line, at_col, filename)
+    while True:
+        m = scan(text, pos)
+        group = m.lastindex
+        start = m.end() if group is None else m.start(group)
+        if start != pos:
+            newlines = count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+        pos = m.end()
 
-    while i < n:
-        ch = text[i]
-
-        # -- whitespace ----------------------------------------------------
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        # -- comments ------------------------------------------------------
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            while i < n and not text.startswith("*/", i):
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise error("unterminated block comment", start_line, start_col)
-            i += 2
-            col += 2
-            continue
-
-        # -- identifiers ---------------------------------------------------
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token(IDENT, text[start:i], line, start_col, start, i))
-            continue
-
-        # -- string literals -----------------------------------------------
-        if ch == '"':
-            start_line, start_col = line, col
-            lit_start = i
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise error("unterminated string literal", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise error(
-                            "unsupported escape sequence (only \\\" and \\\\ are allowed)",
-                            line,
-                            col,
-                        )
-                    out.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token(STRING, "".join(out), start_line, start_col, lit_start, i))
-            continue
-
-        # -- raw bracket capture ---------------------------------------------
-        if ch == "[" and raw_brackets:
-            start_line, start_col = line, col
+        if group == 1:
+            value = m.group(1)
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line,
+                                 start - line_start + 1, filename)
+            append(Token(IDENT, value, line, start - line_start + 1, start, pos))
+        elif group == 3:
+            value = m.group(3)
+            append(Token(value, value, line, start - line_start + 1, start, pos))
+        elif group == 2:  # ``start`` is one past the opening quote
+            value = m.group(2)
+            if "\\" in value:
+                value = _UNESCAPE.sub(r"\1", value)
+            append(Token(STRING, value, line, start - line_start, start - 1, pos))
+        elif group == 4 and not raw_brackets:
+            append(Token("[", "[", line, start - line_start + 1, start, pos))
+        elif group == 4:
             depth = 1
-            i += 1
-            col += 1
-            start = i
-            while i < n and depth > 0:
-                c = text[i]
-                if c == "[":
-                    depth += 1
-                elif c == "]":
-                    depth -= 1
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if depth > 0:
-                raise error("unterminated '[' expression", start_line, start_col)
-            tokens.append(Token(BRACKET, text[start : i - 1], start_line, start_col, start - 1, i))
-            continue
-
-        # -- multi-character punctuation -------------------------------------
-        if text.startswith("...", i):
-            tokens.append(Token(ELLIPSIS, "...", line, col, i, i + 3))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token(ARROW, "->", line, col, i, i + 2))
-            i += 2
-            col += 2
-            continue
-
-        # -- single-character punctuation ------------------------------------
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col, i, i + 1))
-            i += 1
-            col += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token(EOF, "", line, col, n, n))
-    return tokens
+            while depth:
+                found = _BRACKETS.search(text, pos)
+                if found is None:
+                    raise ParseError("unterminated '[' expression", line,
+                                     start - line_start + 1, filename)
+                pos = found.end()
+                depth += 1 if found.group() == "[" else -1
+            append(Token(BRACKET, text[start + 1 : pos - 1], line, start - line_start + 1, start, pos))
+            newlines = count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+        elif pos == len(text):
+            append(Token(EOF, "", line, pos - line_start + 1, pos, pos))
+            return tokens
+        elif text.startswith("/*", pos):
+            raise ParseError("unterminated block comment", line, pos - line_start + 1, filename)
+        elif text[pos] == '"':
+            stop = _STRING_PREFIX.match(text, pos).end()
+            if stop < len(text) and text[stop] == "\\":
+                raise ParseError(
+                    "unsupported escape sequence (only \\\" and \\\\ are allowed)",
+                    line,
+                    stop - line_start + 1,
+                    filename,
+                )
+            raise ParseError("unterminated string literal", line, pos - line_start + 1, filename)
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r}", line,
+                             pos - line_start + 1, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +172,11 @@ class TokenCursor:
 
     # -- primitives ---------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    # The stream ends with EOF and advance() never moves past it, so
+    # ``self._pos`` always indexes a token.
+
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -225,7 +185,7 @@ class TokenCursor:
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != kind:
             return False
         return value is None or tok.value == value

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
@@ -221,10 +222,13 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     if any(d.severity is Severity.ERROR for d in diags):
         return diags, None
 
-    attachments: list[Attachment] = []
+    # Each value is serialized once, for both the sort key and the report.
+    records: list[tuple[tuple, Attachment, dict]] = []
     for tagging in resolved:
-        attachments.extend(tagging.attachments)
-    attachments.sort(key=_attachment_sort_key)
+        for att in tagging.attachments:
+            value = value_to_json(att.value)
+            records.append((_attachment_sort_key(att, value), att, value))
+    records.sort(key=itemgetter(0))
 
     target_name = next(iter(targets)) if targets else ""
     report = {
@@ -235,22 +239,22 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
                 "elementType": att.element.element_type,
                 "tagType": att.tag_type,
                 "schema": att.schema,
-                "value": value_to_json(att.value),
+                "value": value,
             }
-            for att in attachments
+            for _, att, value in records
         ],
     }
     return diags, report
 
 
-def _attachment_sort_key(att: Attachment):
+def _attachment_sort_key(att: Attachment, value: dict) -> tuple:
     # Content first so that merged exports equal re-sorted concatenations;
     # source position only breaks ties between truly identical records.
     return (
         att.element.path,
         att.tag_type,
         att.schema,
-        json.dumps(value_to_json(att.value), sort_keys=True),
+        json.dumps(value, sort_keys=True),
         att.file or "",
         att.line,
         att.col,

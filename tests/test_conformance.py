@@ -369,6 +369,33 @@ class TestResolutionMemo:
         ]
 
 
+class TestValueMemo:
+    BODY = (
+        " tag Start, Active, Done with Monitored = \"x\", Monitored;\n"
+        " within Active { tag Call, Busy with Exception { type = \"t\"; }; }\n"
+    )
+
+    def test_out_of_domain_value_reported_at_every_pair(self, chart, schema, profile):
+        diags, resolved = run(self.BODY, chart, (schema,), profile)
+        assert resolved is None
+        assert [(d.condition, d.line, d.col) for d in diags] == [
+            ("E3_3", 4, 31), ("E3_3", 4, 31), ("E3_3", 4, 31),
+            ("CardinalityViolation", 5, 38), ("CardinalityViolation", 5, 38),
+        ]
+
+    def test_each_tag_use_is_checked_once(self, chart, schema, profile, monkeypatch):
+        calls = []
+        check_value = conformance._check_value
+
+        def counting(use, tag_type, tag_schema, file):
+            calls.append((use.name, use.line, use.col))
+            return check_value(use, tag_type, tag_schema, file)
+
+        monkeypatch.setattr(conformance, "_check_value", counting)
+        run(self.BODY, chart, (schema,), profile)
+        assert calls == [("Monitored", 4, 31), ("Monitored", 4, 48), ("Exception", 5, 38)]
+
+
 class TestInputContract:
     def test_no_schemas(self, golden_tags, chart, profile):
         with pytest.raises(ValueError, match="at least one schema"):

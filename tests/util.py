@@ -21,6 +21,7 @@ from tagweaver import (
     TagUse,
     TagValue,
 )
+from tagweaver.errors import ParseError
 from tagweaver.tagmodel import Context
 from tagweaver.tagschema import Cardinality, DomainSpec, TagTypeDef
 
@@ -690,3 +691,142 @@ def flatten_statements(body: tuple) -> tuple:
                 for tag in item.tag_refs:
                     items.append(TagStatement(element_refs=(ref,), tag_refs=(tag,)))
     return tuple(items)
+
+
+# ---------------------------------------------------------------------------
+# Character-at-a-time tokenizer oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_tokenize(text: str, *, raw_brackets: bool) -> list[tuple]:
+    """Tokenize one character at a time, tracking line and col as it goes.
+
+    Returns (kind, value, line, col, start, end) tuples and raises the
+    same ``ParseError`` messages and positions as ``parsing.tokenize``.
+    """
+
+    tokens: list[tuple] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    while i < n:
+        ch = text[i]
+
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if text.startswith("/*", i):
+            start_line, start_col = line, col
+            i += 2
+            col += 2
+            while i < n and not text.startswith("*/", i):
+                if text[i] == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+                i += 1
+            if i >= n:
+                raise ParseError("unterminated block comment", start_line, start_col)
+            i += 2
+            col += 2
+            continue
+
+        if ch.isalpha() or ch == "_":
+            start = i
+            start_col = col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(("ident", text[start:i], line, start_col, start, i))
+            continue
+
+        if ch == '"':
+            start_line, start_col = line, col
+            lit_start = i
+            i += 1
+            col += 1
+            out: list[str] = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise ParseError("unterminated string literal", start_line, start_col)
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
+                        raise ParseError(
+                            "unsupported escape sequence (only \\\" and \\\\ are allowed)",
+                            line,
+                            col,
+                        )
+                    out.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                out.append(c)
+                i += 1
+                col += 1
+            tokens.append(("string", "".join(out), start_line, start_col, lit_start, i))
+            continue
+
+        if ch == "[" and raw_brackets:
+            start_line, start_col = line, col
+            depth = 1
+            i += 1
+            col += 1
+            start = i
+            while i < n and depth > 0:
+                c = text[i]
+                if c == "[":
+                    depth += 1
+                elif c == "]":
+                    depth -= 1
+                if c == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+                i += 1
+            if depth > 0:
+                raise ParseError("unterminated '[' expression", start_line, start_col)
+            tokens.append(("bracket", text[start : i - 1], start_line, start_col, start - 1, i))
+            continue
+
+        if text.startswith("...", i):
+            tokens.append(("...", "...", line, col, i, i + 3))
+            i += 3
+            col += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append(("->", "->", line, col, i, i + 2))
+            i += 2
+            col += 2
+            continue
+
+        if ch in "{};,=:.|+*?()[]":
+            tokens.append((ch, ch, line, col, i, i + 1))
+            i += 1
+            col += 1
+            continue
+
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+
+    tokens.append(("eof", "", line, col, n, n))
+    return tokens
