@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .derivation import DerivationError, derive_profile, profile_to_json, render_derived_grammar
-from .diagnostics import Diagnostic, Severity, format_diagnostic
+from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors
 from .errors import ParseError
 from .manifest import parse_manifest
 from .workspace import (
@@ -157,7 +157,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _print_model_warnings(loaded, sys.stderr)
     diags, _ = check_workspace(loaded)
     _emit_diagnostics(diags, args.format, sys.stdout)
-    return 1 if any(d.severity is Severity.ERROR for d in diags) else 0
+    return 1 if has_errors(diags) else 0
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -200,18 +200,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WorkspaceError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         for diag in exc.diagnostics:
             print(format_diagnostic(diag, color=_use_color(sys.stderr)), file=sys.stderr)
         return 2
-    except DerivationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, DerivationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

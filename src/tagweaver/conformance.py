@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .derivation import LanguageProfile
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, has_errors
 from .statechart import (
     AmbiguousElement,
     ElementHandle,
@@ -38,7 +38,7 @@ from .statechart import (
     UnresolvedElement,
     resolve_element,
 )
-from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue
+from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue, qualify
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
 
 __all__ = [
@@ -279,7 +279,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
             )
         )
 
-    if any(d.severity is Severity.ERROR for d in diags):
+    if has_errors(diags):
         return diags, None
     return diags, ResolvedTagging(target=inp.target.qualified_name, attachments=tuple(attachments))
 
@@ -291,11 +291,9 @@ def _require_matching_inputs(inp: CheckInput) -> None:
         raise ValueError("check requires at least one schema")
     available = {schema.qualified_name for schema in inp.schemas}
     for ref in inp.tag_model.conforms_to:
-        qualified = ref if "." in ref else f"{inp.tag_model.package}.{ref}"
-        if qualified not in available:
+        if qualify(ref, inp.tag_model.package) not in available:
             raise ValueError(f"conforms-to entry '{ref}' matches no supplied schema")
-    target_ref = inp.tag_model.target_model
-    qualified = target_ref if "." in target_ref else f"{inp.tag_model.package}.{target_ref}"
+    qualified = qualify(inp.tag_model.target_model, inp.tag_model.package)
     if qualified != inp.target.qualified_name:
         raise ValueError(
             f"tag model targets '{qualified}' but the supplied model is "
@@ -358,7 +356,7 @@ def _check_value(
         )
 
     normalized = _check_value_inner(use, tag_type, schema, file, mismatch)
-    if any(d.severity is Severity.ERROR for d in diags):
+    if has_errors(diags):
         return diags, None
     return diags, normalized
 

@@ -31,6 +31,7 @@ from enum import Enum
 
 from .errors import TagweaverError
 from .manifest import GrammarManifest, Production
+from .parsing import is_identifier
 
 __all__ = [
     "IdentifierKind",
@@ -78,7 +79,7 @@ class IdentifierRule:
         if self.syntax_sketch is None:
             return ()
         return tuple(
-            tok for tok in self.syntax_sketch.split() if not _is_identifier(tok)
+            tok for tok in self.syntax_sketch.split() if not is_identifier(tok)
         )
 
     def matches_bracket_text(self, raw: str) -> bool:
@@ -130,10 +131,6 @@ class LanguageProfile:
 
     def matching_bracket_rules(self, raw: str) -> tuple[IdentifierRule, ...]:
         return tuple(rule for rule in self.bracket_rules() if rule.matches_bracket_text(raw))
-
-
-def _is_identifier(text: str) -> bool:
-    return text.isidentifier()
 
 
 # ---------------------------------------------------------------------------

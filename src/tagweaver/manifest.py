@@ -40,10 +40,10 @@ or declared ``external``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .parsing import is_identifier
 
 __all__ = [
     "RhsRef",
@@ -115,8 +115,12 @@ class GrammarManifest:
 # Line scanning
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CARDINALITY = "?*+"
+
+
+def _is_ident(text: str) -> bool:
+    # Manifests stay ASCII-only; otherwise the model languages' rule.
+    return text.isascii() and is_identifier(text)
 
 
 @dataclass(frozen=True)
@@ -348,11 +352,11 @@ def _parse_ref(word: _Word, lineno: int, filename: str | None) -> RhsRef:
     pi: str | None = None
     if ":" in text:
         pi_text, _, nt_text = text.partition(":")
-        if not _IDENT_RE.match(pi_text) or not _IDENT_RE.match(nt_text):
+        if not _is_ident(pi_text) or not _is_ident(nt_text):
             raise ParseError(f"malformed reference '{word.text}'", lineno, word.col, filename)
         pi = pi_text
         text = nt_text
-    elif not _IDENT_RE.match(text):
+    elif not _is_ident(text):
         raise ParseError(f"malformed reference '{word.text}'", lineno, word.col, filename)
     return RhsRef(nonterminal=text, preceding_identifier=pi, line=lineno, col=word.col)
 
@@ -403,7 +407,7 @@ def _check_references(manifest: GrammarManifest, filename: str | None) -> None:
 
 
 def _require_ident(word: _Word, lineno: int, filename: str | None) -> None:
-    if word.quoted or not _IDENT_RE.match(word.text):
+    if word.quoted or not _is_ident(word.text):
         raise ParseError(f"invalid identifier '{word.text}'", lineno, word.col, filename)
 
 

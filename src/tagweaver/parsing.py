@@ -81,8 +81,15 @@ _SCAN = re.compile(
     re.VERBOSE,
 )
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
+_WORD = re.compile(r"\w+")
 _UNESCAPE = re.compile(r'\\(["\\])')
 _BRACKETS = re.compile(r"[\[\]]")
+
+
+def is_identifier(text: str) -> bool:
+    """The identifier rule of ``tokenize``: word characters, the first a letter or ``_``."""
+
+    return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
 
 
 def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> list[Token]:

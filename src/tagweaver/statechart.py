@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParseError, ResolutionError
-from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, Token, TokenCursor, tokenize
+from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
 from .tagmodel import ElementIdentifier
 
 __all__ = [
@@ -484,7 +484,7 @@ def _parse_endpoints(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]] | None
 
 def _parse_dotted(text: str) -> tuple[str, ...] | None:
     parts = [p.strip() for p in text.strip().split(".")]
-    if not parts or any(not p.isidentifier() for p in parts):
+    if not parts or any(not is_identifier(p) for p in parts):
         return None
     return tuple(parts)
 

@@ -51,6 +51,7 @@ __all__ = [
     "parse_tag_model",
     "pretty_print_tag_model",
     "escape_string",
+    "qualify",
 ]
 
 
@@ -170,6 +171,12 @@ class TagModel:
     @property
     def qualified_name(self) -> str:
         return f"{self.package}.{self.name}"
+
+
+def qualify(ref: str, default_package: str) -> str:
+    """Complete an unqualified name with the referencing file's package."""
+
+    return ref if "." in ref else f"{default_package}.{ref}"
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,20 @@ clause lists scope keywords from the target DSL's language profile, or
 ``for +`` to admit every element; omitting the clause means the same as
 ``for +``.  Types marked ``private`` may only be used as subtags of other
 types, never directly on an element.
+
+The parser only builds the schema and raises syntax errors.
+:func:`validate_schema_well_formedness` alone decides whether a schema is
+well-formed; :func:`parse_tag_schema` runs it and raises the first of its
+diagnostics that the chosen ``strict`` mode raises, as the matching
+:class:`~tagweaver.errors.ParseError` subclass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from .derivation import LanguageProfile
 from .diagnostics import Diagnostic, Severity
@@ -115,6 +123,8 @@ class ScopeSpec:
     """Which element types a tag type may be attached to (None = any)."""
 
     keywords: tuple[str, ...] | None = None
+    # (line, col) of each keyword as parsed; empty when built by hand.
+    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     @property
     def is_any(self) -> bool:
@@ -143,6 +153,8 @@ class DomainSpec:
     native: str | None = None
     values: tuple[str, ...] = ()
     references: tuple[Reference, ...] = ()
+    # (line, col) of each enumeration value as parsed; empty when built by hand.
+    value_positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     @classmethod
     def simple(cls) -> DomainSpec:
@@ -209,11 +221,15 @@ def parse_tag_schema(
 ) -> TagSchema:
     """Parse ``.tagschema`` source text against a language profile.
 
-    Structural problems (syntax errors, duplicate tag type names,
-    duplicate enum values, duplicate reference names) always raise.  With
-    ``strict=True`` (the default) unresolved scope keywords and named
-    references raise as well; with ``strict=False`` they are left for
-    :func:`validate_schema_well_formedness` to report as diagnostics.
+    Syntax errors raise as they are met.  The parsed schema is then judged
+    by :func:`validate_schema_well_formedness`, and the first of its
+    diagnostics that this parse raises becomes a :class:`ParseError`
+    subclass.  Structural problems (duplicate tag type names, duplicate
+    enum values, duplicate reference names) always raise.  With
+    ``strict=True`` (the default) unknown scope keywords and unresolved
+    named references raise as well; with ``strict=False`` they are left
+    for the caller's own validation to report as diagnostics.
+    Required-reference cycles never raise here.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=False, filename=filename), filename)
@@ -227,20 +243,8 @@ def parse_tag_schema(
     cur.expect("{")
 
     tag_types: list[TagTypeDef] = []
-    scope_tokens: list[tuple] = []
-    names_seen: dict[str, int] = {}
     while not cur.at("}"):
-        tt, tokens = _parse_tag_type(cur)
-        if tt.name in names_seen:
-            raise DuplicateTagTypeName(
-                f"tag type '{tt.name}' already defined on line {names_seen[tt.name]}",
-                tt.line,
-                tt.col,
-                filename,
-            )
-        names_seen[tt.name] = tt.line
-        tag_types.append(tt)
-        scope_tokens.append(tokens)
+        tag_types.append(_parse_tag_type(cur))
     cur.expect("}")
     cur.expect(EOF)
 
@@ -250,12 +254,25 @@ def parse_tag_schema(
         tag_types=tuple(tag_types),
         source_name=filename,
     )
-    if strict:
-        _raise_first_resolution_problem(schema, profile, scope_tokens)
+    for diag in validate_schema_well_formedness(schema, profile):
+        error_class, always = _RAISED_AS.get(diag.condition, (None, False))
+        if error_class is not None and (strict or always):
+            raise error_class(diag.message, diag.line, diag.col, filename)
     return schema
 
 
-def _parse_tag_type(cur: TokenCursor) -> tuple[TagTypeDef, tuple]:
+# The conditions ``parse_tag_schema`` raises: the exception class, and
+# whether the condition raises under ``strict=False`` too.
+_RAISED_AS: dict[str, tuple[type[ParseError], bool]] = {
+    "DuplicateTagTypeName": (DuplicateTagTypeName, True),
+    "EmptyEnumDomain": (EmptyEnumDomain, True),
+    "DuplicateReferenceName": (ParseError, True),
+    "UnknownScopeKeyword": (UnknownScopeKeyword, False),
+    "UnresolvedNamedReference": (UnresolvedNamedReference, False),
+}
+
+
+def _parse_tag_type(cur: TokenCursor) -> TagTypeDef:
     is_private = cur.match(IDENT, "private") is not None
     cur.expect_keyword("tagtype")
     name_tok = cur.expect(IDENT)
@@ -263,7 +280,7 @@ def _parse_tag_type(cur: TokenCursor) -> tuple[TagTypeDef, tuple]:
     declared: DomainSpec | None = None
     if cur.match(":"):
         if cur.at("["):
-            declared = _parse_enum_domain(cur, name_tok.value)
+            declared = _parse_enum_domain(cur)
         elif cur.peek().kind == IDENT and cur.peek().value in NATIVE_KINDS:
             declared = DomainSpec.of_native(cur.advance().value)
         else:
@@ -272,9 +289,8 @@ def _parse_tag_type(cur: TokenCursor) -> tuple[TagTypeDef, tuple]:
             )
 
     scope = ScopeSpec.any_scope()
-    scope_tokens: tuple = ()
     if cur.at_keyword("for"):
-        scope, scope_tokens = _parse_scope(cur)
+        scope = _parse_scope(cur)
 
     if cur.match(";"):
         domain = declared if declared is not None else DomainSpec.simple()
@@ -284,11 +300,11 @@ def _parse_tag_type(cur: TokenCursor) -> tuple[TagTypeDef, tuple]:
                 f"tag type '{name_tok.value}' already has a value domain; "
                 "a reference block is not allowed"
             )
-        domain = _parse_complex_domain(cur, name_tok.value)
+        domain = _parse_complex_domain(cur)
     else:
         raise cur.error("expected ';' or a '{' reference block")
 
-    tt = TagTypeDef(
+    return TagTypeDef(
         name=name_tok.value,
         domain=domain,
         scope=scope,
@@ -296,55 +312,40 @@ def _parse_tag_type(cur: TokenCursor) -> tuple[TagTypeDef, tuple]:
         line=name_tok.line,
         col=name_tok.col,
     )
-    return tt, scope_tokens
 
 
-def _parse_enum_domain(cur: TokenCursor, type_name: str) -> DomainSpec:
+def _parse_enum_domain(cur: TokenCursor) -> DomainSpec:
     cur.expect("[")
     values = [cur.expect(STRING)]
     while cur.match("|"):
         values.append(cur.expect(STRING))
     cur.expect("]")
-    seen: set[str] = set()
-    for tok in values:
-        if tok.value in seen:
-            raise EmptyEnumDomain(
-                f'duplicate enumeration value "{tok.value}" in \'{type_name}\'',
-                tok.line,
-                tok.col,
-                cur.filename,
-            )
-        seen.add(tok.value)
-    return DomainSpec.enum_of(*(tok.value for tok in values))
+    return DomainSpec(
+        DomainSpec.ENUM,
+        values=tuple(tok.value for tok in values),
+        value_positions=tuple((tok.line, tok.col) for tok in values),
+    )
 
 
-def _parse_scope(cur: TokenCursor) -> tuple[ScopeSpec, tuple]:
+def _parse_scope(cur: TokenCursor) -> ScopeSpec:
     cur.expect_keyword("for")
     if cur.match("+"):
-        return ScopeSpec.any_scope(), ()
+        return ScopeSpec.any_scope()
     tokens = [cur.expect(IDENT)]
     while cur.match(","):
         tokens.append(cur.expect(IDENT))
-    return ScopeSpec.listed(*(tok.value for tok in tokens)), tuple(tokens)
+    return ScopeSpec(
+        tuple(tok.value for tok in tokens), tuple((tok.line, tok.col) for tok in tokens)
+    )
 
 
-def _parse_complex_domain(cur: TokenCursor, type_name: str) -> DomainSpec:
+def _parse_complex_domain(cur: TokenCursor) -> DomainSpec:
     cur.expect("{")
     refs = [_parse_reference(cur)]
     while cur.match(","):
         refs.append(_parse_reference(cur))
     cur.expect(";")
     cur.expect("}")
-    seen: set[str] = set()
-    for ref in refs:
-        if ref.name in seen:
-            raise ParseError(
-                f"duplicate reference name '{ref.name}' in '{type_name}'",
-                ref.line,
-                ref.col,
-                cur.filename,
-            )
-        seen.add(ref.name)
     return DomainSpec.complex_of(*refs)
 
 
@@ -369,32 +370,6 @@ def _parse_reference(cur: TokenCursor) -> Reference:
     )
 
 
-def _raise_first_resolution_problem(
-    schema: TagSchema, profile: LanguageProfile, scope_tokens: list[tuple]
-) -> None:
-    keywords = profile.keyword_set()
-    type_names = {tt.name for tt in schema.tag_types}
-    for tt, tokens in zip(schema.tag_types, scope_tokens):
-        for tok in tokens:
-            if tok.value not in keywords:
-                raise UnknownScopeKeyword(
-                    f"'{tok.value}' is not a scope keyword of grammar "
-                    f"'{profile.grammar_name}'",
-                    tok.line,
-                    tok.col,
-                    schema.source_name,
-                )
-        for ref in tt.domain.references:
-            if not ref.is_native and ref.type_name not in type_names:
-                raise UnresolvedNamedReference(
-                    f"reference '{ref.name}' of '{tt.name}' points to unknown "
-                    f"tag type '{ref.type_name}'",
-                    ref.line,
-                    ref.col,
-                    schema.source_name,
-                )
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness validation
 # ---------------------------------------------------------------------------
@@ -405,16 +380,20 @@ def validate_schema_well_formedness(
 ) -> list[Diagnostic]:
     """Full well-formedness sweep over a parsed (or constructed) schema.
 
-    Reports duplicate tag type names, unknown scope keywords, unresolved
-    named references, empty or duplicated enumeration domains, duplicate
-    reference names, and required-reference cycles
-    (``RecursiveRequiredReference``: a cycle of named references whose
-    every edge is required or at-least-one has no finite instances).
+    Reports duplicate tag type names, duplicated or empty enumeration
+    domains, unknown scope keywords, duplicate reference names and
+    unresolved named references tag type by tag type, in source order.
+    Required-reference cycles (``RecursiveRequiredReference``: a cycle of
+    named references whose every edge is required or at-least-one has no
+    finite instances) follow.  An enumeration value or scope keyword of a
+    constructed schema, which has no recorded position, is reported at
+    its tag type.
     """
 
     diags: list[Diagnostic] = []
     keywords = profile.keyword_set()
-    type_names: set[str] = set()
+    type_names = {tt.name for tt in schema.tag_types}
+    first_lines: dict[str, int] = {}
 
     def report(condition: str, message: str, line: int, col: int) -> None:
         diags.append(
@@ -429,63 +408,68 @@ def validate_schema_well_formedness(
         )
 
     for tt in schema.tag_types:
-        if tt.name in type_names:
+        if tt.name in first_lines:
             report(
                 "DuplicateTagTypeName",
-                f"tag type '{tt.name}' defined more than once",
+                f"tag type '{tt.name}' already defined on line {first_lines[tt.name]}",
                 tt.line,
                 tt.col,
             )
-        type_names.add(tt.name)
+        else:
+            first_lines[tt.name] = tt.line
 
-    for tt in schema.tag_types:
-        if not tt.scope.is_any:
-            for kw in tt.scope.keywords:
-                if kw not in keywords:
-                    report(
-                        "UnknownScopeKeyword",
-                        f"'{kw}' in the scope of '{tt.name}' is not a scope keyword "
-                        f"of grammar '{profile.grammar_name}'",
-                        tt.line,
-                        tt.col,
-                    )
-        if tt.domain.kind == DomainSpec.ENUM:
-            if not tt.domain.values:
+        domain = tt.domain
+        if domain.kind == DomainSpec.ENUM and not domain.values:
+            report("EmptyEnumDomain", f"enumeration '{tt.name}' has no values", tt.line, tt.col)
+        seen_values: set[str] = set()
+        for value, (line, col) in zip(domain.values, _positions(domain.value_positions, tt)):
+            if value in seen_values:
                 report(
                     "EmptyEnumDomain",
-                    f"enumeration '{tt.name}' has no values",
-                    tt.line,
-                    tt.col,
+                    f'duplicate enumeration value "{value}" in \'{tt.name}\'',
+                    line,
+                    col,
                 )
-            elif len(set(tt.domain.values)) != len(tt.domain.values):
+            seen_values.add(value)
+
+        for kw, (line, col) in zip(tt.scope.keywords or (), _positions(tt.scope.positions, tt)):
+            if kw not in keywords:
                 report(
-                    "EmptyEnumDomain",
-                    f"enumeration '{tt.name}' repeats a value",
-                    tt.line,
-                    tt.col,
+                    "UnknownScopeKeyword",
+                    f"'{kw}' is not a scope keyword of grammar '{profile.grammar_name}'",
+                    line,
+                    col,
                 )
-        if tt.domain.kind == DomainSpec.COMPLEX:
-            seen_refs: set[str] = set()
-            for ref in tt.domain.references:
-                if ref.name in seen_refs:
-                    report(
-                        "DuplicateReferenceName",
-                        f"reference '{ref.name}' declared twice in '{tt.name}'",
-                        ref.line,
-                        ref.col,
-                    )
-                seen_refs.add(ref.name)
-                if not ref.is_native and ref.type_name not in type_names:
-                    report(
-                        "UnresolvedNamedReference",
-                        f"reference '{ref.name}' of '{tt.name}' points to unknown "
-                        f"tag type '{ref.type_name}'",
-                        ref.line,
-                        ref.col,
-                    )
+
+        seen_refs: set[str] = set()
+        for ref in domain.references:
+            if ref.name in seen_refs:
+                report(
+                    "DuplicateReferenceName",
+                    f"duplicate reference name '{ref.name}' in '{tt.name}'",
+                    ref.line,
+                    ref.col,
+                )
+            seen_refs.add(ref.name)
+            if not ref.is_native and ref.type_name not in type_names:
+                report(
+                    "UnresolvedNamedReference",
+                    f"reference '{ref.name}' of '{tt.name}' points to unknown "
+                    f"tag type '{ref.type_name}'",
+                    ref.line,
+                    ref.col,
+                )
 
     diags.extend(_required_cycles(schema))
     return diags
+
+
+def _positions(
+    recorded: tuple[tuple[int, int], ...], tt: TagTypeDef
+) -> Iterable[tuple[int, int]]:
+    """The parser's recorded positions, else the tag type's, repeated."""
+
+    return recorded or repeat((tt.line, tt.col))
 
 
 def _required_cycles(schema: TagSchema) -> list[Diagnostic]:
@@ -503,37 +487,47 @@ def _required_cycles(schema: TagSchema) -> list[Diagnostic]:
     }
 
     # Tarjan's strongly connected components over the mandatory-edge graph.
+    # The depth-first walk keeps its own stack of (node, successor iterator)
+    # so that a long chain of references cannot exhaust the recursion limit.
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
-    counter = [0]
+    walk: list[tuple[str, Iterator[str]]] = []
 
-    def connect(node: str) -> None:
-        index[node] = low[node] = counter[0]
-        counter[0] += 1
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
         stack.append(node)
         on_stack.add(node)
-        for succ in edges[node]:
-            if succ not in index:
-                connect(succ)
-                low[node] = min(low[node], low[succ])
-            elif succ in on_stack:
-                low[node] = min(low[node], index[succ])
-        if low[node] == index[node]:
-            component: list[str] = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            sccs.append(component)
+        walk.append((node, iter(edges[node])))
 
     for name in types:
-        if name not in index:
-            connect(name)
+        if name in index:
+            continue
+        visit(name)
+        while walk:
+            node, successors = walk[-1]
+            for succ in successors:
+                if succ not in index:
+                    visit(succ)
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: list[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(component)
 
     diags: list[Diagnostic] = []
     for component in sccs:

@@ -37,11 +37,11 @@ from pathlib import Path
 
 from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, has_errors
 from .errors import TagweaverError
 from .manifest import GrammarManifest, parse_manifest
 from .statechart import StatechartModel, parse_statechart
-from .tagmodel import TagModel, parse_tag_model
+from .tagmodel import TagModel, parse_tag_model, qualify
 from .tagschema import TagSchema, parse_tag_schema, validate_schema_well_formedness
 
 __all__ = [
@@ -100,12 +100,6 @@ class LoadedWorkspace:
         raise WorkspaceError(
             f"no schema named '{qualified}' in the workspace (available: {available})"
         )
-
-
-def qualify(ref: str, default_package: str) -> str:
-    """Complete an unqualified name with the referencing file's package."""
-
-    return ref if "." in ref else f"{default_package}.{ref}"
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
         )
 
     diags, resolved = check_workspace(loaded)
-    if any(d.severity is Severity.ERROR for d in diags):
+    if has_errors(diags):
         return diags, None
 
     # Each value is serialized once, for both the sort key and the report.

@@ -10,6 +10,7 @@ import pytest
 
 from tagweaver import derive_profile, parse_manifest, profile_to_json, render_derived_grammar
 from tagweaver.cli import build_arg_parser, main, run_cli
+from util import required_chain_schema_text
 
 FAULTY_TAGS = (
     "package mobile;\n"
@@ -51,6 +52,15 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ""
+
+    @pytest.mark.parametrize("closed, code", [(False, 0), (True, 2)])
+    def test_long_required_chain_schema(self, golden_argv, tmp_path, capsys, closed, code):
+        chain = tmp_path / "chain.tagschema"
+        chain.write_text(required_chain_schema_text(1200, closed=closed))
+        assert run_cli(["check", *golden_argv, "--schema", str(chain)]) == code
+        err = capsys.readouterr().err
+        assert ("error[RecursiveRequiredReference]" in err) is closed
+        assert "Traceback" not in err
 
     def test_error_diagnostics_go_to_stdout_with_exit_one(
         self, golden_argv, tmp_path, capsys

@@ -199,6 +199,10 @@ class TestBracketMatching:
         assert rule.matches_bracket_text("Start -> Active")
         assert not rule.matches_bracket_text("StartActive")
 
+    def test_sketch_words_follow_the_tokenizer_identifier_rule(self):
+        rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, "a² -> b")
+        assert rule.sketch_literals() == ("->",)
+
     def test_literal_free_sketch_matches_anything(self):
         rule = IdentifierRule("I", IdentifierKind.BRACKET_SYNTAX, "Expression")
         assert rule.sketch_literals() == ()

@@ -136,6 +136,7 @@ ERROR_CASES = [
     ("grammar G\n@sketch production P\n", ParseError, "expected quoted text"),
     ("grammar G\nexternal N\nproduction P = a:b:c\n", ParseError, "malformed reference"),
     ("grammar G\nproduction 9x\n", ParseError, "invalid identifier"),
+    ("grammar G\nproduction Straße\n", ParseError, "invalid identifier"),
     ('grammar G\n@sketch "oops production P\n', ParseError, "unterminated string"),
     ("grammar G\ninterface A B\n", ParseError, "exactly one interface name"),
     ("grammar G\nproduction P Name\n", ParseError, "expected '='"),

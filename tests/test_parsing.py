@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tagweaver import parse_statechart
 from tagweaver.errors import ParseError
-from tagweaver.parsing import tokenize
+from tagweaver.parsing import IDENT, is_identifier, tokenize
 
 from util import oracle_tokenize
 
@@ -74,6 +74,18 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("raw_brackets", [True, False])
     def test_hand_picked_inputs(self, text, raw_brackets):
         assert _lex(tokenize, text, raw_brackets) == _lex(oracle_tokenize, text, raw_brackets)
+
+
+class TestIsIdentifier:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(text=st.text(alphabet="aZ_09é²١ß.- ", max_size=5))
+    def test_agrees_with_the_tokenizer(self, text):
+        try:
+            tokens = tokenize(text, raw_brackets=True)
+        except ParseError:
+            tokens = []
+        whole = [(tok.kind, tok.value) for tok in tokens[:-1]] == [(IDENT, text)]
+        assert is_identifier(text) is whole
 
 
 class TestPositions:

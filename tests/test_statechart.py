@@ -166,6 +166,10 @@ class TestResolutionCornerCases:
         handle = resolve_element(model, B("P.C -> Q"))
         assert handle == ElementHandle("[P.C -> Q]", "Transition")
 
+    def test_transition_endpoint_named_like_any_identifier(self):
+        model = parse_statechart("package p;\nstatechart X {\n state a²;\n state B;\n a² -> B;\n}\n")
+        assert resolve_element(model, B("a² -> B")) == ElementHandle("[a² -> B]", "Transition")
+
     def test_ambiguous_transition(self):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A;\n state B;\n"

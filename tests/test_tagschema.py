@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagweaver import (
     Cardinality,
@@ -18,11 +20,14 @@ from tagweaver import (
     TagTypeDef,
     UnknownScopeKeyword,
     UnresolvedNamedReference,
+    Workspace,
+    WorkspaceError,
+    load_workspace,
     parse_tag_schema,
     pretty_print_tag_schema,
     validate_schema_well_formedness,
 )
-from util import random_schema_text
+from util import random_schema_text, required_chain_schema_text
 
 HEADER = "package s;\ntagschema Types {\n"
 
@@ -192,6 +197,171 @@ class TestLenientParsing:
         assert [d.condition for d in diags] == ["UnresolvedNamedReference"]
 
 
+# One case per condition that ``parse_tag_schema`` raises: the body (from
+# line 3), the exception class, its message and position, the validator's
+# condition name, and whether ``strict=False`` raises it too.
+SINGLE_PROBLEMS = [
+    pytest.param(
+        " tagtype T;\n tagtype T;\n", DuplicateTagTypeName,
+        "tag type 'T' already defined on line 3", 4, 10, "DuplicateTagTypeName", True,
+        id="duplicate-tag-type",
+    ),
+    pytest.param(
+        ' tagtype T:["a"|"b"|"a"];\n', EmptyEnumDomain,
+        'duplicate enumeration value "a" in \'T\'', 3, 21, "EmptyEnumDomain", True,
+        id="duplicate-enum-value",
+    ),
+    pytest.param(
+        " tagtype T { a:int, a:String; }\n", ParseError,
+        "duplicate reference name 'a' in 'T'", 3, 21, "DuplicateReferenceName", True,
+        id="duplicate-reference-name",
+    ),
+    pytest.param(
+        " tagtype Log for State, Transation;\n", UnknownScopeKeyword,
+        "'Transation' is not a scope keyword of grammar 'Statechart'", 3, 25,
+        "UnknownScopeKeyword", False,
+        id="unknown-scope-keyword",
+    ),
+    pytest.param(
+        " tagtype T { g:Ghost; }\n", UnresolvedNamedReference,
+        "reference 'g' of 'T' points to unknown tag type 'Ghost'", 3, 14,
+        "UnresolvedNamedReference", False,
+        id="unresolved-named-reference",
+    ),
+]
+PROBLEM_ARGS = "body, exc, message, line, col, condition, lenient_raises"
+
+
+def raised(body: str, profile, strict: bool) -> tuple:
+    with pytest.raises(ParseError) as info:
+        parse(body, profile, strict=strict)
+    err = info.value
+    return type(err), err.message, err.line, err.col
+
+
+class TestOneValidationPath:
+    @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
+    def test_strict_raises_the_condition(
+        self, profile, body, exc, message, line, col, condition, lenient_raises
+    ):
+        assert raised(body, profile, strict=True) == (exc, message, line, col)
+
+    @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
+    def test_lenient_raises_only_structural_conditions(
+        self, profile, body, exc, message, line, col, condition, lenient_raises
+    ):
+        if lenient_raises:
+            assert raised(body, profile, strict=False) == (exc, message, line, col)
+        else:
+            schema = parse(body, profile, strict=False)
+            diags = validate_schema_well_formedness(schema, profile)
+            assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
+                (condition, message, line, col)
+            ]
+
+    @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
+    def test_workspace_reports_the_same(
+        self, profile, samples_dir, tmp_path, body, exc, message, line, col, condition,
+        lenient_raises,
+    ):
+        path = tmp_path / "bad.tagschema"
+        path.write_text(HEADER + body + "}\n")
+        ws = Workspace(
+            manifest_file=samples_dir / "statechart.glang",
+            model_files=(samples_dir / "mobile.sc",),
+            schema_files=(path,),
+        )
+        if lenient_raises:
+            with pytest.raises(ParseError) as info:
+                load_workspace(ws)
+            err = info.value
+            assert (type(err), err.message, err.line, err.col, err.filename) == (
+                exc, message, line, col, str(path)
+            )
+        else:
+            with pytest.raises(WorkspaceError, match="not well-formed") as info:
+                load_workspace(ws)
+            assert [
+                (d.condition, d.message, d.file, d.line, d.col)
+                for d in info.value.diagnostics
+            ] == [(condition, message, str(path), line, col)]
+
+    def test_validator_reports_tag_type_by_tag_type(self, profile):
+        def ref(name, type_name, line, col):
+            return Reference(name, type_name, type_name == "int", line=line, col=col)
+
+        schema = TagSchema(
+            package="s",
+            name="Types",
+            tag_types=(
+                TagTypeDef("C", DomainSpec.complex_of(ref("c", "C", 3, 14)), line=3, col=10),
+                TagTypeDef(
+                    "A",
+                    DomainSpec.complex_of(ref("g", "Ghost", 4, 24), ref("g", "int", 4, 33)),
+                    scope=ScopeSpec.listed("Nodee"),
+                    line=4,
+                    col=10,
+                ),
+                TagTypeDef("A", DomainSpec.enum_of("x", "x"), line=5, col=10),
+            ),
+        )
+        diags = validate_schema_well_formedness(schema, profile)
+        assert [(d.condition, d.line, d.col) for d in diags] == [
+            ("UnknownScopeKeyword", 4, 10),  # constructed: at the tag type
+            ("UnresolvedNamedReference", 4, 24),
+            ("DuplicateReferenceName", 4, 33),
+            ("DuplicateTagTypeName", 5, 10),
+            ("EmptyEnumDomain", 5, 10),
+            ("RecursiveRequiredReference", 3, 10),  # cycles come last
+        ]
+
+    @pytest.mark.parametrize(
+        "body, strict, expected",
+        [
+            # The first problem in source order raises, whichever kind it is.
+            pytest.param(
+                " tagtype A for Nodee { g:Ghost, g:int; }\n",
+                True,
+                (UnknownScopeKeyword, 3, 16),
+                id="scope-keyword-before-duplicate-reference",
+            ),
+            pytest.param(
+                " tagtype A for Nodee { g:Ghost, g:int; }\n",
+                False,
+                (ParseError, 3, 33),
+                id="lenient-skips-to-duplicate-reference",
+            ),
+            pytest.param(
+                ' tagtype T;\n tagtype T:["a"|"a"];\n',
+                False,
+                (DuplicateTagTypeName, 4, 10),
+                id="type-name-before-its-enum-values",
+            ),
+            # A syntax error anywhere takes precedence over well-formedness.
+            pytest.param(
+                " tagtype T;\n tagtype T;\n tagtype U:Floaty;\n",
+                False,
+                (ParseError, 5, 12),
+                id="syntax-error-first",
+            ),
+        ],
+    )
+    def test_several_problems_raise_the_first(self, profile, body, strict, expected):
+        exc, message, line, col = raised(body, profile, strict=strict)
+        assert (exc, line, col) == expected
+
+    def test_constructed_schema_falls_back_to_the_tag_type_position(self, profile):
+        tt = TagTypeDef(
+            "T", DomainSpec.enum_of("x", "y", "x"), ScopeSpec.listed("State", "Nope"),
+            line=7, col=3,
+        )
+        diags = validate_schema_well_formedness(TagSchema("p", "S", (tt,)), profile)
+        assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
+            ("EmptyEnumDomain", 'duplicate enumeration value "x" in \'T\'', 7, 3),
+            ("UnknownScopeKeyword", "'Nope' is not a scope keyword of grammar 'Statechart'", 7, 3),
+        ]
+
+
 class TestValidation:
     def test_duplicate_names_on_constructed_schema(self, profile):
         s = TagSchema(
@@ -297,6 +467,77 @@ class TestRequiredCycles:
         assert self.validate(
             " tagtype A { b:B; }\n tagtype B { c:int; }\n", profile
         ) == []
+
+    def test_long_required_chain_is_clean(self, profile):
+        schema = parse_tag_schema(required_chain_schema_text(1200), profile)
+        assert len(schema.tag_types) == 1201
+        assert validate_schema_well_formedness(schema, profile) == []
+
+    def test_long_required_cycle_is_one_diagnostic(self, profile):
+        text = required_chain_schema_text(1200, closed=True)
+        schema = parse_tag_schema(text, profile)  # cycles never raise while parsing
+        (diag,) = validate_schema_well_formedness(schema, profile)
+        assert diag.condition == "RecursiveRequiredReference"
+        assert (diag.line, diag.col) == (3, 13)  # T0, the lowest position
+        assert diag.message.count(" -> ") == 1201
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        size=st.integers(1, 7),
+        refs=st.lists(
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 7), st.sampled_from(list(Cardinality))
+            ),
+            max_size=14,
+        ),
+    )
+    def test_cycles_match_mutual_reachability(self, profile, size, refs):
+        names = [f"N{i}" for i in range(size)]
+        # Index ``size`` names a type the schema does not define.
+        targets = names + ["Ghost"]
+        tag_types = tuple(
+            TagTypeDef(
+                name,
+                DomainSpec.complex_of(
+                    *(
+                        Reference(f"r{k}", targets[min(dst, size)], False, card)
+                        for k, (src, dst, card) in enumerate(refs)
+                        if src % size == i
+                    )
+                ),
+                line=size - i,  # reverse source order, so the anchor is not the first name
+                col=5,
+            )
+            for i, name in enumerate(names)
+        )
+        schema = TagSchema("p", "S", tag_types)
+        diags = [
+            d
+            for d in validate_schema_well_formedness(schema, profile)
+            if d.condition == "RecursiveRequiredReference"
+        ]
+        reported = [frozenset(d.message.split(": ")[1].split(" -> ")) for d in diags]
+
+        # Oracle: i and j share a cycle when each reaches the other along
+        # required or at-least-one references (one or more steps).
+        mandatory = (Cardinality.REQUIRED, Cardinality.AT_LEAST_ONE)
+        reach = [[False] * size for _ in range(size)]
+        for src, dst, card in refs:
+            if dst < size and card in mandatory:
+                reach[src % size][dst] = True
+        for k in range(size):
+            for i in range(size):
+                for j in range(size):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        expected = {
+            frozenset(names[j] for j in range(size) if reach[i][j] and reach[j][i])
+            for i in range(size)
+            if reach[i][i]
+        }
+        assert len(reported) == len(set(reported))
+        assert set(reported) == expected
+        for diag, members in zip(diags, reported):
+            assert diag.line == min(size - names.index(m) for m in members)
 
 
 class TestCardinality:

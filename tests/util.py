@@ -273,6 +273,20 @@ def random_schema_text(rng: random.Random, max_types: int = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
+def required_chain_schema_text(length: int, closed: bool = False) -> str:
+    """``T0 { next:T1; } ... T<length>``, one tag type per line from line 3.
+
+    Every reference is required; ``closed`` makes the last type point back
+    to ``T0``, so all ``length + 1`` types form one required cycle.
+    """
+
+    lines = ["package chain;", "tagschema Chain {"]
+    lines += [f"    tagtype T{i} {{ next:T{i + 1}; }}" for i in range(length)]
+    lines.append(f"    tagtype T{length} {{ next:T0; }}" if closed else f"    tagtype T{length};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Brute-force conformance oracle
 # ---------------------------------------------------------------------------
@@ -301,6 +315,13 @@ def transition_counts(target: StatechartModel) -> Counter:
     return counts
 
 
+def _oracle_identifier(text: str) -> bool:
+    """The tokenizer's identifier rule, spelled out character by character."""
+
+    first = text[:1]
+    return (first.isalpha() or first == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
 def oracle_resolve(
     ref: ElementIdentifier,
     ctx: str,
@@ -321,7 +342,7 @@ def oracle_resolve(
             left, _, right = raw.partition("->")
             src_parts = [p.strip() for p in left.strip().split(".")]
             tgt_parts = [p.strip() for p in right.strip().split(".")]
-            if all(p.isidentifier() for p in src_parts + tgt_parts):
+            if all(_oracle_identifier(p) for p in src_parts + tgt_parts):
                 src, tgt = ".".join(src_parts), ".".join(tgt_parts)
                 key = f"[{src} -> {tgt}]"
                 if (
