@@ -10,7 +10,9 @@ Three subcommands::
 Exit codes: 0 when checking found no errors (warnings are fine), 1 when
 at least one error diagnostic was reported (or an export was refused
 because of one), 2 for unusable input — unreadable files, parse errors,
-unresolvable references, bad usage.
+unresolvable references, bad usage — and 3 for an internal error: any
+other exception, reported as one ``error: internal error:`` line on
+stderr without a traceback, so that a crash never reads as a verdict.
 
 ``--format json`` switches diagnostic output to a machine-readable JSON
 document.  The ``TAGWEAVER_COLOR`` environment variable forces ANSI
@@ -208,6 +210,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ParseError, DerivationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -272,6 +273,45 @@ def value_to_json(value: NormalizedValue) -> dict:
 
 
 def render_export_report(report: dict) -> str:
-    """Serialize the report deterministically (stable order, 2-space indent)."""
+    """Serialize the report deterministically (stable order, 2-space indent).
 
-    return json.dumps(report, indent=2) + "\n"
+    The text is byte for byte that of ``json.dumps(report, indent=2)`` plus
+    a final newline.  With ``indent`` set, ``json`` falls back to its
+    pure-Python encoder, which yields every token separately; the writer
+    below joins each container once instead.
+    """
+
+    return _render_json(report, "\n") + "\n"
+
+
+def _render_json(obj, indent: str) -> str:
+    # ``indent`` is the newline plus the indentation of ``obj``'s own line.
+    # Strings go through the C escaper that ``json.dumps`` itself uses.
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        members = [
+            encode_basestring_ascii(key) + ": " + _render_json(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_render_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -341,6 +341,44 @@ class TestUsage:
         assert main(["check", *golden_argv]) == 0
 
 
+class TestInternalErrors:
+    """An unexpected exception exits 3 with one line, never 1 with a traceback."""
+
+    def test_unexpected_exception_exits_three(self, golden_argv, monkeypatch, capsys):
+        def broken(loaded):
+            raise RuntimeError("checker fell over")
+
+        monkeypatch.setattr("tagweaver.cli.check_workspace", broken)
+        assert run_cli(["check", *golden_argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: checker fell over\n"
+
+    def test_deeply_nested_chart_exits_three_without_traceback(
+        self, golden_argv, tmp_path
+    ):
+        depth = 1500
+        deep = tmp_path / "deep.sc"
+        deep.write_text(
+            "package deep;\nstatechart DeepChart {\n"
+            + "".join(f"state D{i} {{\n" for i in range(depth - 1))
+            + f"state D{depth - 1};\n"
+            + "}\n" * depth
+        )
+        argv = list(golden_argv)
+        argv[argv.index("--model") + 1] = str(deep)
+        result = subprocess.run(
+            [sys.executable, "-m", "tagweaver.cli", "check", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: internal error: RecursionError: ")
+        assert len(result.stderr.splitlines()) == 1
+
+
 class TestModuleInvocation:
     def test_runs_as_module(self, golden_argv):
         result = subprocess.run(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagweaver import (
     NormalizedValue,
@@ -215,6 +219,116 @@ class TestExport:
         text = render_export_report(report)
         assert text == render_export_report(report)
         assert text.endswith("}\n")
+
+
+EDGE_SCHEMA = r"""package edge;
+tagschema EdgeSchema {
+    tagtype Note:String for State;
+    tagtype Level:["say \"hi\""|"back\\slash"|"naïve ✓ 𝄞"] for State;
+    tagtype Options for State {
+        note:String?;
+    }
+    tagtype Outer for State {
+        middle:Middle;
+    }
+    private tagtype Middle {
+        inner:Inner,
+        count:int?;
+    }
+    private tagtype Inner {
+        text:String;
+    }
+}
+"""
+
+EDGE_TAGS = r"""package mobile;
+conforms to edge.EdgeSchema;
+tags EdgeTags for Mobile {
+    tag Active with Note = "a \"quoted\" C:\\path — naïve ✓ 𝄞";
+    tag Active.Call with Level = "say \"hi\"";
+    tag Active.Busy with Level = "back\\slash";
+    tag Done with Level = "naïve ✓ 𝄞";
+    tag Start with Options {};
+    tag ConnectionProblems with Outer { middle { inner { text = "deep"; }, count = "7"; }; };
+}
+"""
+
+EMPTY_TAGS = "package mobile;\nconforms to edge.EdgeSchema;\ntags NoTags for Mobile {\n}\n"
+
+
+class TestRender:
+    """The export text is byte for byte ``json.dumps(report, indent=2)``."""
+
+    def edge_report(self, golden_workspace, tmp_path, tags: str) -> dict:
+        ws = Workspace(
+            manifest_file=golden_workspace.manifest_file,
+            model_files=golden_workspace.model_files,
+            schema_files=(write(tmp_path, "edge.tagschema", EDGE_SCHEMA),),
+            tag_files=(write(tmp_path, "edge.tag", tags),),
+        )
+        diags, report = build_export_report(load_workspace(ws))
+        assert diags == []
+        return report
+
+    def test_report_without_attachments(self, golden_workspace, tmp_path):
+        report = self.edge_report(golden_workspace, tmp_path, EMPTY_TAGS)
+        text = render_export_report(report)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert text == '{\n  "targetModel": "mobile.Mobile",\n  "attachments": []\n}\n'
+
+    def test_escapes_empty_subtags_and_nested_complex_values(
+        self, golden_workspace, tmp_path
+    ):
+        report = self.edge_report(golden_workspace, tmp_path, EDGE_TAGS)
+        values = {a["elementPath"]: a["value"] for a in report["attachments"]}
+        assert values["Active"]["value"] == 'a "quoted" C:\\path — naïve ✓ 𝄞'
+        assert values["Active.Call"]["value"] == 'say "hi"'
+        assert values["Active.Busy"]["value"] == "back\\slash"
+        assert values["Start"] == {"kind": "complex", "subtags": []}
+        middle = values["ConnectionProblems"]["subtags"][0]["value"]
+        assert middle["subtags"][0]["value"]["kind"] == "complex"
+        text = render_export_report(report)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert (
+            '"value": "a \\"quoted\\" C:\\\\path \\u2014 na\\u00efve \\u2713 \\ud834\\udd1e"'
+            in text
+        )
+        assert '"subtags": []' in text
+
+    @pytest.mark.parametrize(
+        "report", [{"values": {1, 2}}, {1.5: "x"}, {"value": 1.5}]
+    )
+    def test_unsupported_types_raise(self, report):
+        with pytest.raises(TypeError):
+            render_export_report(report)
+
+
+_CHARACTERS = (
+    st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "✓", "\U0001d11e"])
+    | st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])
+)
+_STRINGS = st.text(_CHARACTERS, max_size=8)
+_SCALARS = (
+    _STRINGS
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tree=_TREES)
+def test_render_matches_json_dumps(tree):
+    assert render_export_report(tree) == json.dumps(tree, indent=2) + "\n"
 
 
 class TestValueToJson:
