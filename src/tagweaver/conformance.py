@@ -189,22 +189,31 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
 
     # Each (identifier, context) is resolved once; identifier equality
     # ignores line and col, so a failure is still reported at every use.
-    resolved: dict[tuple[ElementIdentifier, str], ElementHandle | str] = {}
+    # The model names an element's production, and the profile the scope
+    # keyword that the check, the attachment and the export all carry; a
+    # production without one (``@skip``) keeps its own name.
+    keywords = {kw.production: kw.keyword for kw in inp.profile.scope_keywords if not kw.is_nested}
+    # ``resolve`` returns the model's handle and the keyword handle, or None.
+    resolved: dict[tuple, tuple[ElementHandle, ElementHandle] | str] = {}
 
-    def resolve(ref: ElementIdentifier, context_path: str) -> ElementHandle | None:
-        key = (ref, context_path)
-        if key not in resolved:
+    def resolve(ref: ElementIdentifier, context: ElementHandle | None):
+        key = (ref, context)
+        found = resolved.get(key)
+        if found is None:
             try:
-                resolved[key] = resolve_element(inp.target, ref, context_path)
+                element = resolve_element(inp.target, ref, context)
             except (UnresolvedElement, AmbiguousElement) as exc:
-                resolved[key] = str(exc)
-        found = resolved[key]
+                found = str(exc)
+            else:
+                kind = keywords.get(element.element_type, element.element_type)
+                found = (element, ElementHandle(element.path, kind))
+            resolved[key] = found
         if isinstance(found, str):
             report(Condition.E1_UNRESOLVED_ELEMENT, found, ref.line, ref.col)
             return None
         return found
 
-    pairs = _expand(model.body, "", resolve)
+    pairs = _expand(model.body, None, resolve)
 
     # A tag use's value is checked once, however many elements its
     # statement tags; every pair still reports that use's value diagnostics.
@@ -212,11 +221,12 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
     checked_values: dict[int, tuple[list[Diagnostic], NormalizedValue | None]] = {}
 
     attachments: list[Attachment] = []
-    seen: set[tuple[str, str, NormalizedValue]] = set()
-    for element_ref, context_path, tag in pairs:
-        handle = resolve(element_ref, context_path)
-        if handle is None:
+    seen: set[tuple[str, str, str, NormalizedValue]] = set()
+    for element_ref, context, tag in pairs:
+        found = resolve(element_ref, context)
+        if found is None:
             continue
+        handle = found[1]
 
         entry = types.get(tag.name)
         if entry is None:
@@ -257,7 +267,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
         if normalized is None:
             continue
 
-        key = (handle.path, tt.name, normalized)
+        key = (handle.path, handle.element_type, tt.name, normalized)
         if key in seen:
             report(
                 Condition.DUPLICATE_TAG_WARNING,
@@ -301,21 +311,21 @@ def _require_matching_inputs(inp: CheckInput) -> None:
         )
 
 
-def _expand(body, context_path: str, resolve):
-    """Flatten contexts into (element_ref, context_path, tag_use) triples."""
+def _expand(body, context: ElementHandle | None, resolve):
+    """Flatten contexts into (element_ref, context handle, tag_use) triples."""
 
     pairs: list[tuple] = []
     for item in body:
         if isinstance(item, Context):
-            handle = resolve(item.identifier, context_path)
-            if handle is None:
+            found = resolve(item.identifier, context)
+            if found is None:
                 # The whole block is unaddressable; one diagnostic, no cascade.
                 continue
-            pairs.extend(_expand(item.body, handle.path, resolve))
+            pairs.extend(_expand(item.body, found[0], resolve))
         elif isinstance(item, TagStatement):
             for element_ref in item.element_refs:
                 for tag in item.tag_refs:
-                    pairs.append((element_ref, context_path, tag))
+                    pairs.append((element_ref, context, tag))
     return pairs
 
 

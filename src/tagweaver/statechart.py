@@ -25,7 +25,9 @@ tag files: dotted state paths, the chart's own name, ``[A -> B]`` for
 transitions, and ``[expr]`` for invariants.  Resolution goes through a
 per-model element index (state paths, transition endpoints, invariant
 texts) that is built once per model, so each lookup is a few dictionary
-lookups rather than a walk of the chart.
+lookups rather than a walk of the chart.  An element is reported with
+the grammar production it comes from, never with a scope keyword: the
+derived language profile names those.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_ident
 from .tagmodel import ElementIdentifier
 
 __all__ = [
-    "STATECHART",
-    "STATE",
-    "TRANSITION",
-    "INVARIANT",
     "StateDef",
     "TransitionDef",
     "StatechartModel",
@@ -58,11 +56,8 @@ __all__ = [
     "normalize_expression",
 ]
 
-# Element-type names as they appear in schema scope clauses.
-STATECHART = "Statechart"
-STATE = "State"
-TRANSITION = "Transition"
-INVARIANT = "Invariant"
+# The grammar productions (``samples/statechart.glang``) elements come from.
+_CHART, _STATE, _TRANSITION, _INVARIANT = "SCDefinition", "State", "Transition", "Invariant"
 
 
 class DuplicateSiblingState(ParseError):
@@ -139,7 +134,7 @@ class StatechartModel:
 
 @dataclass(frozen=True)
 class ElementHandle:
-    """A resolved, addressable element of a statechart model."""
+    """An addressable element of a model, typed by its grammar production."""
 
     path: str
     element_type: str
@@ -350,7 +345,7 @@ class _ElementIndex:
 
 def _transition_handle(tr: TransitionDef) -> ElementHandle:
     src, tgt = ".".join(tr.source), ".".join(tr.target)
-    return ElementHandle(path=f"[{src} -> {tgt}]", element_type=TRANSITION)
+    return ElementHandle(path=f"[{src} -> {tgt}]", element_type=_TRANSITION)
 
 
 def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
@@ -361,74 +356,74 @@ def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
     in source order.
     """
 
-    handles = [ElementHandle(path=model.name, element_type=STATECHART)]
+    handles = [ElementHandle(path=model.name, element_type=_CHART)]
     for segments, st in model._index.states.items():
         path = ".".join(segments)
-        handles.append(ElementHandle(path=path, element_type=STATE))
+        handles.append(ElementHandle(path=path, element_type=_STATE))
         for inv in st.invariants_src:
             norm = normalize_expression(inv)
-            handles.append(ElementHandle(path=f"{path}.[{norm}]", element_type=INVARIANT))
+            handles.append(ElementHandle(path=f"{path}.[{norm}]", element_type=_INVARIANT))
     handles.extend(_transition_handle(tr) for tr in model.transitions)
     return tuple(handles)
 
 
 def resolve_element(
-    model: StatechartModel, ident: ElementIdentifier, context_path: str = ""
+    model: StatechartModel, ident: ElementIdentifier, context: ElementHandle | None = None
 ) -> ElementHandle:
     """Resolve one element identifier against the model.
 
-    Qualified names resolve relative to ``context_path`` first and fall
-    back to the model root; the model's own name denotes the chart itself.
-    Bracket identifiers of the shape ``[A -> B]`` denote the unique
-    transition with those endpoints; any other bracket text denotes the
-    invariant with the same (whitespace-normalized) expression.  Every
-    lookup goes through the model's element index.
+    Qualified names resolve relative to ``context`` first, when it is a
+    state of the model, and fall back to the model root; the model's own
+    name denotes the chart itself.  Bracket identifiers of the shape
+    ``[A -> B]`` denote the unique transition with those endpoints; any
+    other bracket text denotes the invariant with the same
+    (whitespace-normalized) expression.  Every lookup goes through the
+    model's element index.
 
     Raises :class:`UnresolvedElement`, :class:`AmbiguousElement`, or
     :class:`AmbiguousTransition`.
     """
 
-    # Context search applies only when the context names a state.  An empty
-    # context and the chart's own name mean the root level; any other path,
-    # for example a transition's, offers no children.
-    context = None
-    if context_path not in ("", model.name):
-        context = tuple(context_path.split("."))
-        if context not in model._index.states:
-            context = None
+    # Context search applies only when the context is a state.  No context
+    # and the chart itself mean the root level; a transition or an
+    # invariant offers no children, and neither does a state path the
+    # model lacks, because nothing in the index lies below it.
+    state = None
+    if context is not None and context.element_type == _STATE:
+        state = tuple(context.path.split("."))
     if ident.is_bracket:
-        return _resolve_bracket(model, ident.raw, context)
-    return _resolve_qualified(model, ident.path, context_path, context)
+        return _resolve_bracket(model, ident.raw, state)
+    return _resolve_qualified(model, ident.path, context, state)
 
 
 def _resolve_qualified(
     model: StatechartModel,
     segments: tuple[str, ...],
-    context_path: str,
-    context: tuple[str, ...] | None,
+    context: ElementHandle | None,
+    state: tuple[str, ...] | None,
 ) -> ElementHandle:
     states = model._index.states
-    if context is not None and context + segments in states:
-        return ElementHandle(path=".".join(context + segments), element_type=STATE)
+    if state is not None and state + segments in states:
+        return ElementHandle(path=".".join(state + segments), element_type=_STATE)
 
     # Root: the chart's own name denotes the chart, and may also be used
     # as an explicit leading segment.
     if segments[0] == model.name:
         if len(segments) == 1:
-            return ElementHandle(path=model.name, element_type=STATECHART)
+            return ElementHandle(path=model.name, element_type=_CHART)
         if segments[1:] in states:
-            return ElementHandle(path=".".join(segments[1:]), element_type=STATE)
+            return ElementHandle(path=".".join(segments[1:]), element_type=_STATE)
     elif segments in states:
-        return ElementHandle(path=".".join(segments), element_type=STATE)
+        return ElementHandle(path=".".join(segments), element_type=_STATE)
 
-    where = f" (context '{context_path}')" if context_path else ""
+    where = f" (context '{context.path}')" if context is not None else ""
     raise UnresolvedElement(
         f"'{'.'.join(segments)}' does not name an element of '{model.name}'{where}"
     )
 
 
 def _resolve_bracket(
-    model: StatechartModel, raw: str, context: tuple[str, ...] | None
+    model: StatechartModel, raw: str, state: tuple[str, ...] | None
 ) -> ElementHandle:
     index = model._index
     endpoints = _parse_endpoints(raw)
@@ -453,20 +448,20 @@ def _resolve_bracket(
     norm = normalize_expression(raw)
     owners = index.invariants.get(norm, [])
     matches: list[tuple[str, ...]] = []
-    if context is not None:
-        depth = len(context)
-        matches = [path for path in owners if len(path) > depth and path[:depth] == context]
+    if state is not None:
+        depth = len(state)
+        matches = [path for path in owners if len(path) > depth and path[:depth] == state]
         # The context state's own invariants count once, however often the
         # text repeats there; each occurrence below it counts.
-        if context in owners:
-            matches.append(context)
+        if state in owners:
+            matches.append(state)
     if not matches:
         matches = owners
     if not matches:
         raise UnresolvedElement(f"no invariant '[{norm}]' in '{model.name}'")
     if len(matches) > 1:
         raise AmbiguousElement(f"{len(matches)} invariants match '[{norm}]' in '{model.name}'")
-    return ElementHandle(path=f"{'.'.join(matches[0])}.[{norm}]", element_type=INVARIANT)
+    return ElementHandle(path=f"{'.'.join(matches[0])}.[{norm}]", element_type=_INVARIANT)
 
 
 def _parse_endpoints(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]] | None:

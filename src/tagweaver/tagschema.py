@@ -22,8 +22,10 @@ complex types whose braces list named references with cardinality marks
 one).  Named references resolve to tag types of the same schema.  A scope
 clause lists scope keywords from the target DSL's language profile, or
 ``for +`` to admit every element; omitting the clause means the same as
-``for +``.  Types marked ``private`` may only be used as subtags of other
-types, never directly on an element.
+``for +``.  A nested keyword (``source``) names a part of an element, not
+an element, so listing one only draws a warning: it admits nothing.
+Types marked ``private`` may only be used as subtags of other types,
+never directly on an element.
 
 The parser only builds the schema and raises syntax errors.
 :func:`validate_schema_well_formedness` alone decides whether a schema is
@@ -382,7 +384,9 @@ def validate_schema_well_formedness(
 
     Reports duplicate tag type names, duplicated or empty enumeration
     domains, unknown scope keywords, duplicate reference names and
-    unresolved named references tag type by tag type, in source order.
+    unresolved named references tag type by tag type, in source order,
+    with a warning for each scope keyword that names no element kind
+    (``ScopeAdmitsNoElement``: a nested keyword such as ``source``).
     Required-reference cycles (``RecursiveRequiredReference``: a cycle of
     named references whose every edge is required or at-least-one has no
     finite instances) follow.  An enumeration value or scope keyword of a
@@ -392,14 +396,16 @@ def validate_schema_well_formedness(
 
     diags: list[Diagnostic] = []
     keywords = profile.keyword_set()
+    nested = {kw.keyword: kw for kw in profile.scope_keywords if kw.is_nested}
     type_names = {tt.name for tt in schema.tag_types}
     first_lines: dict[str, int] = {}
 
-    def report(condition: str, message: str, line: int, col: int) -> None:
+    def report(condition: str, message: str, line: int, col: int,
+               severity: Severity = Severity.ERROR) -> None:
         diags.append(
             Diagnostic(
                 condition=condition,
-                severity=Severity.ERROR,
+                severity=severity,
                 message=message,
                 file=schema.source_name,
                 line=line,
@@ -439,6 +445,16 @@ def validate_schema_well_formedness(
                     f"'{kw}' is not a scope keyword of grammar '{profile.grammar_name}'",
                     line,
                     col,
+                )
+            elif kw in nested:
+                part = nested[kw]
+                report(
+                    "ScopeAdmitsNoElement",
+                    f"'{kw}' names the {part.preceding_identifier} of a {part.production}, "
+                    f"not an element, so tag type '{tt.name}' can never apply through it",
+                    line,
+                    col,
+                    Severity.WARNING,
                 )
 
         seen_refs: set[str] = set()

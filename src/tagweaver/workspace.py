@@ -81,6 +81,7 @@ class LoadedWorkspace:
     models: tuple[StatechartModel, ...]
     schemas: tuple[TagSchema, ...]
     tag_models: tuple[TagModel, ...]
+    schema_warnings: tuple[Diagnostic, ...] = ()
 
     def find_model(self, ref: str, default_package: str) -> StatechartModel:
         qualified = qualify(ref, default_package)
@@ -112,9 +113,9 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     """Read and parse every file of the workspace.
 
     Raises :class:`~tagweaver.errors.ParseError` on malformed files,
-    :class:`WorkspaceError` on schema well-formedness problems or
+    :class:`WorkspaceError` on schema well-formedness errors or
     ambiguous qualified names, and propagates ``OSError`` for unreadable
-    paths.
+    paths.  Schema warnings are kept for :func:`check_workspace`.
     """
 
     manifest = parse_manifest(_read(ws.manifest_file), filename=str(ws.manifest_file))
@@ -126,15 +127,17 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     _require_unique("model", [(m.qualified_name, m.source_name) for m in models])
 
     schemas = []
+    schema_warnings: list[Diagnostic] = []
     for path in ws.schema_files:
         schema = parse_tag_schema(
             _read(path), profile, filename=str(path), strict=False
         )
         problems = validate_schema_well_formedness(schema, profile)
-        if problems:
+        if has_errors(problems):
             raise WorkspaceError(
                 f"schema '{schema.qualified_name}' is not well-formed", problems
             )
+        schema_warnings.extend(problems)
         schemas.append(schema)
     _require_unique("schema", [(s.qualified_name, s.source_name) for s in schemas])
 
@@ -148,6 +151,7 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
         models=models,
         schemas=tuple(schemas),
         tag_models=tag_models,
+        schema_warnings=tuple(schema_warnings),
     )
 
 
@@ -173,9 +177,9 @@ def _require_unique(kind: str, named: list[tuple[str, str | None]]) -> None:
 def check_workspace(
     loaded: LoadedWorkspace,
 ) -> tuple[list[Diagnostic], list[ResolvedTagging]]:
-    """Check every tag model of the workspace against its own target."""
+    """Check every tag model against its own target, after the schema warnings."""
 
-    diags: list[Diagnostic] = []
+    diags: list[Diagnostic] = list(loaded.schema_warnings)
     resolved: list[ResolvedTagging] = []
     for tag_model in loaded.tag_models:
         target = loaded.find_model(tag_model.target_model, tag_model.package)

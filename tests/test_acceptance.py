@@ -287,7 +287,7 @@ def test_acceptance_5a_expansion_and_context_equivalence(request, profile):
 
         # A `within parent { tag child ... }` block must behave exactly like
         # the hoisted `tag parent.child ...` statement.
-        nested = [p for p, k in flat_elements(chart).items() if k == "State" and "." in p]
+        nested = [p for p, k in flat_elements(chart) if k == "State" and "." in p]
         if nested:
             hoist_checks += 1
             path = rng.choice(nested)

@@ -357,9 +357,9 @@ class TestResolutionMemo:
         calls = []
         resolve = conformance.resolve_element
 
-        def counting(model, ident, context_path=""):
-            calls.append((ident.text, context_path))
-            return resolve(model, ident, context_path)
+        def counting(model, ident, context=None):
+            calls.append((ident.text, context.path if context else ""))
+            return resolve(model, ident, context)
 
         monkeypatch.setattr(conformance, "resolve_element", counting)
         body = self.BODY + " within Active { tag Call, Call with Monitored; }\n"

@@ -70,7 +70,7 @@ class TestGoldenChart:
 
     def test_enumeration_order(self, chart):
         assert enumerate_elements(chart) == (
-            ElementHandle("Mobile", "Statechart"),
+            ElementHandle("Mobile", "SCDefinition"),
             ElementHandle("Start", "State"),
             ElementHandle("Active", "State"),
             ElementHandle("Active.Call", "State"),
@@ -85,7 +85,7 @@ class TestGoldenChart:
 
 class TestResolution:
     def test_chart_by_its_own_name(self, chart):
-        assert resolve_element(chart, Q("Mobile")) == ElementHandle("Mobile", "Statechart")
+        assert resolve_element(chart, Q("Mobile")) == ElementHandle("Mobile", "SCDefinition")
 
     def test_top_level_state(self, chart):
         assert resolve_element(chart, Q("Start")) == ElementHandle("Start", "State")
@@ -99,23 +99,24 @@ class TestResolution:
             resolve_element(chart, Q("Call"))
 
     def test_context_relative_lookup(self, chart):
-        handle = resolve_element(chart, Q("Call"), context_path="Active")
+        handle = resolve_element(chart, Q("Call"), ElementHandle("Active", "State"))
         assert handle == ElementHandle("Active.Call", "State")
 
     def test_context_falls_back_to_root(self, chart):
-        handle = resolve_element(chart, Q("Start"), context_path="Active")
+        handle = resolve_element(chart, Q("Start"), ElementHandle("Active", "State"))
         assert handle == ElementHandle("Start", "State")
 
     def test_chart_name_resolves_inside_context(self, chart):
-        handle = resolve_element(chart, Q("Mobile"), context_path="Active")
-        assert handle == ElementHandle("Mobile", "Statechart")
+        handle = resolve_element(chart, Q("Mobile"), ElementHandle("Active", "State"))
+        assert handle == ElementHandle("Mobile", "SCDefinition")
 
     def test_chart_name_as_leading_segment(self, chart):
         handle = resolve_element(chart, Q("Mobile", "Active", "Call"))
         assert handle == ElementHandle("Active.Call", "State")
 
     def test_unknown_context_path_means_root_lookup(self, chart):
-        handle = resolve_element(chart, Q("Start"), context_path="[Start -> Active]")
+        transition = ElementHandle("[Start -> Active]", "Transition")
+        handle = resolve_element(chart, Q("Start"), transition)
         assert handle == ElementHandle("Start", "State")
 
     def test_transition_by_endpoints(self, chart):
@@ -154,7 +155,7 @@ class TestResolution:
 class TestResolutionCornerCases:
     def test_chart_name_beats_same_named_top_state(self):
         model = parse_statechart("package p;\nstatechart X {\n state X;\n}\n")
-        assert resolve_element(model, Q("X")) == ElementHandle("X", "Statechart")
+        assert resolve_element(model, Q("X")) == ElementHandle("X", "SCDefinition")
         assert resolve_element(model, Q("X", "X")) == ElementHandle("X", "State")
 
     def test_dotted_transition_endpoints(self):
@@ -191,7 +192,7 @@ class TestResolutionCornerCases:
             "package p;\nstatechart X {\n"
             " state A { [busy]; }\n state B { [busy]; }\n}\n"
         )
-        handle = resolve_element(model, B("busy"), context_path="A")
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
         assert handle == ElementHandle("A.[busy]", "Invariant")
 
     def test_context_subtree_invariant_beats_outside_one(self):
@@ -199,7 +200,7 @@ class TestResolutionCornerCases:
             "package p;\nstatechart X {\n"
             " state A { state Inner { [busy]; } }\n state B { [busy]; }\n}\n"
         )
-        handle = resolve_element(model, B("busy"), context_path="A")
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
         assert handle == ElementHandle("A.Inner.[busy]", "Invariant")
 
     def test_two_matches_inside_context_are_still_ambiguous(self):
@@ -208,7 +209,7 @@ class TestResolutionCornerCases:
             " state A { [busy]; state Inner { [busy]; } }\n}\n"
         )
         with pytest.raises(AmbiguousElement):
-            resolve_element(model, B("busy"), context_path="A")
+            resolve_element(model, B("busy"), ElementHandle("A", "State"))
 
     def test_same_state_name_in_different_branches(self):
         model = parse_statechart(
@@ -216,7 +217,7 @@ class TestResolutionCornerCases:
             " state A { state Leaf; }\n state B { state Leaf; }\n}\n"
         )
         assert resolve_element(model, Q("A", "Leaf")).path == "A.Leaf"
-        assert resolve_element(model, Q("Leaf"), context_path="B").path == "B.Leaf"
+        assert resolve_element(model, Q("Leaf"), ElementHandle("B", "State")).path == "B.Leaf"
         with pytest.raises(UnresolvedElement):
             resolve_element(model, Q("Leaf"))
 
@@ -229,7 +230,7 @@ class TestIndexedResolution:
         with pytest.raises(AmbiguousElement, match=r"^2 invariants match '\[busy\]' in 'X'$"):
             resolve_element(model, B("busy"))
         # Inside that state's own context the repeated text counts once.
-        handle = resolve_element(model, B("busy"), context_path="A")
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
         assert handle == ElementHandle("A.[busy]", "Invariant")
 
     def test_duplicate_transitions_are_ambiguous_in_any_context(self):
@@ -237,9 +238,10 @@ class TestIndexedResolution:
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B;\n A -> B : again;\n}\n"
         )
-        for context in ("", "X", "A"):
+        contexts = (None, ElementHandle("X", "SCDefinition"), ElementHandle("A", "State"))
+        for context in contexts:
             with pytest.raises(AmbiguousTransition, match=r"^2 transitions match A -> B in 'X'$"):
-                resolve_element(model, B("A -> B"), context_path=context)
+                resolve_element(model, B("A -> B"), context)
 
     def test_transition_endpoints_resolve_from_the_root(self):
         model = parse_statechart(
@@ -248,20 +250,22 @@ class TestIndexedResolution:
             " P.A -> P.B;\n}\n"
         )
         with pytest.raises(UnresolvedElement, match=r"^no transition A -> B in 'X'$"):
-            resolve_element(model, B("A -> B"), context_path="P")
-        handle = resolve_element(model, B("P.A -> P.B"), context_path="P")
+            resolve_element(model, B("A -> B"), ElementHandle("P", "State"))
+        handle = resolve_element(model, B("P.A -> P.B"), ElementHandle("P", "State"))
         assert handle == ElementHandle("[P.A -> P.B]", "Transition")
 
     @pytest.mark.parametrize(
         "context", ["[Start -> Active]", "Active.Call.[status!=isActive]", "Ghost"]
     )
     def test_context_naming_no_state_falls_back_to_root(self, chart, context):
-        assert resolve_element(chart, Q("Active"), context) == ElementHandle("Active", "State")
-        assert resolve_element(chart, B("status=isActive"), context) == ElementHandle(
+        production = {"[": "Transition", "A": "Invariant", "G": "State"}[context[0]]
+        handle = ElementHandle(context, production)
+        assert resolve_element(chart, Q("Active"), handle) == ElementHandle("Active", "State")
+        assert resolve_element(chart, B("status=isActive"), handle) == ElementHandle(
             "Active.Busy.[status=isActive]", "Invariant"
         )
         with pytest.raises(UnresolvedElement, match=rf"\(context '{re.escape(context)}'\)$"):
-            resolve_element(chart, Q("Call"), context)
+            resolve_element(chart, Q("Call"), handle)
 
     def test_context_subtree_shadows_same_text_elsewhere(self):
         model = parse_statechart(
@@ -270,8 +274,8 @@ class TestIndexedResolution:
             " state BB { state D { [busy]; } }\n}\n"
         )
         expected = ElementHandle("B.C.[busy]", "Invariant")
-        assert resolve_element(model, B("busy"), context_path="B") == expected
-        assert resolve_element(model, B("busy"), context_path="B.C") == expected
+        assert resolve_element(model, B("busy"), ElementHandle("B", "State")) == expected
+        assert resolve_element(model, B("busy"), ElementHandle("B.C", "State")) == expected
         with pytest.raises(AmbiguousElement, match=r"^3 invariants match"):
             resolve_element(model, B("busy"))
 
@@ -280,15 +284,20 @@ class TestIndexedResolution:
             "package p;\nstatechart X {\n state A { state B; }\n state C;\n}\n"
         )
         assert resolve_element(model, Q("X", "A", "B")) == ElementHandle("A.B", "State")
-        assert resolve_element(model, Q("X", "C"), context_path="A") == ElementHandle("C", "State")
+        a = ElementHandle("A", "State")
+        assert resolve_element(model, Q("X", "C"), a) == ElementHandle("C", "State")
         with pytest.raises(UnresolvedElement, match=r"^'X.B' does not name an element"):
-            resolve_element(model, Q("X", "B"), context_path="A")
+            resolve_element(model, Q("X", "B"), a)
 
     def test_chart_name_context_means_root_even_with_a_same_named_state(self):
         model = parse_statechart(
             "package p;\nstatechart X {\n state X { state Y; }\n state Y;\n}\n"
         )
-        assert resolve_element(model, Q("Y"), context_path="X") == ElementHandle("Y", "State")
+        chart = ElementHandle("X", "SCDefinition")
+        assert resolve_element(model, Q("Y"), chart) == ElementHandle("Y", "State")
+        # The same-named state is a context of its own.
+        state = ElementHandle("X", "State")
+        assert resolve_element(model, Q("Y"), state) == ElementHandle("X.Y", "State")
 
     @pytest.mark.parametrize("seed", range(200))
     def test_agrees_with_string_path_oracle(self, seed):
@@ -296,20 +305,43 @@ class TestIndexedResolution:
         model = parse_statechart(
             random_statechart_text(rng, max_extra_elements=12, unique_invariants=False)
         )
-        elements, transitions = flat_elements(model), transition_counts(model)
-        refs = [ref for ref, _ in addressable_refs(model)] + bogus_refs(model)
-        refs += [B(key[1:-1]) for key in transitions]  # duplicates too
-        contexts = ["", model.name] + [p for p, kind in elements.items() if kind == "State"]
-        contexts += list(transitions)[:1]
-        for context in contexts:
-            for ref in refs:
-                try:
-                    handle = resolve_element(model, ref, context)
-                    got = (handle.path, handle.element_type)
-                except (UnresolvedElement, AmbiguousElement):
-                    got = None
-                expected = oracle_resolve(ref, context, model, elements, transitions)
-                assert got == expected, (ref.text, context)
+        assert_agrees_with_oracle(model)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_agrees_with_oracle_when_the_chart_is_named_after_a_state(self, seed):
+        rng = random.Random(seed)
+        text = random_statechart_text(rng, max_extra_elements=12, unique_invariants=False)
+        name = rng.choice(parse_statechart(text).states).name
+        model = parse_statechart(text.replace("statechart Chart {", f"statechart {name} {{"))
+        assert model.name == name
+        assert_agrees_with_oracle(model)
+
+
+def assert_agrees_with_oracle(model):
+    """Every reference, under every context, resolves as the oracle says."""
+
+    elements, transitions = flat_elements(model), transition_counts(model)
+    refs = [ref for ref, _ in addressable_refs(model)] + bogus_refs(model)
+    refs += [B(key[1:-1]) for key in transitions]  # duplicates too
+    # Relative names: every proper suffix of a nested state's path.
+    refs += [
+        Q(*segments[i:])
+        for segments in (path.split(".") for path, kind in elements if kind == "State")
+        for i in range(1, len(segments))
+    ]
+    contexts = [None, (model.name, "SCDefinition")]
+    contexts += [element for element in elements if element[1] == "State"]
+    contexts += [(key, "Transition") for key in list(transitions)[:1]]
+    for context in contexts:
+        handle = ElementHandle(*context) if context else None
+        for ref in refs:
+            try:
+                found = resolve_element(model, ref, handle)
+                got = (found.path, found.element_type)
+            except (UnresolvedElement, AmbiguousElement):
+                got = None
+            expected = oracle_resolve(ref, context, model, elements, transitions)
+            assert got == expected, (ref.text, context)
 
 
 PARSE_ERRORS = [

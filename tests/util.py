@@ -292,16 +292,33 @@ def required_chain_schema_text(length: int, closed: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-def flat_elements(target: StatechartModel) -> dict[str, str]:
-    table = {target.name: "Statechart"}
+# The scope keyword of each statechart production under the sample
+# manifest (``samples/statechart.glang``), which aliases SCDefinition.
+SAMPLE_KEYWORDS = {
+    "SCDefinition": "Statechart",
+    "State": "State",
+    "Transition": "Transition",
+    "Invariant": "Invariant",
+}
+
+
+def flat_elements(target: StatechartModel) -> dict[tuple[str, str], None]:
+    """Every element but the transitions as a (path, production) key.
+
+    An ordered set: the chart first, then the states in pre-order, each
+    followed by its invariants.  A state named after the chart shares the
+    chart's path, so the production is part of the key.
+    """
+
+    table = {(target.name, "SCDefinition"): None}
 
     def walk(states, prefix: str) -> None:
         for st in states:
             path = f"{prefix}{st.name}"
-            table[path] = "State"
+            table[(path, "State")] = None
             for inv in st.invariants_src:
                 norm = " ".join(inv.split())
-                table[f"{path}.[{norm}]"] = "Invariant"
+                table[(f"{path}.[{norm}]", "Invariant")] = None
             walk(st.substates, f"{path}.")
 
     walk(target.states, "")
@@ -324,18 +341,20 @@ def _oracle_identifier(text: str) -> bool:
 
 def oracle_resolve(
     ref: ElementIdentifier,
-    ctx: str,
+    ctx: tuple[str, str] | None,
     target: StatechartModel,
-    elements: dict[str, str],
+    elements: dict[tuple[str, str], None],
     transitions: Counter,
 ) -> tuple[str, str] | None:
-    """Resolve ``ref`` under context path ``ctx`` by string paths alone.
+    """Resolve ``ref`` under the typed context ``ctx`` by string paths alone.
 
+    ``ctx`` is a (path, production) pair, or None at the root.
     ``elements`` and ``transitions`` are ``flat_elements(target)`` and
-    ``transition_counts(target)``.  Returns (path, element_type), or None
+    ``transition_counts(target)``.  Returns (path, production), or None
     when the reference is unresolved or ambiguous.
     """
 
+    state = ctx[0] if ctx in elements and ctx[1] == "State" else None
     if ref.is_bracket:
         raw = " ".join(ref.raw.split())
         if "->" in raw:
@@ -346,8 +365,8 @@ def oracle_resolve(
                 src, tgt = ".".join(src_parts), ".".join(tgt_parts)
                 key = f"[{src} -> {tgt}]"
                 if (
-                    elements.get(src) == "State"
-                    and elements.get(tgt) == "State"
+                    (src, "State") in elements
+                    and (tgt, "State") in elements
                     and transitions.get(key, 0) == 1
                 ):
                     return key, "Transition"
@@ -356,12 +375,12 @@ def oracle_resolve(
         needle = f".[{raw}]"
         anywhere = [
             path
-            for path, kind in elements.items()
+            for path, kind in elements
             if kind == "Invariant" and path.endswith(needle)
         ]
         in_context = (
-            [path for path in anywhere if path.startswith(f"{ctx}.")]
-            if elements.get(ctx) == "State"
+            [path for path in anywhere if path.startswith(f"{state}.")]
+            if state is not None
             else []
         )
         pool = in_context or anywhere
@@ -370,18 +389,18 @@ def oracle_resolve(
         return None
 
     dotted = ".".join(ref.path)
-    if ctx and elements.get(ctx) == "State":
-        candidate = f"{ctx}.{dotted}"
-        if elements.get(candidate) == "State":
+    if state is not None:
+        candidate = f"{state}.{dotted}"
+        if (candidate, "State") in elements:
             return candidate, "State"
     if dotted == target.name:
-        return target.name, "Statechart"
+        return target.name, "SCDefinition"
     if ref.path[0] == target.name:
         rest = ".".join(ref.path[1:])
-        if elements.get(rest) == "State":
+        if (rest, "State") in elements:
             return rest, "State"
         return None
-    if elements.get(dotted) == "State":
+    if (dotted, "State") in elements:
         return dotted, "State"
     return None
 
@@ -492,20 +511,20 @@ def oracle_check(
     # Expansion with context accumulation.
     pairs: list[tuple] = []
 
-    def walk(body, ctx: str) -> None:
+    def walk(body, ctx: tuple[str, str] | None) -> None:
         for item in body:
             if isinstance(item, Context):
                 resolved = oracle_resolve(item.identifier, ctx, target, elements, transitions)
                 if resolved is None:
                     findings.append(("error", "E1"))
                     continue
-                walk(item.body, resolved[0])
+                walk(item.body, resolved)
             elif isinstance(item, TagStatement):
                 for element_ref in item.element_refs:
                     for tag in item.tag_refs:
                         pairs.append((element_ref, ctx, tag))
 
-    walk(tag_model.body, "")
+    walk(tag_model.body, None)
 
     attachments = 0
     seen: set[tuple] = set()
@@ -514,7 +533,8 @@ def oracle_check(
         if resolved is None:
             findings.append(("error", "E1"))
             continue
-        path, element_type = resolved
+        path, production = resolved
+        element_type = SAMPLE_KEYWORDS[production]
         entry = union.get(tag.name)
         if entry is None:
             findings.append(("error", "E3_1"))
@@ -527,7 +547,7 @@ def oracle_check(
         fp = fingerprint(tag.value, tt, schema)
         if fp is None:
             continue
-        key = (path, tt.name, fp)
+        key = (path, element_type, tt.name, fp)
         if key in seen:
             findings.append(("warning", "DuplicateTagWarning"))
         seen.add(key)
@@ -543,14 +563,21 @@ def oracle_check(
 
 
 def addressable_refs(target: StatechartModel) -> list[tuple[ElementIdentifier, str]]:
-    """Every uniquely addressable element as (root-level reference, type)."""
+    """Every uniquely addressable element as (root-level reference, scope keyword).
+
+    A state path that starts with the chart's name is written with the
+    chart's name in front, since that bare name denotes the chart.
+    """
 
     refs: list[tuple[ElementIdentifier, str]] = [
         (ElementIdentifier.qualified(target.name), "Statechart")
     ]
-    for path, kind in flat_elements(target).items():
+    for path, kind in flat_elements(target):
         if kind == "State":
-            refs.append((ElementIdentifier.qualified(*path.split(".")), "State"))
+            segments = path.split(".")
+            if segments[0] == target.name:
+                segments.insert(0, target.name)
+            refs.append((ElementIdentifier.qualified(*segments), "State"))
         elif kind == "Invariant":
             expr = path.split(".[", 1)[1][:-1]
             refs.append((ElementIdentifier.bracket(expr), "Invariant"))
