@@ -4,93 +4,120 @@ The package turns a compact grammar manifest of some DSL into the
 language support needed to tag that DSL's models externally: identifier
 forms for referencing model elements, scope keywords for schemas, parsers
 for tag and schema files, a conformance checker, and a JSON exporter.
+
+The public names below are loaded on first use (PEP 562), so importing
+the package, or running one CLI subcommand, loads only the modules that
+are actually used.
 """
 
 from __future__ import annotations
 
-from .conformance import (
-    Attachment,
-    CheckInput,
-    Condition,
-    NormalizedValue,
-    ResolvedTagging,
-    check,
-    check_value_domain,
-)
-from .derivation import (
-    DerivationError,
-    IdentifierKind,
-    IdentifierRule,
-    LanguageProfile,
-    ScopeKeyword,
-    SkippedEverything,
-    derive_profile,
-    profile_from_json,
-    profile_to_json,
-    render_derived_grammar,
-)
-from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors
-from .errors import ParseError, ResolutionError, TagweaverError
-from .manifest import (
-    DuplicateProduction,
-    GrammarManifest,
-    Production,
-    RhsRef,
-    UnknownNonterminalReference,
-    parse_manifest,
-    pretty_print_manifest,
-)
-from .statechart import (
-    AmbiguousElement,
-    AmbiguousTransition,
-    DuplicateSiblingState,
-    ElementHandle,
-    StatechartModel,
-    StateDef,
-    TransitionDef,
-    UnresolvedElement,
-    UnresolvedTransitionEndpoint,
-    enumerate_elements,
-    normalize_expression,
-    parse_statechart,
-    pretty_print_statechart,
-    resolve_element,
-)
-from .tagmodel import (
-    Context,
-    ElementIdentifier,
-    MissingConformsTo,
-    TagModel,
-    TagStatement,
-    TagUse,
-    TagValue,
-    UnknownIdentifierForm,
-    parse_tag_model,
-    pretty_print_tag_model,
-)
-from .tagschema import (
-    Cardinality,
-    DomainSpec,
-    DuplicateTagTypeName,
-    EmptyEnumDomain,
-    Reference,
-    ScopeSpec,
-    TagSchema,
-    TagTypeDef,
-    UnknownScopeKeyword,
-    UnresolvedNamedReference,
-    parse_tag_schema,
-    pretty_print_tag_schema,
-    validate_schema_well_formedness,
-)
-from .workspace import (
-    LoadedWorkspace,
-    Workspace,
-    WorkspaceError,
-    build_export_report,
-    check_workspace,
-    load_workspace,
-    render_export_report,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# The public names, by the module that defines them.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "conformance": (
+        "Attachment",
+        "CheckInput",
+        "Condition",
+        "NormalizedValue",
+        "ResolvedTagging",
+        "check",
+        "check_value_domain",
+    ),
+    "derivation": (
+        "DerivationError",
+        "IdentifierKind",
+        "IdentifierRule",
+        "LanguageProfile",
+        "ScopeKeyword",
+        "SkippedEverything",
+        "derive_profile",
+        "profile_from_json",
+        "profile_to_json",
+        "render_derived_grammar",
+    ),
+    "diagnostics": ("Diagnostic", "Severity", "format_diagnostic", "has_errors"),
+    "errors": ("ParseError", "ResolutionError", "TagweaverError", "WorkspaceError"),
+    "manifest": (
+        "DuplicateProduction",
+        "GrammarManifest",
+        "Production",
+        "RhsRef",
+        "UnknownNonterminalReference",
+        "parse_manifest",
+        "pretty_print_manifest",
+    ),
+    "statechart": (
+        "AmbiguousElement",
+        "AmbiguousTransition",
+        "DuplicateSiblingState",
+        "ElementHandle",
+        "StatechartModel",
+        "StateDef",
+        "TransitionDef",
+        "UnresolvedElement",
+        "UnresolvedTransitionEndpoint",
+        "enumerate_elements",
+        "normalize_expression",
+        "parse_statechart",
+        "pretty_print_statechart",
+        "resolve_element",
+    ),
+    "tagmodel": (
+        "Context",
+        "ElementIdentifier",
+        "MissingConformsTo",
+        "TagModel",
+        "TagStatement",
+        "TagUse",
+        "TagValue",
+        "UnknownIdentifierForm",
+        "parse_tag_model",
+        "pretty_print_tag_model",
+    ),
+    "tagschema": (
+        "Cardinality",
+        "DomainSpec",
+        "DuplicateTagTypeName",
+        "EmptyEnumDomain",
+        "Reference",
+        "ScopeSpec",
+        "TagSchema",
+        "TagTypeDef",
+        "UnknownScopeKeyword",
+        "UnresolvedNamedReference",
+        "parse_tag_schema",
+        "pretty_print_tag_schema",
+        "validate_schema_well_formedness",
+    ),
+    "workspace": (
+        "LoadedWorkspace",
+        "Workspace",
+        "build_export_report",
+        "check_workspace",
+        "load_workspace",
+        "render_export_report",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,24 +23,22 @@ a terminal.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .derivation import DerivationError, derive_profile, profile_to_json, render_derived_grammar
 from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors
-from .errors import ParseError
+from .errors import ParseError, WorkspaceError
 from .manifest import parse_manifest
-from .workspace import (
-    LoadedWorkspace,
-    Workspace,
-    WorkspaceError,
-    build_export_report,
-    check_workspace,
-    load_workspace,
-    render_export_report,
-)
+
+# ``check`` and ``export`` import the workspace pipeline when they run, so
+# that ``derive`` loads none of it.
+if TYPE_CHECKING:
+    from .workspace import LoadedWorkspace
 
 __all__ = ["build_arg_parser", "run_cli", "main"]
 
@@ -145,19 +143,23 @@ def _print_model_warnings(loaded: LoadedWorkspace, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _workspace_from_args(args: argparse.Namespace) -> Workspace:
-    return Workspace(
+def _load_workspace(args: argparse.Namespace) -> LoadedWorkspace:
+    from .workspace import Workspace, load_workspace
+
+    loaded = load_workspace(Workspace(
         manifest_file=args.manifest,
         model_files=tuple(args.model),
         schema_files=tuple(args.schema),
         tag_files=tuple(args.tags),
-    )
+    ))
+    _print_model_warnings(loaded, sys.stderr)
+    return loaded
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = load_workspace(_workspace_from_args(args))
-    _print_model_warnings(loaded, sys.stderr)
-    diags, _ = check_workspace(loaded)
+    from .workspace import check_workspace
+
+    diags, _ = check_workspace(_load_workspace(args))
     _emit_diagnostics(diags, args.format, sys.stdout)
     return 1 if has_errors(diags) else 0
 
@@ -176,9 +178,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    loaded = load_workspace(_workspace_from_args(args))
-    _print_model_warnings(loaded, sys.stderr)
-    diags, report = build_export_report(loaded)
+    from .workspace import build_export_report, render_export_report
+
+    diags, report = build_export_report(_load_workspace(args))
     # Diagnostics go to stderr so stdout stays valid JSON.
     _emit_diagnostics(diags, args.format, sys.stderr)
     if report is None:
@@ -216,6 +218,10 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A one-shot process keeps everything it builds until exit, so cyclic
+    # collection would only walk live objects.  ``run_cli`` leaves the
+    # collector alone for library and in-process callers.
+    gc.disable()
     return run_cli(argv)
 
 

@@ -251,9 +251,10 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
 
         if not tt.scope.admits(handle.element_type):
             allowed = ", ".join(tt.scope.keywords)
+            article = "an" if handle.element_type[0] in "AEIOUaeiou" else "a"
             report(
                 Condition.E3_2_SCOPE_MISMATCH,
-                f"'{handle.path}' is a {handle.element_type}, but tag type "
+                f"'{handle.path}' is {article} {handle.element_type}, but tag type "
                 f"'{tt.name}' only applies to: {allowed}",
                 tag.line,
                 tag.col,
@@ -271,7 +272,8 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
         if key in seen:
             report(
                 Condition.DUPLICATE_TAG_WARNING,
-                f"'{handle.path}' is already tagged with an identical '{tt.name}'",
+                f"{handle.element_type} '{handle.path}' is already tagged with an identical "
+                f"'{tt.name}'",
                 tag.line,
                 tag.col,
                 severity=Severity.WARNING,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
+
 
 class TagweaverError(Exception):
     """Base class for every error raised by this package."""
@@ -32,3 +37,17 @@ class ResolutionError(TagweaverError):
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
+
+
+class WorkspaceError(TagweaverError):
+    """A workspace-level problem: missing references, bad schemas, etc.
+
+    Defined here rather than in :mod:`tagweaver.workspace`, which
+    re-exports it, so that the CLI can catch it without loading the
+    workspace pipeline.
+    """
+
+    def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
+        super().__init__(message)
+        self.message = message
+        self.diagnostics = diagnostics or []

@@ -39,7 +39,7 @@ from pathlib import Path
 from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
 from .diagnostics import Diagnostic, has_errors
-from .errors import TagweaverError
+from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .statechart import StatechartModel, parse_statechart
 from .tagmodel import TagModel, parse_tag_model, qualify
@@ -55,15 +55,6 @@ __all__ = [
     "render_export_report",
     "value_to_json",
 ]
-
-
-class WorkspaceError(TagweaverError):
-    """A workspace-level problem: missing references, bad schemas, etc."""
-
-    def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
-        super().__init__(message)
-        self.message = message
-        self.diagnostics = diagnostics or []
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import ast
 import importlib
+import json
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,13 +26,51 @@ def test_every_name_in_all_exists(name):
 
 
 def test_every_name_the_package_imports_exists():
-    tree = ast.parse((ROOT / "src" / "tagweaver" / "__init__.py").read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"tagweaver.{node.module}")
-        assert [alias.name for alias in node.names if not hasattr(module, alias.name)] == []
-        assert all(hasattr(tagweaver, alias.name) for alias in node.names)
+    assert tagweaver._EXPORTS
+    for module_name, names in tagweaver._EXPORTS.items():
+        module = importlib.import_module(f"tagweaver.{module_name}")
+        assert [name for name in names if not hasattr(module, name)] == []
+        assert all(hasattr(tagweaver, name) for name in names)
+
+
+@pytest.mark.parametrize("name", sorted(tagweaver.__all__))
+def test_exported_name_is_its_module_attribute(name):
+    module = importlib.import_module(f"tagweaver.{tagweaver._MODULE_OF[name]}")
+    assert getattr(tagweaver, name) is getattr(module, name)
+
+
+def test_bare_import_loads_no_module_and_dir_lists_every_exported_name():
+    script = (
+        "import json, sys, tagweaver\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('tagweaver'))\n"
+        "print(json.dumps([dir(tagweaver), loaded]))\n"
+    )
+    names, loaded = json.loads(subprocess.check_output([sys.executable, "-c", script]))
+    assert set(tagweaver.__all__) <= set(names)
+    assert loaded == ["tagweaver"]
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from tagweaver import *", namespace)
+    assert set(tagweaver.__all__) <= set(namespace)
+    assert namespace["check_workspace"] is tagweaver.workspace.check_workspace
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tagweaver.no_such_name  # noqa: B018
+    assert not hasattr(tagweaver, "no_such_name")
+
+
+def test_module_names_resolve_to_submodules():
+    assert tagweaver.statechart is importlib.import_module("tagweaver.statechart")
+
+
+def test_workspace_error_has_one_definition():
+    from tagweaver import errors, workspace
+
+    assert workspace.WorkspaceError is errors.WorkspaceError is tagweaver.WorkspaceError
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):

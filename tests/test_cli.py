@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -28,6 +29,13 @@ DUPLICATE_TAGS = (
     "    tag Done with Monitored;\n"
     "}\n"
 )
+
+
+@pytest.fixture()
+def collector_restored():
+    """``main`` turns the cyclic collector off for the rest of its process."""
+    yield
+    gc.enable()
 
 
 @pytest.fixture()
@@ -337,7 +345,7 @@ class TestUsage:
     def test_parser_prog_name(self):
         assert build_arg_parser().prog == "tagweaver"
 
-    def test_main_returns_int(self, golden_argv, capsys):
+    def test_main_returns_int(self, golden_argv, capsys, collector_restored):
         assert main(["check", *golden_argv]) == 0
 
 
@@ -348,7 +356,7 @@ class TestInternalErrors:
         def broken(loaded):
             raise RuntimeError("checker fell over")
 
-        monkeypatch.setattr("tagweaver.cli.check_workspace", broken)
+        monkeypatch.setattr("tagweaver.workspace.check_workspace", broken)
         assert run_cli(["check", *golden_argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -377,6 +385,38 @@ class TestInternalErrors:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: internal error: RecursionError: ")
         assert len(result.stderr.splitlines()) == 1
+
+
+class TestOneShotProcess:
+    """``main`` serves a process that exits when it returns; ``run_cli`` does not."""
+
+    def test_run_cli_leaves_the_collector_on(self, golden_argv, capsys):
+        assert gc.isenabled()
+        assert run_cli(["check", *golden_argv]) == 0
+        assert gc.isenabled()
+
+    def test_main_turns_the_collector_off(self, golden_argv, capsys, collector_restored):
+        assert main(["check", *golden_argv]) == 0
+        assert not gc.isenabled()
+
+    def test_derive_loads_no_workspace_module(self, samples_dir, tmp_path):
+        modules = tmp_path / "modules.json"
+        script = (
+            "import json, sys\n"
+            "from tagweaver.cli import main\n"
+            f"code = main(['derive', '--manifest', {str(samples_dir / 'statechart.glang')!r},"
+            f" '--out', {str(tmp_path)!r}])\n"
+            f"open({str(modules)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(modules.read_text()))
+        assert "tagweaver.derivation" in loaded
+        unused = {"statechart", "tagmodel", "tagschema", "conformance", "workspace"}
+        assert {f"tagweaver.{name}" for name in unused} & loaded == set()
 
 
 class TestModuleInvocation:

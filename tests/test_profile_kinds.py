@@ -128,8 +128,29 @@ class TestAlias:
         )
         diags, _ = check_workspace(load_workspace(ws))
         assert [(d.condition, d.message) for d in diags] == [
-            ("E3_2", "'[Start -> Active]' is a Edge, but tag type 'Watched' only applies to: Node")
+            ("E3_2", "'[Start -> Active]' is an Edge, but tag type 'Watched' only applies to: Node")
         ]
+
+
+@pytest.mark.parametrize(
+    "ref, named",
+    [
+        ("[status=isActive]", "'Active.Busy.[status=isActive]' is an Invariant"),
+        ("Active", "'Active' is a State"),
+    ],
+)
+def test_scope_mismatch_article_follows_the_keyword(samples_dir, tmp_path, ref, named):
+    ws = workspace(
+        tmp_path,
+        read(samples_dir, "statechart.glang"),
+        read(samples_dir, "mobile.sc"),
+        "package s;\ntagschema S { tagtype Watched for Transition; }\n",
+        f"package mobile;\nconforms to s.S;\ntags T for Mobile {{\n tag {ref} with Watched;\n}}\n",
+    )
+    diags, _ = check_workspace(load_workspace(ws))
+    assert [(d.condition, d.message) for d in diags] == [
+        ("E3_2", f"{named}, but tag type 'Watched' only applies to: Transition")
+    ]
 
 
 def test_skipped_production_keeps_its_name(samples_dir, tmp_path):
@@ -237,7 +258,7 @@ class TestChartAndStateShareAName:
 
     def test_same_element_twice_still_warns(self, samples_dir, tmp_path):
         diags, _ = self.run(samples_dir, tmp_path, " tag A.A with M;\n tag A.A with M;\n")
-        assert diags == [("DuplicateTagWarning", "'A' is already tagged with an identical 'M'")]
+        assert diags == [("DuplicateTagWarning", "State 'A' is already tagged with an identical 'M'")]
 
     def test_within_the_same_named_state(self, samples_dir, tmp_path):
         diags, records = self.run(samples_dir, tmp_path, " within A.A { tag B with M; }\n")
