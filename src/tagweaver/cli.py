@@ -131,13 +131,6 @@ def _emit_diagnostics(diags: list[Diagnostic], fmt: str, stream) -> None:
         print(format_diagnostic(diag, color=color), file=stream)
 
 
-def _print_model_warnings(loaded: LoadedWorkspace, stream) -> None:
-    for model in loaded.models:
-        for warning in model.warnings:
-            prefix = model.source_name or "<model>"
-            print(f"{prefix}: warning: {warning}", file=stream)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -146,14 +139,12 @@ def _print_model_warnings(loaded: LoadedWorkspace, stream) -> None:
 def _load_workspace(args: argparse.Namespace) -> LoadedWorkspace:
     from .workspace import Workspace, load_workspace
 
-    loaded = load_workspace(Workspace(
+    return load_workspace(Workspace(
         manifest_file=args.manifest,
         model_files=tuple(args.model),
         schema_files=tuple(args.schema),
         tag_files=tuple(args.tags),
     ))
-    _print_model_warnings(loaded, sys.stderr)
-    return loaded
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -206,8 +197,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except WorkspaceError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
-        for diag in exc.diagnostics:
-            print(format_diagnostic(diag, color=_use_color(sys.stderr)), file=sys.stderr)
+        _emit_diagnostics(exc.diagnostics, "text", sys.stderr)
         return 2
     except (ParseError, DerivationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .derivation import LanguageProfile
-from .diagnostics import Diagnostic, Severity, has_errors
+from .diagnostics import Diagnostic, Severity, has_errors, reporter
 from .statechart import (
     AmbiguousElement,
     ElementHandle,
@@ -157,19 +157,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
     _require_matching_inputs(inp)
     model = inp.tag_model
     diags: list[Diagnostic] = []
-
-    def report(condition: Condition, message: str, line: int, col: int,
-               severity: Severity = Severity.ERROR) -> None:
-        diags.append(
-            Diagnostic(
-                condition=condition.value,
-                severity=severity,
-                message=message,
-                file=model.source_name,
-                line=line,
-                col=col,
-            )
-        )
+    report = reporter(diags, model.source_name)
 
     # Tag type names must be unique across the union of referenced schemas;
     # uses resolve against the first definition in conforms-to order.
@@ -354,27 +342,14 @@ def _check_value(
     use: TagUse, tag_type: TagTypeDef, schema: TagSchema, file: str | None
 ) -> tuple[list[Diagnostic], NormalizedValue | None]:
     diags: list[Diagnostic] = []
-
-    def mismatch(condition: Condition, message: str, at: TagUse) -> None:
-        diags.append(
-            Diagnostic(
-                condition=condition.value,
-                severity=Severity.ERROR,
-                message=message,
-                file=file,
-                line=at.line,
-                col=at.col,
-            )
-        )
-
-    normalized = _check_value_inner(use, tag_type, schema, file, mismatch)
+    normalized = _check_value_inner(use, tag_type, schema, reporter(diags, file))
     if has_errors(diags):
         return diags, None
     return diags, normalized
 
 
 def _check_value_inner(
-    use: TagUse, tag_type: TagTypeDef, schema: TagSchema, file, mismatch
+    use: TagUse, tag_type: TagTypeDef, schema: TagSchema, report
 ) -> NormalizedValue | None:
     domain = tag_type.domain
     value = use.value
@@ -382,48 +357,48 @@ def _check_value_inner(
 
     if domain.kind == DomainSpec.SIMPLE:
         if value.kind != TagValue.SIMPLE:
-            mismatch(
+            report(
                 Condition.E3_3_DOMAIN_MISMATCH,
                 f"tag type '{name}' is a simple flag and takes no value",
-                use,
+                use.line, use.col,
             )
             return None
         return NormalizedValue.flag()
 
     if domain.kind == DomainSpec.NATIVE:
         if value.kind != TagValue.VALUED:
-            mismatch(
+            report(
                 Condition.E3_3_DOMAIN_MISMATCH,
                 f"tag type '{name}' needs a {domain.native} value",
-                use,
+                use.line, use.col,
             )
             return None
-        return _check_native(domain.native, value.raw, name, use, mismatch)
+        return _check_native(domain.native, value.raw, name, use, report)
 
     if domain.kind == DomainSpec.ENUM:
         if value.kind != TagValue.VALUED:
-            mismatch(
+            report(
                 Condition.E3_3_DOMAIN_MISMATCH,
                 f"tag type '{name}' needs one of its enumeration values",
-                use,
+                use.line, use.col,
             )
             return None
         if value.raw not in domain.values:
             options = ", ".join(domain.values)
-            mismatch(
+            report(
                 Condition.E3_3_DOMAIN_MISMATCH,
                 f'"{value.raw}" is not an enumeration value of \'{name}\' ({options})',
-                use,
+                use.line, use.col,
             )
             return None
         return NormalizedValue.of_enum(value.raw)
 
     # Complex domain.
     if value.kind != TagValue.COMPLEX:
-        mismatch(
+        report(
             Condition.E3_3_DOMAIN_MISMATCH,
             f"tag type '{name}' is complex and needs a '{{...}}' value",
-            use,
+            use.line, use.col,
         )
         return None
 
@@ -433,36 +408,36 @@ def _check_value_inner(
         ref = domain.reference(sub.name)
         if ref is None:
             declared = ", ".join(r.name for r in domain.references)
-            mismatch(
+            report(
                 Condition.UNKNOWN_SUBTAG_NAME,
                 f"subtag '{sub.name}' is not declared by '{name}' (declared: {declared})",
-                sub,
+                sub.line, sub.col,
             )
             ok = False
             continue
         if ref.is_native:
             if sub.value.kind != TagValue.VALUED:
-                mismatch(
+                report(
                     Condition.E3_3_DOMAIN_MISMATCH,
                     f"subtag '{sub.name}' of '{name}' needs a {ref.type_name} value",
-                    sub,
+                    sub.line, sub.col,
                 )
                 ok = False
                 continue
-            norm = _check_native(ref.type_name, sub.value.raw, sub.name, sub, mismatch)
+            norm = _check_native(ref.type_name, sub.value.raw, sub.name, sub, report)
         else:
             target = schema.tag_type(ref.type_name)
             if target is None:
                 # Unresolved named references are schema well-formedness
                 # problems; surface the use site as a domain mismatch.
-                mismatch(
+                report(
                     Condition.E3_3_DOMAIN_MISMATCH,
                     f"subtag '{sub.name}' references unknown tag type '{ref.type_name}'",
-                    sub,
+                    sub.line, sub.col,
                 )
                 ok = False
                 continue
-            norm = _check_value_inner(sub, target, schema, file, mismatch)
+            norm = _check_value_inner(sub, target, schema, report)
         if norm is None:
             ok = False
             continue
@@ -471,11 +446,11 @@ def _check_value_inner(
     for ref in domain.references:
         count = sum(1 for sub in value.subtags if sub.name == ref.name)
         if not ref.cardinality.admits(count):
-            mismatch(
+            report(
                 Condition.CARDINALITY_VIOLATION,
                 f"'{name}' needs {_cardinality_phrase(ref.cardinality)} "
                 f"'{ref.name}' subtag, found {count}",
-                use,
+                use.line, use.col,
             )
             ok = False
 
@@ -484,7 +459,7 @@ def _check_value_inner(
     return NormalizedValue.of_children(tuple(children))
 
 
-def _check_native(kind: str, raw: str, label: str, at: TagUse, mismatch) -> NormalizedValue | None:
+def _check_native(kind: str, raw: str, label: str, at: TagUse, report) -> NormalizedValue | None:
     if kind == "String":
         return NormalizedValue.of_string(raw)
     if kind == "Boolean":
@@ -492,27 +467,27 @@ def _check_native(kind: str, raw: str, label: str, at: TagUse, mismatch) -> Norm
             return NormalizedValue.of_bool(True)
         if raw == "false":
             return NormalizedValue.of_bool(False)
-        mismatch(
+        report(
             Condition.E3_3_DOMAIN_MISMATCH,
             f'"{raw}" is not a Boolean (\'{label}\' takes exactly "true" or "false")',
-            at,
+            at.line, at.col,
         )
         return None
     # int: optional minus, decimal digits, 64-bit signed range.
     body = raw[1:] if raw.startswith("-") else raw
     if not body or not body.isascii() or not body.isdigit():
-        mismatch(
+        report(
             Condition.E3_3_DOMAIN_MISMATCH,
             f'"{raw}" is not a decimal integer (\'{label}\' takes an int)',
-            at,
+            at.line, at.col,
         )
         return None
     parsed = int(raw)
     if not INT64_MIN <= parsed <= INT64_MAX:
-        mismatch(
+        report(
             Condition.E3_3_DOMAIN_MISMATCH,
             f'"{raw}" does not fit a signed 64-bit integer (\'{label}\' takes an int)',
-            at,
+            at.line, at.col,
         )
         return None
     return NormalizedValue.of_int(parsed)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["Severity", "Diagnostic", "has_errors", "format_diagnostic"]
+__all__ = ["Severity", "Diagnostic", "has_errors", "reporter", "format_diagnostic"]
 
 
 class Severity(str, Enum):
@@ -27,6 +28,22 @@ class Diagnostic:
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def reporter(diags: list[Diagnostic], file: str | None) -> Callable[..., None]:
+    """Return ``report(condition, message, line, col, severity=ERROR)``.
+
+    Each call appends one :class:`Diagnostic` in ``file`` to ``diags``.  An
+    ``Enum`` condition is stored as its plain string value.
+    """
+
+    def report(condition: str | Enum, message: str, line: int, col: int,
+               severity: Severity = Severity.ERROR) -> None:
+        if isinstance(condition, Enum):
+            condition = condition.value
+        diags.append(Diagnostic(condition, severity, message, file, line, col))
+
+    return report
 
 
 _COLORS = {Severity.ERROR: "\x1b[31m", Severity.WARNING: "\x1b[33m"}

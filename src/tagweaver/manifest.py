@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .parsing import is_identifier
+from .parsing import escape_string, is_identifier
 
 __all__ = [
     "RhsRef",
@@ -437,8 +437,7 @@ def pretty_print_manifest(manifest: GrammarManifest) -> str:
         if prod.alias is not None:
             parts.append(f"@alias {prod.alias}")
         if prod.concrete_syntax_sketch is not None:
-            escaped = prod.concrete_syntax_sketch.replace("\\", "\\\\").replace('"', '\\"')
-            parts.append(f'@sketch "{escaped}"')
+            parts.append(f'@sketch "{escape_string(prod.concrete_syntax_sketch)}"')
         parts.append(f"production {prod.name}")
         if prod.rhs_elided:
             parts.append("= ...")

@@ -34,6 +34,12 @@ ELLIPSIS = "..."
 ARROW = "->"
 EOF = "eof"
 
+# How deep ``{ ... }`` blocks may nest: state bodies, ``within`` blocks and
+# complex values, counted together per file.  The deepest recursion past the
+# parsers, the export of a complex value, takes about six frames per level,
+# so a parsed file stays well inside Python's default limit of 1000 frames.
+MAX_NESTING = 100
+
 
 class Token(NamedTuple):
     kind: str
@@ -84,6 +90,12 @@ _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(r"\w+")
 _UNESCAPE = re.compile(r'\\(["\\])')
 _BRACKETS = re.compile(r"[\[\]]")
+
+
+def escape_string(text: str) -> str:
+    """Escape a string for inclusion in double quotes; ``_UNESCAPE`` undoes it."""
+
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def is_identifier(text: str) -> bool:
@@ -175,6 +187,7 @@ class TokenCursor:
     def __init__(self, tokens: list[Token], filename: str | None = None):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
         self.filename = filename
 
     # -- primitives ---------------------------------------------------------
@@ -214,6 +227,16 @@ class TokenCursor:
 
     def expect_keyword(self, word: str) -> Token:
         return self.expect(IDENT, word)
+
+    def enter(self, brace: Token) -> None:
+        """Open one nested block at ``brace``, up to ``MAX_NESTING`` deep."""
+
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self.error(f"blocks nest deeper than {MAX_NESTING} levels", brace)
+
+    def leave(self) -> None:
+        self._depth -= 1
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok if tok is not None else self.peek()

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .diagnostics import Diagnostic, Severity, reporter
 from .errors import ParseError, ResolutionError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
 from .tagmodel import ElementIdentifier
@@ -120,7 +121,7 @@ class StatechartModel:
     name: str
     states: tuple[StateDef, ...]
     transitions: tuple[TransitionDef, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
     source_name: str | None = field(default=None, compare=False)
 
     @property
@@ -196,7 +197,7 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
         name=name_tok.value,
         states=tuple(states),
         transitions=tuple(transitions),
-        warnings=_duplicate_transition_warnings(transitions),
+        warnings=_duplicate_transition_warnings(transitions, filename),
         source_name=filename,
     )
     _check_transitions(model, filename)
@@ -232,7 +233,8 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
 
     substates: list[StateDef] = []
     invariants: list[str] = []
-    if cur.match("{"):
+    if cur.at("{"):
+        cur.enter(cur.advance())
         nested_names: set[str] = set()
         while not cur.at("}"):
             if cur.match(ELLIPSIS):
@@ -249,6 +251,7 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
             else:
                 raise cur.error(f"unexpected '{tok.value}' in state body")
         cur.expect("}")
+        cur.leave()
     else:
         cur.expect(";")
 
@@ -296,17 +299,24 @@ def _check_transitions(model: StatechartModel, filename: str | None) -> None:
                 )
 
 
-def _duplicate_transition_warnings(transitions: list[TransitionDef]) -> tuple[str, ...]:
+def _duplicate_transition_warnings(
+    transitions: list[TransitionDef], filename: str | None
+) -> tuple[Diagnostic, ...]:
     seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
+    report = reporter(warnings, filename)
     for tr in transitions:
         key = (tr.source, tr.target, tr.event)
         if key in seen:
             src, tgt = ".".join(tr.source), ".".join(tr.target)
             event = f" : {tr.event}" if tr.event is not None else ""
-            warnings.append(
+            report(
+                "DuplicateTransition",
                 f"duplicate transition {src} -> {tgt}{event} "
-                f"(lines {seen[key].line} and {tr.line})"
+                f"(lines {seen[key].line} and {tr.line})",
+                tr.line,
+                tr.col,
+                Severity.WARNING,
             )
         else:
             seen[key] = tr

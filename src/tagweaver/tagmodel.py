@@ -37,7 +37,7 @@ from typing import Union
 
 from .derivation import LanguageProfile
 from .errors import ParseError
-from .parsing import BRACKET, ELLIPSIS, EOF, IDENT, STRING, TokenCursor, tokenize
+from .parsing import BRACKET, ELLIPSIS, EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
 
 __all__ = [
     "ElementIdentifier",
@@ -260,9 +260,10 @@ def _parse_body(cur: TokenCursor, profile: LanguageProfile) -> tuple[BodyItem, .
 def _parse_context(cur: TokenCursor, profile: LanguageProfile) -> Context:
     within_tok = cur.expect_keyword("within")
     ident = _parse_element_identifier(cur, profile)
-    cur.expect("{")
+    cur.enter(cur.expect("{"))
     body = _parse_body(cur, profile)
     cur.expect("}")
+    cur.leave()
     return Context(identifier=ident, body=body, line=within_tok.line, col=within_tok.col)
 
 
@@ -313,7 +314,8 @@ def _parse_tag_use(cur: TokenCursor) -> TagUse:
     if cur.match("="):
         value_tok = cur.expect(STRING)
         value = TagValue.valued(value_tok.value)
-    elif cur.match("{"):
+    elif cur.at("{"):
+        cur.enter(cur.advance())
         subtags: list[TagUse] = []
         if not cur.at("}"):
             subtags.append(_parse_tag_use(cur))
@@ -321,6 +323,7 @@ def _parse_tag_use(cur: TokenCursor) -> TagUse:
                 subtags.append(_parse_tag_use(cur))
             cur.expect(";")
         cur.expect("}")
+        cur.leave()
         value = TagValue(TagValue.COMPLEX, subtags=tuple(subtags))
     else:
         value = TagValue.simple()
@@ -330,12 +333,6 @@ def _parse_tag_use(cur: TokenCursor) -> TagUse:
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-
-def escape_string(text: str) -> str:
-    """Escape a string for inclusion in double quotes (``\\`` and ``\"``)."""
-
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def pretty_print_tag_model(model: TagModel) -> str:

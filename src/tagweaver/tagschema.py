@@ -42,10 +42,9 @@ from enum import Enum
 from itertools import repeat
 
 from .derivation import LanguageProfile
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, reporter
 from .errors import ParseError
-from .parsing import EOF, IDENT, STRING, TokenCursor, tokenize
-from .tagmodel import escape_string
+from .parsing import EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
 
 __all__ = [
     "NATIVE_KINDS",
@@ -399,19 +398,7 @@ def validate_schema_well_formedness(
     nested = {kw.keyword: kw for kw in profile.scope_keywords if kw.is_nested}
     type_names = {tt.name for tt in schema.tag_types}
     first_lines: dict[str, int] = {}
-
-    def report(condition: str, message: str, line: int, col: int,
-               severity: Severity = Severity.ERROR) -> None:
-        diags.append(
-            Diagnostic(
-                condition=condition,
-                severity=severity,
-                message=message,
-                file=schema.source_name,
-                line=line,
-                col=col,
-            )
-        )
+    report = reporter(diags, schema.source_name)
 
     for tt in schema.tag_types:
         if tt.name in first_lines:
@@ -476,7 +463,7 @@ def validate_schema_well_formedness(
                     ref.col,
                 )
 
-    diags.extend(_required_cycles(schema))
+    _required_cycles(schema, report)
     return diags
 
 
@@ -488,8 +475,8 @@ def _positions(
     return recorded or repeat((tt.line, tt.col))
 
 
-def _required_cycles(schema: TagSchema) -> list[Diagnostic]:
-    """Find cycles of Required/AtLeastOne references (no finite instances)."""
+def _required_cycles(schema: TagSchema, report) -> None:
+    """Report each cycle of Required/AtLeastOne references (no finite instances)."""
 
     mandatory = (Cardinality.REQUIRED, Cardinality.AT_LEAST_ONE)
     types = {tt.name: tt for tt in schema.tag_types}
@@ -545,26 +532,18 @@ def _required_cycles(schema: TagSchema) -> list[Diagnostic]:
                             break
                     sccs.append(component)
 
-    diags: list[Diagnostic] = []
     for component in sccs:
         is_cycle = len(component) > 1 or component[0] in edges[component[0]]
         if is_cycle:
             members = sorted(component)
             anchor = min((types[m] for m in members), key=lambda tt: (tt.line, tt.col))
-            diags.append(
-                Diagnostic(
-                    condition="RecursiveRequiredReference",
-                    severity=Severity.ERROR,
-                    message=(
-                        "required references form a cycle with no finite instances: "
-                        + " -> ".join(members + [members[0]])
-                    ),
-                    file=schema.source_name,
-                    line=anchor.line,
-                    col=anchor.col,
-                )
+            report(
+                "RecursiveRequiredReference",
+                "required references form a cycle with no finite instances: "
+                + " -> ".join(members + [members[0]]),
+                anchor.line,
+                anchor.col,
             )
-    return diags
 
 
 # ---------------------------------------------------------------------------

@@ -75,24 +75,20 @@ class LoadedWorkspace:
     schema_warnings: tuple[Diagnostic, ...] = ()
 
     def find_model(self, ref: str, default_package: str) -> StatechartModel:
-        qualified = qualify(ref, default_package)
-        for model in self.models:
-            if model.qualified_name == qualified:
-                return model
-        available = ", ".join(m.qualified_name for m in self.models) or "none"
-        raise WorkspaceError(
-            f"no model named '{qualified}' in the workspace (available: {available})"
-        )
+        return _find_named("model", self.models, qualify(ref, default_package))
 
     def find_schema(self, ref: str, default_package: str) -> TagSchema:
-        qualified = qualify(ref, default_package)
-        for schema in self.schemas:
-            if schema.qualified_name == qualified:
-                return schema
-        available = ", ".join(s.qualified_name for s in self.schemas) or "none"
-        raise WorkspaceError(
-            f"no schema named '{qualified}' in the workspace (available: {available})"
-        )
+        return _find_named("schema", self.schemas, qualify(ref, default_package))
+
+
+def _find_named(kind: str, candidates: tuple, qualified: str):
+    for candidate in candidates:
+        if candidate.qualified_name == qualified:
+            return candidate
+    available = ", ".join(c.qualified_name for c in candidates) or "none"
+    raise WorkspaceError(
+        f"no {kind} named '{qualified}' in the workspace (available: {available})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +164,10 @@ def _require_unique(kind: str, named: list[tuple[str, str | None]]) -> None:
 def check_workspace(
     loaded: LoadedWorkspace,
 ) -> tuple[list[Diagnostic], list[ResolvedTagging]]:
-    """Check every tag model against its own target, after the schema warnings."""
+    """Check every tag model against its own target, after the model and schema warnings."""
 
-    diags: list[Diagnostic] = list(loaded.schema_warnings)
+    diags = [warning for model in loaded.models for warning in model.warnings]
+    diags.extend(loaded.schema_warnings)
     resolved: list[ResolvedTagging] = []
     for tag_model in loaded.tag_models:
         target = loaded.find_model(tag_model.target_model, tag_model.package)

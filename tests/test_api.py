@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -23,6 +24,22 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(f"tagweaver.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "cli"])
+def test_only_the_cli_writes_to_a_stream(name):
+    # Every finding leaves the library as a ``Diagnostic``; the CLI alone
+    # decides where and in which format it is printed.
+    tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+    ]
+    assert writes == []
 
 
 def test_every_name_the_package_imports_exists():

@@ -48,6 +48,30 @@ def golden_argv(samples_dir):
     ]
 
 
+@pytest.fixture()
+def warned_argv(golden_argv, tmp_path):
+    """The golden workspace with a chart that repeats ``A -> B : go`` on line 6."""
+    chart = tmp_path / "warned.sc"
+    chart.write_text(
+        "package mobile;\n"
+        "statechart Mobile {\n"
+        "    state A;\n"
+        "    state B;\n"
+        "    A -> B : go;\n"
+        "    A -> B : go;\n"
+        "}\n"
+    )
+    argv = list(golden_argv)
+    argv[argv.index("--model") + 1] = str(chart)
+    tags = tmp_path / "warned.tag"
+    tags.write_text(
+        "package mobile;\n"
+        "conforms to loggingschema.StatechartTagSchema;\n"
+        "tags T for Mobile { tag A with Monitored; }\n"
+    )
+    return swap_tags(argv, tags)
+
+
 def swap_tags(argv: list[str], tag_file) -> list[str]:
     out = list(argv)
     out[out.index("--tags") + 1] = str(tag_file)
@@ -107,29 +131,26 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"diagnostics": [], "errors": 0, "warnings": 0}
 
-    def test_model_warnings_go_to_stderr(self, golden_argv, tmp_path, capsys):
-        chart = tmp_path / "warned.sc"
-        chart.write_text(
-            "package mobile;\n"
-            "statechart Mobile {\n"
-            "    state A;\n"
-            "    state B;\n"
-            "    A -> B : go;\n"
-            "    A -> B : go;\n"
-            "}\n"
-        )
-        argv = list(golden_argv)
-        argv[argv.index("--model") + 1] = str(chart)
-        empty = tmp_path / "empty.tag"
-        empty.write_text(
-            "package mobile;\n"
-            "conforms to loggingschema.StatechartTagSchema;\n"
-            "tags T for Mobile { tag A with Monitored; }\n"
-        )
-        assert run_cli(["check", *swap_tags(argv, empty)]) == 0
+    def test_model_warnings_go_to_stdout(self, warned_argv, capsys):
+        assert run_cli(["check", *warned_argv]) == 0
         captured = capsys.readouterr()
-        assert "warned.sc: warning: duplicate transition A -> B : go" in captured.err
-        assert captured.out == ""
+        assert (
+            "warned.sc:6:5: warning[DuplicateTransition]: duplicate transition A -> B : go"
+            in captured.out
+        )
+        assert captured.err == ""
+
+    def test_model_warnings_in_the_json_payload(self, warned_argv, capsys):
+        assert run_cli(["check", *warned_argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["errors"], payload["warnings"]) == (0, 1)
+        (diag,) = payload["diagnostics"]
+        assert diag["file"].endswith("warned.sc")
+        assert (diag["line"], diag["col"]) == (6, 5)
+        assert (diag["severity"], diag["condition"]) == ("warning", "DuplicateTransition")
+        assert diag["message"].startswith("duplicate transition A -> B : go")
 
     def test_multiple_tag_files(self, golden_argv, tmp_path, capsys):
         dup = tmp_path / "dup.tag"
@@ -252,6 +273,15 @@ class TestExport:
         assert payload["errors"] == 1
         assert captured.err.rstrip().endswith("export refused: the workspace has errors")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_model_warnings_go_to_stderr(self, warned_argv, capsys, fmt):
+        assert run_cli(["export", *warned_argv, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert [a["elementPath"] for a in json.loads(captured.out)["attachments"]] == ["A"]
+        if fmt == "json":
+            assert json.loads(captured.err)["warnings"] == 1
+        assert "duplicate transition A -> B : go" in captured.err
+
     def test_multi_target_workspace_exits_two(self, golden_argv, tmp_path, capsys):
         other_model = tmp_path / "other.sc"
         other_model.write_text("package p;\nstatechart Other { state A; }\n")
@@ -362,9 +392,7 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "error: internal error: RuntimeError: checker fell over\n"
 
-    def test_deeply_nested_chart_exits_three_without_traceback(
-        self, golden_argv, tmp_path
-    ):
+    def test_deeply_nested_chart_exits_two_with_one_line(self, golden_argv, tmp_path):
         depth = 1500
         deep = tmp_path / "deep.sc"
         deep.write_text(
@@ -380,11 +408,10 @@ class TestInternalErrors:
             capture_output=True,
             text=True,
         )
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error: internal error: RecursionError: ")
-        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr == f"error: {deep}:103:12: blocks nest deeper than 100 levels\n"
 
 
 class TestOneShotProcess:

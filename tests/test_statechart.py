@@ -413,7 +413,7 @@ class TestDuplicateTransitionWarnings:
             " A -> B : go;\n A -> B : go;\n}\n"
         )
         assert len(model.warnings) == 1
-        assert "duplicate transition A -> B : go" in model.warnings[0]
+        assert "duplicate transition A -> B : go" in model.warnings[0].message
 
     def test_differing_events_do_not_warn(self):
         model = parse_statechart(

@@ -141,6 +141,34 @@ class TestChecking:
         assert len(resolved) == 2
 
 
+    def test_model_then_schema_then_check_findings(self, golden_workspace, tmp_path):
+        ws = Workspace(
+            manifest_file=golden_workspace.manifest_file,
+            model_files=(write(
+                tmp_path, "m.sc",
+                "package mobile;\nstatechart Mobile {\n    state A;\n    state B;\n"
+                "    A -> B : go;\n    A -> B : go;\n}\n",
+            ),),
+            schema_files=(write(
+                tmp_path, "s.tagschema",
+                "package s;\ntagschema S {\n    tagtype Ends for source, Transition;\n"
+                "    tagtype M;\n}\n",
+            ),),
+            tag_files=(write(
+                tmp_path, "t.tag",
+                "package mobile;\nconforms to s.S;\ntags T for Mobile {\n"
+                "    tag A with M;\n    tag A with M;\n}\n",
+            ),),
+        )
+        diags, resolved = check_workspace(load_workspace(ws))
+        assert [(d.file, d.condition, d.line, d.col) for d in diags] == [
+            (str(tmp_path / "m.sc"), "DuplicateTransition", 6, 5),
+            (str(tmp_path / "s.tagschema"), "ScopeAdmitsNoElement", 3, 22),
+            (str(tmp_path / "t.tag"), "DuplicateTagWarning", 5, 16),
+        ]
+        assert len(resolved) == 1
+
+
 class TestExport:
     def test_golden_report(self, golden_workspace):
         diags, report = build_export_report(load_workspace(golden_workspace))
