@@ -21,7 +21,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "conformance": (
         "Attachment",
         "CheckInput",
-        "Condition",
         "NormalizedValue",
         "ResolvedTagging",
         "check",
@@ -39,7 +38,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "profile_to_json",
         "render_derived_grammar",
     ),
-    "diagnostics": ("Diagnostic", "Severity", "format_diagnostic", "has_errors"),
+    "diagnostics": ("Condition", "Diagnostic", "Severity", "format_diagnostic", "has_errors"),
     "errors": ("ParseError", "ResolutionError", "TagweaverError", "WorkspaceError"),
     "manifest": (
         "DuplicateProduction",

@@ -9,10 +9,11 @@ Three subcommands::
 
 Exit codes: 0 when checking found no errors (warnings are fine), 1 when
 at least one error diagnostic was reported (or an export was refused
-because of one), 2 for unusable input — unreadable files, parse errors,
-unresolvable references, bad usage — and 3 for an internal error: any
-other exception, reported as one ``error: internal error:`` line on
-stderr without a traceback, so that a crash never reads as a verdict.
+because of one), 2 for unusable input — unreadable or non-UTF-8 files,
+parse errors, unresolvable references, bad usage — and 3 for an internal
+error: any other exception, reported as one ``error: internal error:``
+line on stderr without a traceback, so that a crash never reads as a
+verdict.
 
 ``--format json`` switches diagnostic output to a machine-readable JSON
 document.  The ``TAGWEAVER_COLOR`` environment variable forces ANSI
@@ -34,6 +35,7 @@ from .derivation import DerivationError, derive_profile, profile_to_json, render
 from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors
 from .errors import ParseError, WorkspaceError
 from .manifest import parse_manifest
+from .parsing import read_source
 
 # ``check`` and ``export`` import the workspace pipeline when they run, so
 # that ``derive`` loads none of it.
@@ -156,8 +158,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    manifest = parse_manifest(args.manifest.read_text(encoding="utf-8"),
-                              filename=str(args.manifest))
+    manifest = parse_manifest(read_source(args.manifest), filename=str(args.manifest))
     profile = derive_profile(manifest)
     out_dir = args.out if args.out is not None else args.manifest.parent
     out_dir.mkdir(parents=True, exist_ok=True)

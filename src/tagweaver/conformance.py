@@ -27,10 +27,9 @@ typed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .derivation import LanguageProfile
-from .diagnostics import Diagnostic, Severity, has_errors, reporter
+from .diagnostics import Condition, Diagnostic, Severity, has_errors, reporter
 from .statechart import (
     AmbiguousElement,
     ElementHandle,
@@ -42,7 +41,6 @@ from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
 
 __all__ = [
-    "Condition",
     "NormalizedValue",
     "Attachment",
     "ResolvedTagging",
@@ -55,20 +53,6 @@ __all__ = [
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-
-class Condition(str, Enum):
-    """Identifiers for everything the conformance checker can report."""
-
-    E1_UNRESOLVED_ELEMENT = "E1"
-    E2_DUPLICATE_TAG_TYPE_NAME = "E2"
-    E3_1_UNKNOWN_TAG_TYPE = "E3_1"
-    E3_2_SCOPE_MISMATCH = "E3_2"
-    E3_3_DOMAIN_MISMATCH = "E3_3"
-    PRIVATE_TOP_LEVEL_USE = "PrivateTopLevelUse"
-    CARDINALITY_VIOLATION = "CardinalityViolation"
-    UNKNOWN_SUBTAG_NAME = "UnknownSubtagName"
-    DUPLICATE_TAG_WARNING = "DuplicateTagWarning"
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +144,14 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
     report = reporter(diags, model.source_name)
 
     # Tag type names must be unique across the union of referenced schemas;
-    # uses resolve against the first definition in conforms-to order.
+    # uses resolve against the first definition in conforms-to order.  A
+    # schema listed twice, however spelled, is taken once.
     types: dict[str, tuple[TagSchema, TagTypeDef]] = {}
+    taken: set[str] = set()
     for schema in inp.schemas:
+        if schema.qualified_name in taken:
+            continue
+        taken.add(schema.qualified_name)
         for tt in schema.tag_types:
             if tt.name in types:
                 report(

@@ -6,7 +6,32 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["Severity", "Diagnostic", "has_errors", "reporter", "format_diagnostic"]
+__all__ = ["Condition", "Severity", "Diagnostic", "has_errors", "reporter", "format_diagnostic"]
+
+
+class Condition(str, Enum):
+    """Identifiers for everything the checker and the validators can report."""
+
+    # Conformance of a tag model (``conformance.check``).
+    E1_UNRESOLVED_ELEMENT = "E1"
+    E2_DUPLICATE_TAG_TYPE_NAME = "E2"
+    E3_1_UNKNOWN_TAG_TYPE = "E3_1"
+    E3_2_SCOPE_MISMATCH = "E3_2"
+    E3_3_DOMAIN_MISMATCH = "E3_3"
+    PRIVATE_TOP_LEVEL_USE = "PrivateTopLevelUse"
+    CARDINALITY_VIOLATION = "CardinalityViolation"
+    UNKNOWN_SUBTAG_NAME = "UnknownSubtagName"
+    DUPLICATE_TAG_WARNING = "DuplicateTagWarning"
+    # Well-formedness of a tag schema (``tagschema``).
+    DUPLICATE_TAG_TYPE_NAME = "DuplicateTagTypeName"
+    EMPTY_ENUM_DOMAIN = "EmptyEnumDomain"
+    DUPLICATE_REFERENCE_NAME = "DuplicateReferenceName"
+    UNKNOWN_SCOPE_KEYWORD = "UnknownScopeKeyword"
+    SCOPE_ADMITS_NO_ELEMENT = "ScopeAdmitsNoElement"
+    UNRESOLVED_NAMED_REFERENCE = "UnresolvedNamedReference"
+    RECURSIVE_REQUIRED_REFERENCE = "RecursiveRequiredReference"
+    # A model's own warnings (``statechart``).
+    DUPLICATE_TRANSITION = "DuplicateTransition"
 
 
 class Severity(str, Enum):
@@ -16,7 +41,10 @@ class Severity(str, Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding, tied to a condition identifier and a source location."""
+    """One finding, tied to a condition identifier and a source location.
+
+    ``condition`` is the plain string value of a :class:`Condition`.
+    """
 
     condition: str
     severity: Severity
@@ -33,15 +61,12 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 def reporter(diags: list[Diagnostic], file: str | None) -> Callable[..., None]:
     """Return ``report(condition, message, line, col, severity=ERROR)``.
 
-    Each call appends one :class:`Diagnostic` in ``file`` to ``diags``.  An
-    ``Enum`` condition is stored as its plain string value.
+    Each call appends one :class:`Diagnostic` in ``file`` to ``diags``.
     """
 
-    def report(condition: str | Enum, message: str, line: int, col: int,
+    def report(condition: Condition, message: str, line: int, col: int,
                severity: Severity = Severity.ERROR) -> None:
-        if isinstance(condition, Enum):
-            condition = condition.value
-        diags.append(Diagnostic(condition, severity, message, file, line, col))
+        diags.append(Diagnostic(condition.value, severity, message, file, line, col))
 
     return report
 

@@ -16,6 +16,7 @@ vocabulary: identifiers, double-quoted strings, punctuation, ``//`` and
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -58,6 +59,39 @@ def _string_repr(tok: Token) -> str:
     if tok.kind == BRACKET:
         return f"'[{tok.value}]'"
     return f"'{tok.value}'"
+
+
+# ---------------------------------------------------------------------------
+# Source files
+# ---------------------------------------------------------------------------
+
+
+def read_source(path: Path) -> str:
+    """The text of a UTF-8 source file, its newlines read as ``\\n``.
+
+    A byte sequence that is not UTF-8 raises :class:`ParseError` at its
+    line and column: the file is unusable input, not a crash.
+    """
+
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+            str(path),
+        ) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    # What reading the file in text mode would give: ``\r\n`` and ``\r`` end lines.
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .diagnostics import Diagnostic, Severity, reporter
+from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .errors import ParseError, ResolutionError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
 from .tagmodel import ElementIdentifier
@@ -311,7 +311,7 @@ def _duplicate_transition_warnings(
             src, tgt = ".".join(tr.source), ".".join(tr.target)
             event = f" : {tr.event}" if tr.event is not None else ""
             report(
-                "DuplicateTransition",
+                Condition.DUPLICATE_TRANSITION,
                 f"duplicate transition {src} -> {tgt}{event} "
                 f"(lines {seen[key].line} and {tr.line})",
                 tr.line,

@@ -29,20 +29,21 @@ never directly on an element.
 
 The parser only builds the schema and raises syntax errors.
 :func:`validate_schema_well_formedness` alone decides whether a schema is
-well-formed; :func:`parse_tag_schema` runs it and raises the first of its
-diagnostics that the chosen ``strict`` mode raises, as the matching
+well-formed; :func:`parse_tag_schema` runs it once, keeps its diagnostics
+as ``TagSchema.findings``, and raises the first of them that the chosen
+``strict`` mode raises, as the matching
 :class:`~tagweaver.errors.ParseError` subclass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 
 from .derivation import LanguageProfile
-from .diagnostics import Diagnostic, Severity, reporter
+from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .errors import ParseError
 from .parsing import EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
 
@@ -196,6 +197,8 @@ class TagSchema:
     name: str
     tag_types: tuple[TagTypeDef, ...]
     source_name: str | None = field(default=None, compare=False)
+    # What validate_schema_well_formedness found; set by parse_tag_schema.
+    findings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     @property
     def qualified_name(self) -> str:
@@ -223,14 +226,15 @@ def parse_tag_schema(
     """Parse ``.tagschema`` source text against a language profile.
 
     Syntax errors raise as they are met.  The parsed schema is then judged
-    by :func:`validate_schema_well_formedness`, and the first of its
+    once by :func:`validate_schema_well_formedness`, and the first of its
     diagnostics that this parse raises becomes a :class:`ParseError`
     subclass.  Structural problems (duplicate tag type names, duplicate
     enum values, duplicate reference names) always raise.  With
     ``strict=True`` (the default) unknown scope keywords and unresolved
     named references raise as well; with ``strict=False`` they are left
-    for the caller's own validation to report as diagnostics.
-    Required-reference cycles never raise here.
+    for the caller to report.  Required-reference cycles never raise here.
+    The returned schema keeps every diagnostic of the judgement as
+    ``findings``.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=False, filename=filename), filename)
@@ -255,21 +259,22 @@ def parse_tag_schema(
         tag_types=tuple(tag_types),
         source_name=filename,
     )
-    for diag in validate_schema_well_formedness(schema, profile):
-        error_class, always = _RAISED_AS.get(diag.condition, (None, False))
+    findings = validate_schema_well_formedness(schema, profile)
+    for diag in findings:
+        error_class, always = _RAISED_AS.get(Condition(diag.condition), (None, False))
         if error_class is not None and (strict or always):
             raise error_class(diag.message, diag.line, diag.col, filename)
-    return schema
+    return replace(schema, findings=tuple(findings))
 
 
 # The conditions ``parse_tag_schema`` raises: the exception class, and
 # whether the condition raises under ``strict=False`` too.
-_RAISED_AS: dict[str, tuple[type[ParseError], bool]] = {
-    "DuplicateTagTypeName": (DuplicateTagTypeName, True),
-    "EmptyEnumDomain": (EmptyEnumDomain, True),
-    "DuplicateReferenceName": (ParseError, True),
-    "UnknownScopeKeyword": (UnknownScopeKeyword, False),
-    "UnresolvedNamedReference": (UnresolvedNamedReference, False),
+_RAISED_AS: dict[Condition, tuple[type[ParseError], bool]] = {
+    Condition.DUPLICATE_TAG_TYPE_NAME: (DuplicateTagTypeName, True),
+    Condition.EMPTY_ENUM_DOMAIN: (EmptyEnumDomain, True),
+    Condition.DUPLICATE_REFERENCE_NAME: (ParseError, True),
+    Condition.UNKNOWN_SCOPE_KEYWORD: (UnknownScopeKeyword, False),
+    Condition.UNRESOLVED_NAMED_REFERENCE: (UnresolvedNamedReference, False),
 }
 
 
@@ -403,7 +408,7 @@ def validate_schema_well_formedness(
     for tt in schema.tag_types:
         if tt.name in first_lines:
             report(
-                "DuplicateTagTypeName",
+                Condition.DUPLICATE_TAG_TYPE_NAME,
                 f"tag type '{tt.name}' already defined on line {first_lines[tt.name]}",
                 tt.line,
                 tt.col,
@@ -413,12 +418,12 @@ def validate_schema_well_formedness(
 
         domain = tt.domain
         if domain.kind == DomainSpec.ENUM and not domain.values:
-            report("EmptyEnumDomain", f"enumeration '{tt.name}' has no values", tt.line, tt.col)
+            report(Condition.EMPTY_ENUM_DOMAIN, f"enumeration '{tt.name}' has no values", tt.line, tt.col)
         seen_values: set[str] = set()
         for value, (line, col) in zip(domain.values, _positions(domain.value_positions, tt)):
             if value in seen_values:
                 report(
-                    "EmptyEnumDomain",
+                    Condition.EMPTY_ENUM_DOMAIN,
                     f'duplicate enumeration value "{value}" in \'{tt.name}\'',
                     line,
                     col,
@@ -428,7 +433,7 @@ def validate_schema_well_formedness(
         for kw, (line, col) in zip(tt.scope.keywords or (), _positions(tt.scope.positions, tt)):
             if kw not in keywords:
                 report(
-                    "UnknownScopeKeyword",
+                    Condition.UNKNOWN_SCOPE_KEYWORD,
                     f"'{kw}' is not a scope keyword of grammar '{profile.grammar_name}'",
                     line,
                     col,
@@ -436,7 +441,7 @@ def validate_schema_well_formedness(
             elif kw in nested:
                 part = nested[kw]
                 report(
-                    "ScopeAdmitsNoElement",
+                    Condition.SCOPE_ADMITS_NO_ELEMENT,
                     f"'{kw}' names the {part.preceding_identifier} of a {part.production}, "
                     f"not an element, so tag type '{tt.name}' can never apply through it",
                     line,
@@ -448,7 +453,7 @@ def validate_schema_well_formedness(
         for ref in domain.references:
             if ref.name in seen_refs:
                 report(
-                    "DuplicateReferenceName",
+                    Condition.DUPLICATE_REFERENCE_NAME,
                     f"duplicate reference name '{ref.name}' in '{tt.name}'",
                     ref.line,
                     ref.col,
@@ -456,7 +461,7 @@ def validate_schema_well_formedness(
             seen_refs.add(ref.name)
             if not ref.is_native and ref.type_name not in type_names:
                 report(
-                    "UnresolvedNamedReference",
+                    Condition.UNRESOLVED_NAMED_REFERENCE,
                     f"reference '{ref.name}' of '{tt.name}' points to unknown "
                     f"tag type '{ref.type_name}'",
                     ref.line,
@@ -538,7 +543,7 @@ def _required_cycles(schema: TagSchema, report) -> None:
             members = sorted(component)
             anchor = min((types[m] for m in members), key=lambda tt: (tt.line, tt.col))
             report(
-                "RecursiveRequiredReference",
+                Condition.RECURSIVE_REQUIRED_REFERENCE,
                 "required references form a cycle with no finite instances: "
                 + " -> ".join(members + [members[0]]),
                 anchor.line,

@@ -41,9 +41,10 @@ from .derivation import LanguageProfile, derive_profile
 from .diagnostics import Diagnostic, has_errors
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
+from .parsing import read_source
 from .statechart import StatechartModel, parse_statechart
 from .tagmodel import TagModel, parse_tag_model, qualify
-from .tagschema import TagSchema, parse_tag_schema, validate_schema_well_formedness
+from .tagschema import TagSchema, parse_tag_schema
 
 __all__ = [
     "Workspace",
@@ -72,7 +73,6 @@ class LoadedWorkspace:
     models: tuple[StatechartModel, ...]
     schemas: tuple[TagSchema, ...]
     tag_models: tuple[TagModel, ...]
-    schema_warnings: tuple[Diagnostic, ...] = ()
 
     def find_model(self, ref: str, default_package: str) -> StatechartModel:
         return _find_named("model", self.models, qualify(ref, default_package))
@@ -102,34 +102,32 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     Raises :class:`~tagweaver.errors.ParseError` on malformed files,
     :class:`WorkspaceError` on schema well-formedness errors or
     ambiguous qualified names, and propagates ``OSError`` for unreadable
-    paths.  Schema warnings are kept for :func:`check_workspace`.
+    paths.  A schema keeps its warnings as ``findings`` for
+    :func:`check_workspace`.
     """
 
-    manifest = parse_manifest(_read(ws.manifest_file), filename=str(ws.manifest_file))
+    manifest = parse_manifest(read_source(ws.manifest_file), filename=str(ws.manifest_file))
     profile = derive_profile(manifest)
 
     models = tuple(
-        parse_statechart(_read(path), filename=str(path)) for path in ws.model_files
+        parse_statechart(read_source(path), filename=str(path)) for path in ws.model_files
     )
     _require_unique("model", [(m.qualified_name, m.source_name) for m in models])
 
     schemas = []
-    schema_warnings: list[Diagnostic] = []
     for path in ws.schema_files:
         schema = parse_tag_schema(
-            _read(path), profile, filename=str(path), strict=False
+            read_source(path), profile, filename=str(path), strict=False
         )
-        problems = validate_schema_well_formedness(schema, profile)
-        if has_errors(problems):
+        if has_errors(schema.findings):
             raise WorkspaceError(
-                f"schema '{schema.qualified_name}' is not well-formed", problems
+                f"schema '{schema.qualified_name}' is not well-formed", list(schema.findings)
             )
-        schema_warnings.extend(problems)
         schemas.append(schema)
     _require_unique("schema", [(s.qualified_name, s.source_name) for s in schemas])
 
     tag_models = tuple(
-        parse_tag_model(_read(path), profile, filename=str(path)) for path in ws.tag_files
+        parse_tag_model(read_source(path), profile, filename=str(path)) for path in ws.tag_files
     )
 
     return LoadedWorkspace(
@@ -138,12 +136,7 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
         models=models,
         schemas=tuple(schemas),
         tag_models=tag_models,
-        schema_warnings=tuple(schema_warnings),
     )
-
-
-def _read(path: Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
 
 
 def _require_unique(kind: str, named: list[tuple[str, str | None]]) -> None:
@@ -164,10 +157,10 @@ def _require_unique(kind: str, named: list[tuple[str, str | None]]) -> None:
 def check_workspace(
     loaded: LoadedWorkspace,
 ) -> tuple[list[Diagnostic], list[ResolvedTagging]]:
-    """Check every tag model against its own target, after the model and schema warnings."""
+    """Check every tag model against its own target, after the model and schema findings."""
 
     diags = [warning for model in loaded.models for warning in model.warnings]
-    diags.extend(loaded.schema_warnings)
+    diags.extend(finding for schema in loaded.schemas for finding in schema.findings)
     resolved: list[ResolvedTagging] = []
     for tag_model in loaded.tag_models:
         target = loaded.find_model(tag_model.target_model, tag_model.package)

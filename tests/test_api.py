@@ -42,6 +42,47 @@ def test_only_the_cli_writes_to_a_stream(name):
     assert writes == []
 
 
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "diagnostics"])
+def test_condition_ids_come_from_the_catalogue(name):
+    # Every condition ID is a ``diagnostics.Condition`` member: no ``report``
+    # or ``Diagnostic`` call takes a string literal as its condition, and no
+    # table keyed by condition (``_RAISED_AS``) uses a string key.
+    tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
+
+    def is_str(node) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    literals = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("report", "Diagnostic") and node.args and is_str(node.args[0])
+    ]
+    for node in ast.walk(tree):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "_RAISED_AS" for t in targets):
+            literals += [key.lineno for key in node.value.keys if is_str(key)]
+    assert literals == []
+
+
+def test_condition_has_one_definition():
+    from tagweaver import conformance, diagnostics
+
+    assert tagweaver.Condition is diagnostics.Condition is conformance.Condition
+    assert len({c.value for c in diagnostics.Condition}) == len(diagnostics.Condition) == 17
+
+
+def test_readme_conditions_table_lists_every_condition():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Conformance conditions", 1)[1].split("\n## ", 1)[0]
+    ids = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert len(ids) == len(set(ids))
+    assert set(ids) == {c.value for c in tagweaver.Condition}
+
+
 def test_every_name_the_package_imports_exists():
     assert tagweaver._EXPORTS
     for module_name, names in tagweaver._EXPORTS.items():

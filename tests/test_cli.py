@@ -152,6 +152,26 @@ class TestCheck:
         assert (diag["severity"], diag["condition"]) == ("warning", "DuplicateTransition")
         assert diag["message"].startswith("duplicate transition A -> B : go")
 
+    def test_a_schema_listed_twice_is_one_schema(self, samples_dir, tmp_path, capsys):
+        files = {
+            "c.sc": "package pkg;\nstatechart C {\n    state A;\n}\n",
+            "s.tagschema": "package pkg;\ntagschema S {\n    tagtype M for State;\n}\n",
+            "t.tag": "package pkg;\nconforms to S, pkg.S;\ntags T for C {\n    tag A with M;\n}\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [
+            "check",
+            "--manifest", str(samples_dir / "statechart.glang"),
+            "--model", str(tmp_path / "c.sc"),
+            "--schema", str(tmp_path / "s.tagschema"),
+            "--tags", str(tmp_path / "t.tag"),
+        ]
+        assert run_cli(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ""
+
     def test_multiple_tag_files(self, golden_argv, tmp_path, capsys):
         dup = tmp_path / "dup.tag"
         dup.write_text(DUPLICATE_TAGS)
@@ -337,6 +357,28 @@ class TestFailureModes:
         )
         assert run_cli(["check", *swap_tags(golden_argv, orphan)]) == 2
         assert "no model named 'mobile.Ghost'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--model", "--schema", "--tags"])
+    def test_undecodable_input_exits_two_with_one_line(
+        self, golden_argv, tmp_path, capsys, flag
+    ):
+        # Line 2 reads "  é " and then the byte 0xff, which starts no UTF-8 sequence.
+        bad = tmp_path / "bad.input"
+        bad.write_bytes("café\n  é ".encode() + b"\xff\n")
+        argv = list(golden_argv)
+        argv[argv.index(flag) + 1] = str(bad)
+        assert run_cli(["check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2:5: not UTF-8 text: cannot decode byte 0xff\n"
+
+    def test_undecodable_manifest_for_derive_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.glang"
+        bad.write_bytes(b"grammar G\n\xc3(\n")
+        assert run_cli(["derive", "--manifest", str(bad), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2:1: not UTF-8 text: cannot decode byte 0xc3\n"
 
     def test_unknown_schema_reference(self, golden_argv, tmp_path, capsys):
         orphan = tmp_path / "orphan.tag"

@@ -249,6 +249,18 @@ class TestConditions:
         )
         assert conditions(diags) == ["E2"]
 
+    def test_a_schema_listed_twice_is_taken_once(self, small_chart, profile):
+        s = parse_tag_schema("package m;\ntagschema S { tagtype Dual; }\n", profile)
+        diags, resolved = run(
+            " tag A with Dual;\n",
+            small_chart,
+            (s, s),
+            profile,
+            header="package m;\nconforms to S, m.S;\ntags T for Chart {\n",
+        )
+        assert diags == []
+        assert [att.schema for att in resolved.attachments] == ["m.S"]
+
 
 class TestSuppression:
     def test_e1_suppresses_type_checks(self, chart, schema, profile):

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tagweaver import parse_manifest, parse_statechart, parse_tag_model, parse_tag_schema
+from tagweaver import (
+    parse_manifest,
+    parse_statechart,
+    parse_tag_model,
+    parse_tag_schema,
+    pretty_print_statechart,
+    pretty_print_tag_model,
+)
 from tagweaver.cli import run_cli
 from tagweaver.errors import ParseError
 from tagweaver.parsing import MAX_NESTING, tokenize
@@ -100,6 +107,15 @@ def test_one_level_more_exits_two_at_its_brace(tmp_path, samples_dir, capsys, ki
         f"error: {tmp_path / name}:{line}:{col}: "
         f"blocks nest deeper than {MAX_NESTING} levels\n"
     )
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_deepest_allowed_nesting_round_trips(profile, kind):
+    chart_text, tags_text = KINDS[kind](MAX_NESTING)
+    chart = parse_statechart(chart_text)
+    assert parse_statechart(pretty_print_statechart(chart)) == chart
+    tags = parse_tag_model(tags_text, profile)
+    assert parse_tag_model(pretty_print_tag_model(tags), profile) == tags
 
 
 def test_levels_of_different_kinds_add_up(profile):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tagweaver import parse_statechart
 from tagweaver.errors import ParseError
-from tagweaver.parsing import IDENT, is_identifier, tokenize
+from tagweaver.parsing import IDENT, is_identifier, read_source, tokenize
 
 from util import oracle_tokenize
 
@@ -105,6 +105,33 @@ class TestPositions:
         assert (info.value.message, info.value.line, info.value.col) == (
             "unexpected character '²'", 1, 3
         )
+
+
+class TestReadSource:
+    @pytest.mark.parametrize(
+        "data", [b"a\nb\n", b"a\r\nb\r\n", b"a\rb\r", b"\r\r\n\n\r", "caf\u00e9\r\n".encode()]
+    )
+    def test_reads_like_text_mode(self, tmp_path, data):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        assert read_source(path) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "data, line, col, byte",
+        [
+            (b"\xff", 1, 1, "0xff"),
+            (b"a\r\nb\rc\n\xc3\xa9\xe2\x82", 4, 2, "0xe2"),  # truncated at the end
+            (b"x = \"\xc3\xa9\x80\"", 1, 7, "0x80"),  # a stray continuation byte
+        ],
+    )
+    def test_undecodable_bytes_raise_at_their_position(self, tmp_path, data, line, col, byte):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_source(path)
+        err = info.value
+        assert (err.filename, err.line, err.col) == (str(path), line, col)
+        assert err.message == f"not UTF-8 text: cannot decode byte {byte}"
 
 
 class TestLinearTime:

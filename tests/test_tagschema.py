@@ -286,6 +286,26 @@ class TestOneValidationPath:
                 for d in info.value.diagnostics
             ] == [(condition, message, str(path), line, col)]
 
+    @pytest.mark.parametrize(
+        "body, strict, conditions",
+        [
+            (" tagtype Log for Transation;\n tagtype T { g:Ghost; }\n", False,
+             ["UnknownScopeKeyword", "UnresolvedNamedReference"]),
+            (" tagtype Ends for source;\n tagtype T { t:T; }\n", True,
+             ["ScopeAdmitsNoElement", "RecursiveRequiredReference"]),
+            (" tagtype T;\n", True, []),
+        ],
+    )
+    def test_parse_keeps_what_the_validator_found(self, profile, body, strict, conditions):
+        schema = parse(body, profile, strict=strict)
+
+        def found(diags):
+            return [(d.condition, d.severity, d.message, d.line, d.col) for d in diags]
+
+        assert [d.condition for d in schema.findings] == conditions
+        assert found(schema.findings) == found(validate_schema_well_formedness(schema, profile))
+        assert schema == TagSchema(schema.package, schema.name, schema.tag_types)
+
     def test_validator_reports_tag_type_by_tag_type(self, profile):
         def ref(name, type_name, line, col):
             return Reference(name, type_name, type_name == "int", line=line, col=col)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagweaver import (
+    LoadedWorkspace,
     NormalizedValue,
     Workspace,
     WorkspaceError,
@@ -103,6 +105,38 @@ class TestLoading:
         )
         with pytest.raises(WorkspaceError, match="defined by both"):
             load_workspace(ws)
+
+    def test_each_schema_is_validated_once(self, golden_workspace, tmp_path, monkeypatch):
+        from tagweaver import tagschema, workspace
+
+        calls = []
+        original = tagschema.validate_schema_well_formedness
+
+        def counting(schema, profile):
+            calls.append(schema.qualified_name)
+            return original(schema, profile)
+
+        # Patch every module that binds the validator, wherever it calls it from.
+        for module in (tagschema, workspace):
+            if hasattr(module, "validate_schema_well_formedness"):
+                monkeypatch.setattr(module, "validate_schema_well_formedness", counting)
+        warned = write(
+            tmp_path, "warned.tagschema",
+            "package s;\ntagschema S {\n    tagtype Ends for source;\n}\n",
+        )
+        ws = Workspace(
+            manifest_file=golden_workspace.manifest_file,
+            model_files=golden_workspace.model_files,
+            schema_files=golden_workspace.schema_files + (warned,),
+            tag_files=golden_workspace.tag_files,
+        )
+        loaded = load_workspace(ws)
+        assert calls == ["loggingschema.StatechartTagSchema", "s.S"]
+        assert [d.condition for d in loaded.schemas[1].findings] == ["ScopeAdmitsNoElement"]
+
+    def test_loaded_workspace_keeps_no_copy_of_schema_findings(self):
+        fields = {f.name for f in dataclasses.fields(LoadedWorkspace)}
+        assert fields == {"manifest", "profile", "models", "schemas", "tag_models"}
 
     def test_find_model_miss_lists_available(self, golden_workspace):
         loaded = load_workspace(golden_workspace)
