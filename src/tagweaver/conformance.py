@@ -26,10 +26,9 @@ typed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, has_errors, reporter
+from .records import field, record
 from .statechart import (
     AmbiguousElement,
     ElementHandle,
@@ -60,7 +59,7 @@ INT64_MAX = 2**63 - 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NormalizedValue:
     """A tag value after domain checking, in typed form.
 
@@ -98,7 +97,7 @@ class NormalizedValue:
         return cls("complex", children=children)
 
 
-@dataclass(frozen=True)
+@record
 class Attachment:
     """One resolved (element, tag type, value) tagging."""
 
@@ -111,13 +110,13 @@ class Attachment:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedTagging:
     target: str  # qualified name of the target model
     attachments: tuple[Attachment, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CheckInput:
     tag_model: TagModel
     target: StatechartModel

@@ -26,12 +26,12 @@ non-skipped productions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TagweaverError
 from .manifest import GrammarManifest, Production
 from .parsing import is_identifier
+from .records import record
 
 __all__ = [
     "IdentifierKind",
@@ -65,7 +65,7 @@ class IdentifierKind(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IdentifierRule:
     """How model elements produced by one nonterminal are identified."""
 
@@ -94,7 +94,7 @@ class IdentifierRule:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class ScopeKeyword:
     """One keyword admissible in a schema scope clause."""
 
@@ -107,7 +107,7 @@ class ScopeKeyword:
         return self.preceding_identifier is not None
 
 
-@dataclass(frozen=True)
+@record
 class LanguageProfile:
     grammar_name: str
     identifier_rules: tuple[IdentifierRule, ...]

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .records import field, record
 
 __all__ = ["Condition", "Severity", "Diagnostic", "has_errors", "reporter", "format_diagnostic"]
 
@@ -39,7 +40,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """One finding, tied to a condition identifier and a source location.
 

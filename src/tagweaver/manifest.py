@@ -40,10 +40,9 @@ or declared ``external``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
 from .parsing import escape_string, is_identifier
+from .records import field, record
 
 __all__ = [
     "RhsRef",
@@ -69,7 +68,7 @@ class UnknownNonterminalReference(ParseError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RhsRef:
     """One nonterminal occurrence on a right-hand side."""
 
@@ -79,7 +78,7 @@ class RhsRef:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Production:
     name: str
     name_identifiable: bool = False
@@ -97,7 +96,7 @@ class Production:
         return self.alias if self.alias is not None else self.name
 
 
-@dataclass(frozen=True)
+@record
 class GrammarManifest:
     grammar_name: str
     productions: tuple[Production, ...]
@@ -123,7 +122,7 @@ def _is_ident(text: str) -> bool:
     return text.isascii() and is_identifier(text)
 
 
-@dataclass(frozen=True)
+@record
 class _Word:
     text: str
     col: int

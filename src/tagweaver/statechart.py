@@ -32,12 +32,12 @@ derived language profile names those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .errors import ParseError, ResolutionError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
+from .records import field, record
 from .tagmodel import ElementIdentifier
 
 __all__ = [
@@ -86,7 +86,7 @@ class AmbiguousTransition(AmbiguousElement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class StateDef:
     name: str
     initial: bool = False
@@ -106,7 +106,7 @@ class StateDef:
         return frozenset(mods)
 
 
-@dataclass(frozen=True)
+@record
 class TransitionDef:
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -115,7 +115,7 @@ class TransitionDef:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class StatechartModel:
     package: str
     name: str
@@ -133,7 +133,7 @@ class StatechartModel:
         return _ElementIndex(self)
 
 
-@dataclass(frozen=True)
+@record
 class ElementHandle:
     """An addressable element of a model, typed by its grammar production."""
 

@@ -32,12 +32,12 @@ elision marker and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .derivation import LanguageProfile
 from .errors import ParseError
 from .parsing import BRACKET, ELLIPSIS, EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
+from .records import field, record
 
 __all__ = [
     "ElementIdentifier",
@@ -68,7 +68,7 @@ class MissingConformsTo(ParseError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ElementIdentifier:
     """A reference to a model element: a dotted name or a bracket snippet."""
 
@@ -100,7 +100,7 @@ class ElementIdentifier:
         return cls(cls.BRACKET, raw=raw, line=line, col=col)
 
 
-@dataclass(frozen=True)
+@record
 class TagValue:
     """The value part of a tag use.
 
@@ -130,7 +130,7 @@ class TagValue:
         return cls(cls.COMPLEX, subtags=tuple(subtags))
 
 
-@dataclass(frozen=True)
+@record
 class TagUse:
     name: str
     value: TagValue
@@ -138,7 +138,7 @@ class TagUse:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class TagStatement:
     element_refs: tuple[ElementIdentifier, ...]
     tag_refs: tuple[TagUse, ...]
@@ -146,7 +146,7 @@ class TagStatement:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Context:
     identifier: ElementIdentifier
     body: tuple[BodyItem, ...]
@@ -157,7 +157,7 @@ class Context:
 BodyItem = Union[Context, TagStatement]
 
 
-@dataclass(frozen=True)
+@record
 class TagModel:
     package: str
     conforms_to: tuple[str, ...]

@@ -38,7 +38,6 @@ as ``TagSchema.findings``, and raises the first of them that the chosen
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 
@@ -46,6 +45,7 @@ from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .errors import ParseError
 from .parsing import EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
+from .records import field, record, replace
 
 __all__ = [
     "NATIVE_KINDS",
@@ -108,7 +108,7 @@ class Cardinality(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Reference:
     """One named slot of a complex tag type."""
 
@@ -120,7 +120,7 @@ class Reference:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ScopeSpec:
     """Which element types a tag type may be attached to (None = any)."""
 
@@ -144,7 +144,7 @@ class ScopeSpec:
         return cls(tuple(keywords))
 
 
-@dataclass(frozen=True)
+@record
 class DomainSpec:
     SIMPLE = "simple"
     NATIVE = "native"
@@ -181,7 +181,7 @@ class DomainSpec:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class TagTypeDef:
     name: str
     domain: DomainSpec
@@ -191,7 +191,7 @@ class TagTypeDef:
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class TagSchema:
     package: str
     name: str

@@ -31,7 +31,6 @@ equals concatenating their separate exports and re-sorting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -42,6 +41,7 @@ from .diagnostics import Diagnostic, has_errors
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .parsing import read_source
+from .records import record
 from .statechart import StatechartModel, parse_statechart
 from .tagmodel import TagModel, parse_tag_model, qualify
 from .tagschema import TagSchema, parse_tag_schema
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Workspace:
     manifest_file: Path
     model_files: tuple[Path, ...] = ()
@@ -66,7 +66,7 @@ class Workspace:
     schema_files: tuple[Path, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class LoadedWorkspace:
     manifest: GrammarManifest
     profile: LanguageProfile

@@ -8,7 +8,6 @@ than on the package's own logic wherever a second opinion is possible.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -38,6 +37,7 @@ from tagweaver import (
     pretty_print_tag_model,
     pretty_print_tag_schema,
 )
+from tagweaver import records
 from tagweaver.cli import run_cli
 from tagweaver.diagnostics import Severity
 from tagweaver.tagmodel import Context
@@ -281,7 +281,7 @@ def test_acceptance_5a_expansion_and_context_equivalence(request, profile):
         model = random_tag_model(rng, chart, (schema,))
 
         baseline = _outcome(*check(CheckInput(model, chart, (schema,), profile)))
-        flattened = dataclasses.replace(model, body=flatten_statements(model.body))
+        flattened = records.replace(model, body=flatten_statements(model.body))
         if _outcome(*check(CheckInput(flattened, chart, (schema,), profile))) != baseline:
             failures += 1
 

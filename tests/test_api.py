@@ -68,6 +68,21 @@ def test_condition_ids_come_from_the_catalogue(name):
     assert literals == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses(name):
+    # Records come from ``tagweaver.records``: building them with
+    # ``dataclasses`` (and the ``inspect`` import it brings) cost about a
+    # quarter of the import time every ``tagweaver`` process pays.
+    tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
+    imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert imports == []
+
+
 def test_condition_has_one_definition():
     from tagweaver import conformance, diagnostics
 

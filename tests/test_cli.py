@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tagweaver
 from tagweaver import derive_profile, parse_manifest, profile_to_json, render_derived_grammar
 from tagweaver.cli import build_arg_parser, main, run_cli
 from util import required_chain_schema_text
@@ -487,6 +490,26 @@ class TestOneShotProcess:
         unused = {"statechart", "tagmodel", "tagschema", "conformance", "workspace"}
         assert {f"tagweaver.{name}" for name in unused} & loaded == set()
 
+
+    def test_derive_and_check_load_neither_dataclasses_nor_inspect(self, golden_argv, samples_dir, tmp_path):
+        # ``-S`` keeps site-packages hooks from importing either module first.
+        modules = tmp_path / "modules.json"
+        script = (
+            "import json, sys\n"
+            "from tagweaver.cli import run_cli\n"
+            f"codes = [run_cli(['derive', '--manifest', {str(samples_dir / 'statechart.glang')!r},"
+            f" '--out', {str(tmp_path)!r}]), run_cli(['check', *{golden_argv!r}])]\n"
+            f"open({str(modules)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n"
+            "sys.exit(max(codes))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tagweaver.__file__).resolve().parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(modules.read_text()))
+        assert "tagweaver.conformance" in loaded
+        assert {"dataclasses", "inspect"} & loaded == set()
 
 class TestModuleInvocation:
     def test_runs_as_module(self, golden_argv):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -19,6 +18,7 @@ from tagweaver import (
     load_workspace,
     render_export_report,
 )
+from tagweaver import records
 from tagweaver.workspace import qualify, value_to_json
 
 
@@ -135,8 +135,7 @@ class TestLoading:
         assert [d.condition for d in loaded.schemas[1].findings] == ["ScopeAdmitsNoElement"]
 
     def test_loaded_workspace_keeps_no_copy_of_schema_findings(self):
-        fields = {f.name for f in dataclasses.fields(LoadedWorkspace)}
-        assert fields == {"manifest", "profile", "models", "schemas", "tag_models"}
+        assert set(records.fields(LoadedWorkspace)) == {"manifest", "profile", "models", "schemas", "tag_models"}
 
     def test_find_model_miss_lists_available(self, golden_workspace):
         loaded = load_workspace(golden_workspace)
