@@ -32,7 +32,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "IdentifierRule",
         "LanguageProfile",
         "ScopeKeyword",
-        "SkippedEverything",
         "derive_profile",
         "profile_from_json",
         "profile_to_json",
@@ -41,24 +40,17 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "diagnostics": ("Condition", "Diagnostic", "Severity", "format_diagnostic", "has_errors"),
     "errors": ("ParseError", "ResolutionError", "TagweaverError", "WorkspaceError"),
     "manifest": (
-        "DuplicateProduction",
         "GrammarManifest",
         "Production",
         "RhsRef",
-        "UnknownNonterminalReference",
         "parse_manifest",
         "pretty_print_manifest",
     ),
     "statechart": (
-        "AmbiguousElement",
-        "AmbiguousTransition",
-        "DuplicateSiblingState",
         "ElementHandle",
         "StatechartModel",
         "StateDef",
         "TransitionDef",
-        "UnresolvedElement",
-        "UnresolvedTransitionEndpoint",
         "enumerate_elements",
         "normalize_expression",
         "parse_statechart",
@@ -68,26 +60,20 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "tagmodel": (
         "Context",
         "ElementIdentifier",
-        "MissingConformsTo",
         "TagModel",
         "TagStatement",
         "TagUse",
         "TagValue",
-        "UnknownIdentifierForm",
         "parse_tag_model",
         "pretty_print_tag_model",
     ),
     "tagschema": (
         "Cardinality",
         "DomainSpec",
-        "DuplicateTagTypeName",
-        "EmptyEnumDomain",
         "Reference",
         "ScopeSpec",
         "TagSchema",
         "TagTypeDef",
-        "UnknownScopeKeyword",
-        "UnresolvedNamedReference",
         "parse_tag_schema",
         "pretty_print_tag_schema",
         "validate_schema_well_formedness",

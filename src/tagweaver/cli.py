@@ -10,15 +10,17 @@ Three subcommands::
 Exit codes: 0 when checking found no errors (warnings are fine), 1 when
 at least one error diagnostic was reported (or an export was refused
 because of one), 2 for unusable input — unreadable or non-UTF-8 files,
-parse errors, unresolvable references, bad usage — and 3 for an internal
-error: any other exception, reported as one ``error: internal error:``
-line on stderr without a traceback, so that a crash never reads as a
-verdict.
+parse errors, an ill-formed manifest, model or schema, unresolvable
+references, bad usage — and 3 for an internal error: any other
+exception, reported as one ``error: internal error:`` line on stderr
+without a traceback, so that a crash never reads as a verdict.  An
+ill-formed file is refused with one ``error: <kind> '<name>' is not
+well-formed`` line on stderr, followed by every finding of that file.
 
 ``--format json`` switches diagnostic output to a machine-readable JSON
-document.  The ``TAGWEAVER_COLOR`` environment variable forces ANSI
-colors on (``1``) or off (``0``); the default follows whether stdout is
-a terminal.
+document, also for the findings of a refused file.  The
+``TAGWEAVER_COLOR`` environment variable forces ANSI colors on (``1``)
+or off (``0``); the default follows whether stdout is a terminal.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .derivation import DerivationError, derive_profile, profile_to_json, render_derived_grammar
-from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors
+from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors, require_well_formed
 from .errors import ParseError, WorkspaceError
 from .manifest import parse_manifest
 from .parsing import read_source
@@ -159,6 +161,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     manifest = parse_manifest(read_source(args.manifest), filename=str(args.manifest))
+    require_well_formed("manifest", manifest.grammar_name, manifest.findings)
     profile = derive_profile(manifest)
     out_dir = args.out if args.out is not None else args.manifest.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,7 +201,12 @@ def run_cli(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except WorkspaceError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
-        _emit_diagnostics(exc.diagnostics, "text", sys.stderr)
+        if exc.diagnostics:
+            # Text stays under the header; a JSON payload goes where the
+            # subcommand prints its diagnostics, so stdout stays one format.
+            fmt = getattr(args, "format", "text")
+            stream = sys.stdout if fmt == "json" and args.command == "check" else sys.stderr
+            _emit_diagnostics(exc.diagnostics, fmt, stream)
         return 2
     except (ParseError, DerivationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,14 +28,9 @@ from __future__ import annotations
 
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, has_errors, reporter
+from .errors import ResolutionError
 from .records import field, record
-from .statechart import (
-    AmbiguousElement,
-    ElementHandle,
-    StatechartModel,
-    UnresolvedElement,
-    resolve_element,
-)
+from .statechart import ElementHandle, StatechartModel, resolve_element
 from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue, qualify
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
 
@@ -178,7 +173,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
         if found is None:
             try:
                 element = resolve_element(inp.target, ref, context)
-            except (UnresolvedElement, AmbiguousElement) as exc:
+            except ResolutionError as exc:
                 found = str(exc)
             else:
                 kind = keywords.get(element.element_type, element.element_type)

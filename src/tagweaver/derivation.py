@@ -39,7 +39,6 @@ __all__ = [
     "ScopeKeyword",
     "LanguageProfile",
     "DerivationError",
-    "SkippedEverything",
     "derive_profile",
     "render_derived_grammar",
     "profile_to_json",
@@ -49,10 +48,6 @@ __all__ = [
 
 class DerivationError(TagweaverError):
     """The manifest cannot be turned into a usable language profile."""
-
-
-class SkippedEverything(DerivationError):
-    """Every production in the manifest is marked ``@skip``."""
 
 
 class IdentifierKind(str, Enum):
@@ -141,13 +136,13 @@ class LanguageProfile:
 def derive_profile(manifest: GrammarManifest) -> LanguageProfile:
     """Compute the language profile for ``manifest``.
 
-    Raises :class:`SkippedEverything` when no production survives
-    ``@skip``, and :class:`DerivationError` when keyword aliases collide.
+    Raises :class:`DerivationError` when no production survives ``@skip``
+    and when keyword aliases collide.
     """
 
     active = [prod for prod in manifest.productions if not prod.skipped]
     if not active:
-        raise SkippedEverything(
+        raise DerivationError(
             f"grammar '{manifest.grammar_name}' has no productions left to derive from"
         )
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from enum import Enum
 
+from .errors import WorkspaceError
 from .records import field, record
 
-__all__ = ["Condition", "Severity", "Diagnostic", "has_errors", "reporter", "format_diagnostic"]
+__all__ = ["Condition", "Severity", "Diagnostic", "has_errors", "require_well_formed",
+           "reporter", "format_diagnostic"]
 
 
 class Condition(str, Enum):
@@ -23,15 +25,20 @@ class Condition(str, Enum):
     CARDINALITY_VIOLATION = "CardinalityViolation"
     UNKNOWN_SUBTAG_NAME = "UnknownSubtagName"
     DUPLICATE_TAG_WARNING = "DuplicateTagWarning"
+    # Well-formedness of a grammar manifest (``manifest``).
+    DUPLICATE_PRODUCTION = "DuplicateProduction"
+    UNKNOWN_NONTERMINAL_REFERENCE = "UnknownNonterminalReference"
     # Well-formedness of a tag schema (``tagschema``).
     DUPLICATE_TAG_TYPE_NAME = "DuplicateTagTypeName"
-    EMPTY_ENUM_DOMAIN = "EmptyEnumDomain"
+    DUPLICATE_ENUM_VALUE = "DuplicateEnumValue"
     DUPLICATE_REFERENCE_NAME = "DuplicateReferenceName"
     UNKNOWN_SCOPE_KEYWORD = "UnknownScopeKeyword"
     SCOPE_ADMITS_NO_ELEMENT = "ScopeAdmitsNoElement"
     UNRESOLVED_NAMED_REFERENCE = "UnresolvedNamedReference"
     RECURSIVE_REQUIRED_REFERENCE = "RecursiveRequiredReference"
-    # A model's own warnings (``statechart``).
+    # Well-formedness of a model (``statechart``).
+    DUPLICATE_SIBLING_STATE = "DuplicateSiblingState"
+    UNRESOLVED_TRANSITION_ENDPOINT = "UnresolvedTransitionEndpoint"
     DUPLICATE_TRANSITION = "DuplicateTransition"
 
 
@@ -57,6 +64,13 @@ class Diagnostic:
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def require_well_formed(kind: str, name: str, findings: tuple[Diagnostic, ...]) -> None:
+    """Refuse a parsed file whose findings hold an error, listing them all."""
+
+    if has_errors(findings):
+        raise WorkspaceError(f"{kind} '{name}' is not well-formed", list(findings))
 
 
 def reporter(diags: list[Diagnostic], file: str | None) -> Callable[..., None]:

@@ -40,11 +40,11 @@ class ResolutionError(TagweaverError):
 
 
 class WorkspaceError(TagweaverError):
-    """A workspace-level problem: missing references, bad schemas, etc.
+    """A workspace-level problem: an ill-formed file, a missing reference, etc.
 
-    Defined here rather than in :mod:`tagweaver.workspace`, which
-    re-exports it, so that the CLI can catch it without loading the
-    workspace pipeline.
+    ``diagnostics`` holds every finding of a refused file.  Defined here
+    rather than in :mod:`tagweaver.workspace`, which re-exports it, so that
+    the CLI can catch it without loading the workspace pipeline.
     """
 
     def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):

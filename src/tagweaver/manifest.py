@@ -35,11 +35,13 @@ with a preceding identifier (``source:Name``) and optionally suffixed
 with a cardinality mark (``?``, ``*``, ``+``) which is accepted and
 ignored.  ``= ...`` marks a right-hand side as elided.  Every referenced
 nonterminal must be defined as a production, declared as an ``interface``,
-or declared ``external``.
+or declared ``external``, and no nonterminal may be declared twice; the
+parser keeps a breach of either rule as one of ``GrammarManifest.findings``.
 """
 
 from __future__ import annotations
 
+from .diagnostics import Condition, Diagnostic, reporter
 from .errors import ParseError
 from .parsing import escape_string, is_identifier
 from .records import field, record
@@ -48,19 +50,9 @@ __all__ = [
     "RhsRef",
     "Production",
     "GrammarManifest",
-    "DuplicateProduction",
-    "UnknownNonterminalReference",
     "parse_manifest",
     "pretty_print_manifest",
 ]
-
-
-class DuplicateProduction(ParseError):
-    """The same nonterminal is declared more than once."""
-
-
-class UnknownNonterminalReference(ParseError):
-    """A right-hand side mentions a nonterminal that is never declared."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +94,8 @@ class GrammarManifest:
     productions: tuple[Production, ...]
     interfaces: tuple[str, ...] = ()
     externals: tuple[str, ...] = ()
+    # Duplicate declarations and undeclared references; set by parse_manifest.
+    findings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     def production(self, name: str) -> Production | None:
         for prod in self.productions:
@@ -177,10 +171,9 @@ def _scan_line(line: str, lineno: int, filename: str | None) -> list[_Word]:
 def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
     """Parse manifest source text into a :class:`GrammarManifest`.
 
-    Raises :class:`ParseError` for malformed lines,
-    :class:`DuplicateProduction` when a nonterminal is declared twice, and
-    :class:`UnknownNonterminalReference` when a right-hand side mentions an
-    undeclared nonterminal.
+    Raises :class:`ParseError` for malformed lines.  A nonterminal declared
+    twice and a right-hand side that mentions an undeclared nonterminal are
+    kept as ``findings``.
     """
 
     grammar_name: str | None = None
@@ -188,16 +181,19 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
     interfaces: list[str] = []
     externals: list[str] = []
     declared: dict[str, int] = {}  # nonterminal -> line of first declaration
+    findings: list[Diagnostic] = []
+    report = reporter(findings, filename)
 
     def declare(name: str, lineno: int, col: int) -> None:
         if name in declared:
-            raise DuplicateProduction(
+            report(
+                Condition.DUPLICATE_PRODUCTION,
                 f"nonterminal '{name}' already declared on line {declared[name]}",
                 lineno,
                 col,
-                filename,
             )
-        declared[name] = lineno
+        else:
+            declared[name] = lineno
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         words = _scan_line(raw_line, lineno, filename)
@@ -234,14 +230,24 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
     if grammar_name is None:
         raise ParseError("empty manifest: no 'grammar' declaration", 1, 1, filename)
 
-    manifest = GrammarManifest(
+    for prod in productions:
+        for ref in prod.rhs_refs:
+            if ref.nonterminal not in declared:
+                report(
+                    Condition.UNKNOWN_NONTERMINAL_REFERENCE,
+                    f"reference to undeclared nonterminal '{ref.nonterminal}' "
+                    "(declare it as a production, interface, or external)",
+                    ref.line,
+                    ref.col,
+                )
+
+    return GrammarManifest(
         grammar_name=grammar_name,
         productions=tuple(productions),
         interfaces=tuple(interfaces),
         externals=tuple(externals),
+        findings=tuple(findings),
     )
-    _check_references(manifest, filename)
-    return manifest
 
 
 def _parse_declaration(
@@ -385,24 +391,6 @@ def _check_rhs(
                     filename,
                 )
             pis.add(ref.preceding_identifier)
-
-
-def _check_references(manifest: GrammarManifest, filename: str | None) -> None:
-    known = (
-        {prod.name for prod in manifest.productions}
-        | set(manifest.interfaces)
-        | set(manifest.externals)
-    )
-    for prod in manifest.productions:
-        for ref in prod.rhs_refs:
-            if ref.nonterminal not in known:
-                raise UnknownNonterminalReference(
-                    f"reference to undeclared nonterminal '{ref.nonterminal}' "
-                    "(declare it as a production, interface, or external)",
-                    ref.line,
-                    ref.col,
-                    filename,
-                )
 
 
 def _require_ident(word: _Word, lineno: int, filename: str | None) -> None:

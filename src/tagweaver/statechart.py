@@ -32,10 +32,11 @@ derived language profile names those.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
-from .errors import ParseError, ResolutionError
+from .errors import ResolutionError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
 from .records import field, record
 from .tagmodel import ElementIdentifier
@@ -45,11 +46,6 @@ __all__ = [
     "TransitionDef",
     "StatechartModel",
     "ElementHandle",
-    "DuplicateSiblingState",
-    "UnresolvedTransitionEndpoint",
-    "UnresolvedElement",
-    "AmbiguousElement",
-    "AmbiguousTransition",
     "parse_statechart",
     "resolve_element",
     "enumerate_elements",
@@ -59,26 +55,6 @@ __all__ = [
 
 # The grammar productions (``samples/statechart.glang``) elements come from.
 _CHART, _STATE, _TRANSITION, _INVARIANT = "SCDefinition", "State", "Transition", "Invariant"
-
-
-class DuplicateSiblingState(ParseError):
-    """Two sibling states share a name."""
-
-
-class UnresolvedTransitionEndpoint(ParseError):
-    """A transition names a source or target state that does not exist."""
-
-
-class UnresolvedElement(ResolutionError):
-    """An element identifier matches nothing in the model."""
-
-
-class AmbiguousElement(ResolutionError):
-    """An element identifier matches more than one element."""
-
-
-class AmbiguousTransition(AmbiguousElement):
-    """Endpoints match several transitions, so ``[A -> B]`` cannot pick one."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +97,8 @@ class StatechartModel:
     name: str
     states: tuple[StateDef, ...]
     transitions: tuple[TransitionDef, ...]
-    warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
+    # Duplicate siblings, unknown endpoints and repeated transitions.
+    findings: tuple[Diagnostic, ...] = field(default=(), compare=False)
     source_name: str | None = field(default=None, compare=False)
 
     @property
@@ -130,7 +107,7 @@ class StatechartModel:
 
     @cached_property
     def _index(self) -> _ElementIndex:
-        return _ElementIndex(self)
+        return _ElementIndex(self.states, self.transitions)
 
 
 @record
@@ -155,10 +132,9 @@ def normalize_expression(text: str) -> str:
 def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     """Parse ``.sc`` source text into a :class:`StatechartModel`.
 
-    Raises :class:`ParseError` on syntax errors,
-    :class:`DuplicateSiblingState` when sibling states share a name, and
-    :class:`UnresolvedTransitionEndpoint` when a transition endpoint does
-    not name a state.
+    Raises :class:`~tagweaver.errors.ParseError` on syntax errors.  Sibling
+    states that share a name, transition endpoints that name no state and
+    repeated transitions are kept as ``findings``.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
@@ -174,13 +150,15 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     states: list[StateDef] = []
     transitions: list[TransitionDef] = []
     sibling_names: set[str] = set()
+    findings: list[Diagnostic] = []
+    report = reporter(findings, filename)
 
     while not cur.at("}"):
         if cur.match(ELLIPSIS):
             continue
         tok = cur.peek()
         if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-            states.append(_parse_state(cur, sibling_names))
+            states.append(_parse_state(cur, sibling_names, report))
         elif tok.kind == IDENT:
             transitions.append(_parse_transition(cur, text))
         elif tok.kind == BRACKET:
@@ -192,19 +170,21 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     cur.expect("}")
     cur.expect(EOF)
 
+    index = _ElementIndex(states, transitions)
+    _check_transitions(transitions, index, report)
     model = StatechartModel(
         package=".".join(package_parts),
         name=name_tok.value,
         states=tuple(states),
         transitions=tuple(transitions),
-        warnings=_duplicate_transition_warnings(transitions, filename),
+        findings=tuple(findings),
         source_name=filename,
     )
-    _check_transitions(model, filename)
+    model.__dict__["_index"] = index  # what the cached property would build
     return model
 
 
-def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
+def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
     initial = False
     final = False
     first = cur.peek()
@@ -223,11 +203,11 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
     cur.expect_keyword("state")
     name_tok = cur.expect(IDENT)
     if name_tok.value in sibling_names:
-        raise DuplicateSiblingState(
+        report(
+            Condition.DUPLICATE_SIBLING_STATE,
             f"duplicate sibling state '{name_tok.value}'",
             name_tok.line,
             name_tok.col,
-            cur.filename,
         )
     sibling_names.add(name_tok.value)
 
@@ -241,7 +221,7 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str]) -> StateDef:
                 continue
             tok = cur.peek()
             if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-                substates.append(_parse_state(cur, nested_names))
+                substates.append(_parse_state(cur, nested_names, report))
             elif tok.kind == BRACKET:
                 cur.advance()
                 cur.expect(";")
@@ -286,26 +266,19 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
     )
 
 
-def _check_transitions(model: StatechartModel, filename: str | None) -> None:
-    states = model._index.states
-    for tr in model.transitions:
+def _check_transitions(transitions: list[TransitionDef], index: _ElementIndex, report) -> None:
+    """Report each endpoint that names no state, and each repeated transition."""
+
+    seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
+    for tr in transitions:
         for label, endpoint in (("source", tr.source), ("target", tr.target)):
-            if endpoint not in states:
-                raise UnresolvedTransitionEndpoint(
+            if endpoint not in index.states:
+                report(
+                    Condition.UNRESOLVED_TRANSITION_ENDPOINT,
                     f"transition {label} '{'.'.join(endpoint)}' does not name a state",
                     tr.line,
                     tr.col,
-                    filename,
                 )
-
-
-def _duplicate_transition_warnings(
-    transitions: list[TransitionDef], filename: str | None
-) -> tuple[Diagnostic, ...]:
-    seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
-    warnings: list[Diagnostic] = []
-    report = reporter(warnings, filename)
-    for tr in transitions:
         key = (tr.source, tr.target, tr.event)
         if key in seen:
             src, tgt = ".".join(tr.source), ".".join(tr.target)
@@ -320,7 +293,6 @@ def _duplicate_transition_warnings(
             )
         else:
             seen[key] = tr
-    return tuple(warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +310,10 @@ class _ElementIndex:
     pre-order.
     """
 
-    def __init__(self, model: StatechartModel):
+    def __init__(self, states: Sequence[StateDef], transitions: Sequence[TransitionDef]):
         self.states: dict[tuple[str, ...], StateDef] = {}
         self.invariants: dict[str, list[tuple[str, ...]]] = {}
-        stack = [((st.name,), st) for st in reversed(model.states)]
+        stack = [((st.name,), st) for st in reversed(states)]
         while stack:
             path, st = stack.pop()
             self.states[path] = st
@@ -349,7 +321,7 @@ class _ElementIndex:
                 self.invariants.setdefault(normalize_expression(inv), []).append(path)
             stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
         self.transitions: dict[tuple[tuple[str, ...], tuple[str, ...]], list[TransitionDef]] = {}
-        for tr in model.transitions:
+        for tr in transitions:
             self.transitions.setdefault((tr.source, tr.target), []).append(tr)
 
 
@@ -390,8 +362,8 @@ def resolve_element(
     (whitespace-normalized) expression.  Every lookup goes through the
     model's element index.
 
-    Raises :class:`UnresolvedElement`, :class:`AmbiguousElement`, or
-    :class:`AmbiguousTransition`.
+    Raises :class:`~tagweaver.errors.ResolutionError` when the identifier
+    names no element or more than one.
     """
 
     # Context search applies only when the context is a state.  No context
@@ -427,7 +399,7 @@ def _resolve_qualified(
         return ElementHandle(path=".".join(segments), element_type=_STATE)
 
     where = f" (context '{context.path}')" if context is not None else ""
-    raise UnresolvedElement(
+    raise ResolutionError(
         f"'{'.'.join(segments)}' does not name an element of '{model.name}'{where}"
     )
 
@@ -441,15 +413,15 @@ def _resolve_bracket(
         # Endpoints always resolve from the root, whatever the context.
         source, target = endpoints
         if source not in index.states or target not in index.states:
-            raise UnresolvedElement(
+            raise ResolutionError(
                 f"'[{normalize_expression(raw)}]' endpoints do not name states of '{model.name}'"
             )
         src, tgt = ".".join(source), ".".join(target)
         matches = index.transitions.get(endpoints, [])
         if not matches:
-            raise UnresolvedElement(f"no transition {src} -> {tgt} in '{model.name}'")
+            raise ResolutionError(f"no transition {src} -> {tgt} in '{model.name}'")
         if len(matches) > 1:
-            raise AmbiguousTransition(
+            raise ResolutionError(
                 f"{len(matches)} transitions match {src} -> {tgt} in '{model.name}'"
             )
         return _transition_handle(matches[0])
@@ -468,9 +440,9 @@ def _resolve_bracket(
     if not matches:
         matches = owners
     if not matches:
-        raise UnresolvedElement(f"no invariant '[{norm}]' in '{model.name}'")
+        raise ResolutionError(f"no invariant '[{norm}]' in '{model.name}'")
     if len(matches) > 1:
-        raise AmbiguousElement(f"{len(matches)} invariants match '[{norm}]' in '{model.name}'")
+        raise ResolutionError(f"{len(matches)} invariants match '[{norm}]' in '{model.name}'")
     return ElementHandle(path=f"{'.'.join(matches[0])}.[{norm}]", element_type=_INVARIANT)
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Union
 
 from .derivation import LanguageProfile
-from .errors import ParseError
 from .parsing import BRACKET, ELLIPSIS, EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
 from .records import field, record
 
@@ -46,21 +45,11 @@ __all__ = [
     "TagStatement",
     "Context",
     "TagModel",
-    "UnknownIdentifierForm",
-    "MissingConformsTo",
     "parse_tag_model",
     "pretty_print_tag_model",
     "escape_string",
     "qualify",
 ]
-
-
-class UnknownIdentifierForm(ParseError):
-    """A bracketed element identifier has no matching profile rule."""
-
-
-class MissingConformsTo(ParseError):
-    """The tag model lacks the mandatory ``conforms to`` clause."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +178,10 @@ def parse_tag_model(
 ) -> TagModel:
     """Parse ``.tag`` source text against a language profile.
 
-    Raises :class:`ParseError` on syntax errors,
-    :class:`MissingConformsTo` when the schema clause is absent, and
-    :class:`UnknownIdentifierForm` when a bracketed identifier matches no
-    bracket rule of the profile.
+    Raises :class:`~tagweaver.errors.ParseError` on syntax errors, among
+    them a missing ``conforms to`` clause and a bracketed identifier that
+    matches no bracket rule of the profile: the profile's bracket forms
+    are productions of the derived tag language.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
@@ -202,12 +191,7 @@ def parse_tag_model(
     cur.expect(";")
 
     if not cur.at_keyword("conforms"):
-        raise MissingConformsTo(
-            "expected 'conforms to <schema>;' after the package declaration",
-            cur.peek().line,
-            cur.peek().col,
-            filename,
-        )
+        raise cur.error("expected 'conforms to <schema>;' after the package declaration")
     conforms_tok = cur.advance()
     cur.expect_keyword("to")
     conforms: list[str] = []
@@ -296,12 +280,7 @@ def _parse_element_identifier(cur: TokenCursor, profile: LanguageProfile) -> Ele
                 if available
                 else f"the '{profile.grammar_name}' profile declares no bracket identifier forms"
             )
-            raise UnknownIdentifierForm(
-                f"'[{raw}]' matches no bracket identifier form ({detail})",
-                tok.line,
-                tok.col,
-                cur.filename,
-            )
+            raise cur.error(f"'[{raw}]' matches no bracket identifier form ({detail})", tok)
         return ElementIdentifier.bracket(raw, line=tok.line, col=tok.col)
     path, first = cur.qualified_name()
     return ElementIdentifier(

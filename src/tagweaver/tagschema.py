@@ -29,10 +29,8 @@ never directly on an element.
 
 The parser only builds the schema and raises syntax errors.
 :func:`validate_schema_well_formedness` alone decides whether a schema is
-well-formed; :func:`parse_tag_schema` runs it once, keeps its diagnostics
-as ``TagSchema.findings``, and raises the first of them that the chosen
-``strict`` mode raises, as the matching
-:class:`~tagweaver.errors.ParseError` subclass.
+well-formed; :func:`parse_tag_schema` runs it once and keeps its
+diagnostics as ``TagSchema.findings``.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from itertools import repeat
 
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, reporter
-from .errors import ParseError
 from .parsing import EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
 from .records import field, record, replace
 
@@ -55,32 +52,12 @@ __all__ = [
     "DomainSpec",
     "TagTypeDef",
     "TagSchema",
-    "DuplicateTagTypeName",
-    "UnknownScopeKeyword",
-    "UnresolvedNamedReference",
-    "EmptyEnumDomain",
     "parse_tag_schema",
     "validate_schema_well_formedness",
     "pretty_print_tag_schema",
 ]
 
 NATIVE_KINDS = ("int", "String", "Boolean")
-
-
-class DuplicateTagTypeName(ParseError):
-    """Two tag types in one schema share a name."""
-
-
-class UnknownScopeKeyword(ParseError):
-    """A scope clause names a keyword the language profile does not define."""
-
-
-class UnresolvedNamedReference(ParseError):
-    """A complex-type reference names no tag type of this schema."""
-
-
-class EmptyEnumDomain(ParseError):
-    """An enumeration domain has no usable values (e.g. duplicates)."""
 
 
 class Cardinality(str, Enum):
@@ -217,24 +194,14 @@ class TagSchema:
 
 
 def parse_tag_schema(
-    text: str,
-    profile: LanguageProfile,
-    filename: str | None = None,
-    *,
-    strict: bool = True,
+    text: str, profile: LanguageProfile, filename: str | None = None
 ) -> TagSchema:
     """Parse ``.tagschema`` source text against a language profile.
 
-    Syntax errors raise as they are met.  The parsed schema is then judged
-    once by :func:`validate_schema_well_formedness`, and the first of its
-    diagnostics that this parse raises becomes a :class:`ParseError`
-    subclass.  Structural problems (duplicate tag type names, duplicate
-    enum values, duplicate reference names) always raise.  With
-    ``strict=True`` (the default) unknown scope keywords and unresolved
-    named references raise as well; with ``strict=False`` they are left
-    for the caller to report.  Required-reference cycles never raise here.
-    The returned schema keeps every diagnostic of the judgement as
-    ``findings``.
+    Syntax errors raise :class:`~tagweaver.errors.ParseError` as they are
+    met.  The parsed schema is then judged once by
+    :func:`validate_schema_well_formedness`, and the returned schema keeps
+    every diagnostic of the judgement as ``findings``.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=False, filename=filename), filename)
@@ -259,23 +226,7 @@ def parse_tag_schema(
         tag_types=tuple(tag_types),
         source_name=filename,
     )
-    findings = validate_schema_well_formedness(schema, profile)
-    for diag in findings:
-        error_class, always = _RAISED_AS.get(Condition(diag.condition), (None, False))
-        if error_class is not None and (strict or always):
-            raise error_class(diag.message, diag.line, diag.col, filename)
-    return replace(schema, findings=tuple(findings))
-
-
-# The conditions ``parse_tag_schema`` raises: the exception class, and
-# whether the condition raises under ``strict=False`` too.
-_RAISED_AS: dict[Condition, tuple[type[ParseError], bool]] = {
-    Condition.DUPLICATE_TAG_TYPE_NAME: (DuplicateTagTypeName, True),
-    Condition.EMPTY_ENUM_DOMAIN: (EmptyEnumDomain, True),
-    Condition.DUPLICATE_REFERENCE_NAME: (ParseError, True),
-    Condition.UNKNOWN_SCOPE_KEYWORD: (UnknownScopeKeyword, False),
-    Condition.UNRESOLVED_NAMED_REFERENCE: (UnresolvedNamedReference, False),
-}
+    return replace(schema, findings=tuple(validate_schema_well_formedness(schema, profile)))
 
 
 def _parse_tag_type(cur: TokenCursor) -> TagTypeDef:
@@ -386,8 +337,8 @@ def validate_schema_well_formedness(
 ) -> list[Diagnostic]:
     """Full well-formedness sweep over a parsed (or constructed) schema.
 
-    Reports duplicate tag type names, duplicated or empty enumeration
-    domains, unknown scope keywords, duplicate reference names and
+    Reports duplicate tag type names, duplicate enumeration values,
+    unknown scope keywords, duplicate reference names and
     unresolved named references tag type by tag type, in source order,
     with a warning for each scope keyword that names no element kind
     (``ScopeAdmitsNoElement``: a nested keyword such as ``source``).
@@ -417,13 +368,11 @@ def validate_schema_well_formedness(
             first_lines[tt.name] = tt.line
 
         domain = tt.domain
-        if domain.kind == DomainSpec.ENUM and not domain.values:
-            report(Condition.EMPTY_ENUM_DOMAIN, f"enumeration '{tt.name}' has no values", tt.line, tt.col)
         seen_values: set[str] = set()
         for value, (line, col) in zip(domain.values, _positions(domain.value_positions, tt)):
             if value in seen_values:
                 report(
-                    Condition.EMPTY_ENUM_DOMAIN,
+                    Condition.DUPLICATE_ENUM_VALUE,
                     f'duplicate enumeration value "{value}" in \'{tt.name}\'',
                     line,
                     col,

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic, has_errors, require_well_formed
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .parsing import read_source
@@ -100,32 +100,20 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     """Read and parse every file of the workspace.
 
     Raises :class:`~tagweaver.errors.ParseError` on malformed files,
-    :class:`WorkspaceError` on schema well-formedness errors or
-    ambiguous qualified names, and propagates ``OSError`` for unreadable
-    paths.  A schema keeps its warnings as ``findings`` for
-    :func:`check_workspace`.
+    :class:`WorkspaceError` when the manifest, a model or a schema has an
+    error finding or when two files share a qualified name, and propagates
+    ``OSError`` for unreadable paths.  Models and schemas keep their
+    warnings as ``findings`` for :func:`check_workspace`.
     """
 
     manifest = parse_manifest(read_source(ws.manifest_file), filename=str(ws.manifest_file))
+    # Refused before derivation, which would report a duplicate production
+    # again as a scope keyword derived twice.
+    require_well_formed("manifest", manifest.grammar_name, manifest.findings)
     profile = derive_profile(manifest)
 
-    models = tuple(
-        parse_statechart(read_source(path), filename=str(path)) for path in ws.model_files
-    )
-    _require_unique("model", [(m.qualified_name, m.source_name) for m in models])
-
-    schemas = []
-    for path in ws.schema_files:
-        schema = parse_tag_schema(
-            read_source(path), profile, filename=str(path), strict=False
-        )
-        if has_errors(schema.findings):
-            raise WorkspaceError(
-                f"schema '{schema.qualified_name}' is not well-formed", list(schema.findings)
-            )
-        schemas.append(schema)
-    _require_unique("schema", [(s.qualified_name, s.source_name) for s in schemas])
-
+    models = _parse_each("model", ws.model_files, parse_statechart)
+    schemas = _parse_each("schema", ws.schema_files, parse_tag_schema, profile)
     tag_models = tuple(
         parse_tag_model(read_source(path), profile, filename=str(path)) for path in ws.tag_files
     )
@@ -134,19 +122,28 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
         manifest=manifest,
         profile=profile,
         models=models,
-        schemas=tuple(schemas),
+        schemas=schemas,
         tag_models=tag_models,
     )
 
 
-def _require_unique(kind: str, named: list[tuple[str, str | None]]) -> None:
+def _parse_each(kind: str, paths: tuple[Path, ...], parse, *args) -> tuple:
+    """Parse each file, refusing one with an error finding or a name taken twice."""
+
+    parsed = []
+    for path in paths:
+        item = parse(read_source(path), *args, filename=str(path))
+        require_well_formed(kind, item.qualified_name, item.findings)
+        parsed.append(item)
     seen: dict[str, str | None] = {}
-    for name, source in named:
+    for item in parsed:
+        name = item.qualified_name
         if name in seen:
             raise WorkspaceError(
-                f"{kind} '{name}' is defined by both {seen[name]} and {source}"
+                f"{kind} '{name}' is defined by both {seen[name]} and {item.source_name}"
             )
-        seen[name] = source
+        seen[name] = item.source_name
+    return tuple(parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ def check_workspace(
 ) -> tuple[list[Diagnostic], list[ResolvedTagging]]:
     """Check every tag model against its own target, after the model and schema findings."""
 
-    diags = [warning for model in loaded.models for warning in model.warnings]
+    diags = [finding for model in loaded.models for finding in model.findings]
     diags.extend(finding for schema in loaded.schemas for finding in schema.findings)
     resolved: list[ResolvedTagging] = []
     for tag_model in loaded.tag_models:

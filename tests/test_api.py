@@ -17,6 +17,10 @@ import tagweaver
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tagweaver.__path__))
+KEPT_EXCEPTIONS = {
+    "errors": {"TagweaverError", "ParseError", "ResolutionError", "WorkspaceError"},
+    "derivation": {"DerivationError"},
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,8 +49,7 @@ def test_only_the_cli_writes_to_a_stream(name):
 @pytest.mark.parametrize("name", [name for name in MODULES if name != "diagnostics"])
 def test_condition_ids_come_from_the_catalogue(name):
     # Every condition ID is a ``diagnostics.Condition`` member: no ``report``
-    # or ``Diagnostic`` call takes a string literal as its condition, and no
-    # table keyed by condition (``_RAISED_AS``) uses a string key.
+    # or ``Diagnostic`` call takes a string literal as its condition.
     tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
 
     def is_str(node) -> bool:
@@ -58,14 +61,25 @@ def test_condition_ids_come_from_the_catalogue(name):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in ("report", "Diagnostic") and node.args and is_str(node.args[0])
     ]
-    for node in ast.walk(tree):
-        targets = (
-            node.targets if isinstance(node, ast.Assign)
-            else [node.target] if isinstance(node, ast.AnnAssign) else []
-        )
-        if any(isinstance(t, ast.Name) and t.id == "_RAISED_AS" for t in targets):
-            literals += [key.lineno for key in node.value.keys if is_str(key)]
     assert literals == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_errors_and_derivation_define_exceptions(name):
+    # A condition a parser can read past is a ``Condition`` member kept as a
+    # finding, never an exception class of its own.
+    tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
+    classes = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", ""))
+            .endswith(("Error", "Exception"))
+            for base in node.bases
+        )
+    }
+    assert classes == KEPT_EXCEPTIONS.get(name, set())
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -87,7 +101,7 @@ def test_condition_has_one_definition():
     from tagweaver import conformance, diagnostics
 
     assert tagweaver.Condition is diagnostics.Condition is conformance.Condition
-    assert len({c.value for c in diagnostics.Condition}) == len(diagnostics.Condition) == 17
+    assert len({c.value for c in diagnostics.Condition}) == len(diagnostics.Condition) == 21
 
 
 def test_readme_conditions_table_lists_every_condition():

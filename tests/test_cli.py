@@ -75,10 +75,14 @@ def warned_argv(golden_argv, tmp_path):
     return swap_tags(argv, tags)
 
 
-def swap_tags(argv: list[str], tag_file) -> list[str]:
+def swap(argv: list[str], flag: str, path) -> list[str]:
     out = list(argv)
-    out[out.index("--tags") + 1] = str(tag_file)
+    out[out.index(flag) + 1] = str(path)
     return out
+
+
+def swap_tags(argv: list[str], tag_file) -> list[str]:
+    return swap(argv, "--tags", tag_file)
 
 
 class TestCheck:
@@ -391,6 +395,104 @@ class TestFailureModes:
         )
         assert run_cli(["check", *swap_tags(golden_argv, orphan)]) == 2
         assert "no schema named 'nowhere.Nothing'" in capsys.readouterr().err
+
+
+# Files a parser reads past: each is refused with all of its findings.
+DUP_SCHEMA = (
+    "package loggingschema;\n"
+    "tagschema StatechartTagSchema {\n"
+    "    tagtype Monitored for State;\n"
+    "    tagtype Monitored for State;\n"
+    '    tagtype Log:["a"|"a"] for Transition;\n'
+    "}\n"
+)
+DUP_CHART = (
+    "package mobile;\n"
+    "statechart Mobile {\n"
+    "    state A;\n"
+    "    state A;\n"
+    "    A -> Ghost;\n"
+    "    Nowhere -> A;\n"
+    "}\n"
+)
+DUP_MANIFEST = "grammar G\nproduction P = Ghost\nproduction P = Phantom\n"
+
+
+class TestIllFormedFiles:
+    @pytest.fixture(autouse=True)
+    def _no_color(self, monkeypatch):
+        monkeypatch.setenv("TAGWEAVER_COLOR", "0")
+
+    def test_schema_prints_every_finding(self, golden_argv, tmp_path, capsys):
+        bad = tmp_path / "dup.tagschema"
+        bad.write_text(DUP_SCHEMA)
+        assert run_cli(["check", *swap(golden_argv, "--schema", bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: schema 'loggingschema.StatechartTagSchema' is not well-formed\n"
+            f"{bad}:4:13: error[DuplicateTagTypeName]: tag type 'Monitored' already defined on line 3\n"
+            f'{bad}:5:22: error[DuplicateEnumValue]: duplicate enumeration value "a" in \'Log\'\n'
+        )
+
+    def test_model_prints_every_finding(self, golden_argv, tmp_path, capsys):
+        bad = tmp_path / "dup.sc"
+        bad.write_text(DUP_CHART)
+        assert run_cli(["check", *swap(golden_argv, "--model", bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: model 'mobile.Mobile' is not well-formed\n"
+            f"{bad}:4:11: error[DuplicateSiblingState]: duplicate sibling state 'A'\n"
+            f"{bad}:5:5: error[UnresolvedTransitionEndpoint]: transition target 'Ghost' does not name a state\n"
+            f"{bad}:6:5: error[UnresolvedTransitionEndpoint]: transition source 'Nowhere' does not name a state\n"
+        )
+
+    @pytest.mark.parametrize("command", ["derive", "check"])
+    def test_manifest_prints_every_finding(self, golden_argv, tmp_path, capsys, command):
+        bad = tmp_path / "dup.glang"
+        bad.write_text(DUP_MANIFEST)
+        argv = (
+            ["derive", "--manifest", str(bad), "--out", str(tmp_path)] if command == "derive"
+            else ["check", *swap(golden_argv, "--manifest", bad)]
+        )
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        undeclared = "(declare it as a production, interface, or external)"
+        assert captured.err == (
+            "error: manifest 'G' is not well-formed\n"
+            f"{bad}:3:12: error[DuplicateProduction]: nonterminal 'P' already declared on line 2\n"
+            f"{bad}:2:16: error[UnknownNonterminalReference]: "
+            f"reference to undeclared nonterminal 'Ghost' {undeclared}\n"
+            f"{bad}:3:16: error[UnknownNonterminalReference]: "
+            f"reference to undeclared nonterminal 'Phantom' {undeclared}\n"
+        )
+        assert not (tmp_path / "G.profile.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "export"])
+    def test_json_format_holds_for_a_refused_schema(self, golden_argv, tmp_path, capsys, command):
+        bad = tmp_path / "bad.tagschema"
+        bad.write_text(
+            "package loggingschema;\n"
+            "tagschema StatechartTagSchema { tagtype Log for Transation; tagtype T { g:Ghost; } }\n"
+        )
+        argv = [command, *swap(golden_argv, "--schema", bad), "--format", "json"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        header = "error: schema 'loggingschema.StatechartTagSchema' is not well-formed\n"
+        if command == "check":
+            assert captured.err == header
+            payload = json.loads(captured.out)
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(header)
+            payload = json.loads(captured.err[len(header):])
+        assert [(d["condition"], d["line"], d["col"]) for d in payload["diagnostics"]] == [
+            ("UnknownScopeKeyword", 2, 49),
+            ("UnresolvedNamedReference", 2, 73),
+        ]
+        assert (payload["errors"], payload["warnings"]) == (2, 0)
 
 
 class TestUsage:

@@ -12,7 +12,6 @@ from tagweaver import (
     IdentifierRule,
     LanguageProfile,
     ScopeKeyword,
-    SkippedEverything,
     derive_profile,
     parse_manifest,
     profile_from_json,
@@ -142,7 +141,7 @@ class TestDerivationRules:
 
 class TestDerivationErrors:
     def test_everything_skipped(self):
-        with pytest.raises(SkippedEverything):
+        with pytest.raises(DerivationError, match="^grammar 'G' has no productions left to derive from$"):
             derive("grammar G\n@skip production A\n@skip production B\n")
 
     def test_alias_collision(self):

@@ -7,11 +7,10 @@ import random
 import pytest
 
 from tagweaver import (
-    DuplicateProduction,
     ParseError,
     Production,
     RhsRef,
-    UnknownNonterminalReference,
+    format_diagnostic,
     parse_manifest,
     pretty_print_manifest,
 )
@@ -117,10 +116,6 @@ class TestParsing:
 ERROR_CASES = [
     ("production P\n", ParseError, "expected 'grammar"),
     ("grammar G\ngrammar H\n", ParseError, "duplicate 'grammar'"),
-    ("grammar G\nproduction P\nproduction P\n", DuplicateProduction, "already declared"),
-    ("grammar G\nproduction P\ninterface P\n", DuplicateProduction, "already declared"),
-    ("grammar G\nexternal N\nexternal N\n", DuplicateProduction, "already declared"),
-    ("grammar G\nproduction P = Ghost\n", UnknownNonterminalReference, "undeclared"),
     (
         "grammar G\nexternal N\nproduction P = N N\n",
         ParseError,
@@ -154,12 +149,43 @@ def test_parse_errors(text, exc, fragment):
     assert fragment in str(info.value)
 
 
+GHOST = "reference to undeclared nonterminal 'Ghost' (declare it as a production, interface, or external)"
+
+# Problems the parser reads past: (condition, message, line, col) of each finding.
+FINDING_CASES = [
+    ("grammar G\nproduction P\nproduction P\n",
+     [("DuplicateProduction", "nonterminal 'P' already declared on line 2", 3, 12)]),
+    ("grammar G\nproduction P\ninterface P\n",
+     [("DuplicateProduction", "nonterminal 'P' already declared on line 2", 3, 11)]),
+    ("grammar G\nexternal N\nexternal N\n",
+     [("DuplicateProduction", "nonterminal 'N' already declared on line 2", 3, 10)]),
+    ("grammar G\nproduction P = Ghost\n", [("UnknownNonterminalReference", GHOST, 2, 16)]),
+    (
+        "grammar G\nexternal N\nproduction P = Ghost N\nproduction P = N Ghost\n",
+        [
+            ("DuplicateProduction", "nonterminal 'P' already declared on line 3", 4, 12),
+            ("UnknownNonterminalReference", GHOST, 3, 16),
+            ("UnknownNonterminalReference", GHOST, 4, 18),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", FINDING_CASES)
+def test_findings(text, expected):
+    manifest = parse_manifest(text)
+    assert [(d.condition, d.message, d.line, d.col) for d in manifest.findings] == expected
+    assert all(d.severity.value == "error" for d in manifest.findings)
+
+
+def test_well_formed_manifest_has_no_findings(manifest):
+    assert manifest.findings == ()
+
+
 def test_error_location_formatting():
-    with pytest.raises(ParseError) as info:
-        parse_manifest("grammar G\nproduction P = Ghost\n", filename="g.glang")
-    err = info.value
-    assert err.line == 2
-    assert str(err).startswith("g.glang:2:16:")
+    (finding,) = parse_manifest("grammar G\nproduction P = Ghost\n", filename="g.glang").findings
+    assert (finding.file, finding.line) == ("g.glang", 2)
+    assert format_diagnostic(finding).startswith("g.glang:2:16:")
 
 
 class TestRoundTrip:

@@ -181,7 +181,7 @@ class TestNestedKeywords:
     )
 
     def test_nested_keyword_warns(self, profile):
-        schema = parse_tag_schema(self.SCHEMA, profile)  # strict: a warning never raises
+        schema = parse_tag_schema(self.SCHEMA, profile)
         diags = validate_schema_well_formedness(schema, profile)
         assert [(d.condition, d.severity, d.line, d.col) for d in diags] == [
             ("ScopeAdmitsNoElement", Severity.WARNING, 3, 22),

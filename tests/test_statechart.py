@@ -8,14 +8,10 @@ import re
 import pytest
 
 from tagweaver import (
-    AmbiguousElement,
-    AmbiguousTransition,
-    DuplicateSiblingState,
     ElementHandle,
     ElementIdentifier,
     ParseError,
-    UnresolvedElement,
-    UnresolvedTransitionEndpoint,
+    ResolutionError,
     enumerate_elements,
     normalize_expression,
     parse_statechart,
@@ -65,8 +61,8 @@ class TestGoldenChart:
         assert tr.target == ("Active",)
         assert tr.event == "dial()"
 
-    def test_no_warnings(self, chart):
-        assert chart.warnings == ()
+    def test_no_findings(self, chart):
+        assert chart.findings == ()
 
     def test_enumeration_order(self, chart):
         assert enumerate_elements(chart) == (
@@ -95,7 +91,7 @@ class TestResolution:
         assert handle == ElementHandle("Active.Call", "State")
 
     def test_nested_state_needs_full_path_from_root(self, chart):
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(ResolutionError, match=r"^'Call' does not name an element of 'Mobile'$"):
             resolve_element(chart, Q("Call"))
 
     def test_context_relative_lookup(self, chart):
@@ -128,11 +124,13 @@ class TestResolution:
         assert handle == ElementHandle("[Start -> Active]", "Transition")
 
     def test_missing_transition(self, chart):
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(ResolutionError, match=r"^no transition Active -> Done in 'Mobile'$"):
             resolve_element(chart, B("Active -> Done"))
 
     def test_transition_with_unknown_endpoint(self, chart):
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(
+            ResolutionError, match=r"^'\[Start -> Ghost\]' endpoints do not name states of 'Mobile'$"
+        ):
             resolve_element(chart, B("Start -> Ghost"))
 
     def test_invariant_by_expression(self, chart):
@@ -144,11 +142,11 @@ class TestResolution:
         assert handle == ElementHandle("Active.Call.[status!=isActive]", "Invariant")
 
     def test_unknown_invariant(self, chart):
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(ResolutionError, match=r"^no invariant '\[no_such_invariant\]' in 'Mobile'$"):
             resolve_element(chart, B("no_such_invariant"))
 
     def test_unknown_name(self, chart):
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(ResolutionError, match=r"^'Ghost' does not name an element of 'Mobile'$"):
             resolve_element(chart, Q("Ghost"))
 
 
@@ -176,7 +174,7 @@ class TestResolutionCornerCases:
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B : first;\n A -> B : second;\n}\n"
         )
-        with pytest.raises(AmbiguousTransition):
+        with pytest.raises(ResolutionError, match=r"^2 transitions match A -> B in 'X'$"):
             resolve_element(model, B("A -> B"))
 
     def test_ambiguous_invariant(self):
@@ -184,7 +182,7 @@ class TestResolutionCornerCases:
             "package p;\nstatechart X {\n"
             " state A { [busy]; }\n state B { [busy]; }\n}\n"
         )
-        with pytest.raises(AmbiguousElement):
+        with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
             resolve_element(model, B("busy"))
 
     def test_context_disambiguates_invariant(self):
@@ -208,7 +206,7 @@ class TestResolutionCornerCases:
             "package p;\nstatechart X {\n"
             " state A { [busy]; state Inner { [busy]; } }\n}\n"
         )
-        with pytest.raises(AmbiguousElement):
+        with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
             resolve_element(model, B("busy"), ElementHandle("A", "State"))
 
     def test_same_state_name_in_different_branches(self):
@@ -218,7 +216,7 @@ class TestResolutionCornerCases:
         )
         assert resolve_element(model, Q("A", "Leaf")).path == "A.Leaf"
         assert resolve_element(model, Q("Leaf"), ElementHandle("B", "State")).path == "B.Leaf"
-        with pytest.raises(UnresolvedElement):
+        with pytest.raises(ResolutionError, match=r"^'Leaf' does not name an element of 'X'$"):
             resolve_element(model, Q("Leaf"))
 
 
@@ -227,7 +225,7 @@ class TestIndexedResolution:
         model = parse_statechart(
             "package p;\nstatechart X {\n state A { [busy]; [ busy ]; }\n}\n"
         )
-        with pytest.raises(AmbiguousElement, match=r"^2 invariants match '\[busy\]' in 'X'$"):
+        with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
             resolve_element(model, B("busy"))
         # Inside that state's own context the repeated text counts once.
         handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
@@ -240,7 +238,7 @@ class TestIndexedResolution:
         )
         contexts = (None, ElementHandle("X", "SCDefinition"), ElementHandle("A", "State"))
         for context in contexts:
-            with pytest.raises(AmbiguousTransition, match=r"^2 transitions match A -> B in 'X'$"):
+            with pytest.raises(ResolutionError, match=r"^2 transitions match A -> B in 'X'$"):
                 resolve_element(model, B("A -> B"), context)
 
     def test_transition_endpoints_resolve_from_the_root(self):
@@ -249,7 +247,7 @@ class TestIndexedResolution:
             " state P { state A; state B; }\n state A;\n state B;\n"
             " P.A -> P.B;\n}\n"
         )
-        with pytest.raises(UnresolvedElement, match=r"^no transition A -> B in 'X'$"):
+        with pytest.raises(ResolutionError, match=r"^no transition A -> B in 'X'$"):
             resolve_element(model, B("A -> B"), ElementHandle("P", "State"))
         handle = resolve_element(model, B("P.A -> P.B"), ElementHandle("P", "State"))
         assert handle == ElementHandle("[P.A -> P.B]", "Transition")
@@ -264,7 +262,9 @@ class TestIndexedResolution:
         assert resolve_element(chart, B("status=isActive"), handle) == ElementHandle(
             "Active.Busy.[status=isActive]", "Invariant"
         )
-        with pytest.raises(UnresolvedElement, match=rf"\(context '{re.escape(context)}'\)$"):
+        with pytest.raises(
+            ResolutionError, match=rf"^'Call' does not name an element of 'Mobile' \(context '{re.escape(context)}'\)$"
+        ):
             resolve_element(chart, Q("Call"), handle)
 
     def test_context_subtree_shadows_same_text_elsewhere(self):
@@ -276,7 +276,7 @@ class TestIndexedResolution:
         expected = ElementHandle("B.C.[busy]", "Invariant")
         assert resolve_element(model, B("busy"), ElementHandle("B", "State")) == expected
         assert resolve_element(model, B("busy"), ElementHandle("B.C", "State")) == expected
-        with pytest.raises(AmbiguousElement, match=r"^3 invariants match"):
+        with pytest.raises(ResolutionError, match=r"^3 invariants match '\[busy\]' in 'X'$"):
             resolve_element(model, B("busy"))
 
     def test_chart_name_prefix_resolves_to_state(self):
@@ -286,7 +286,7 @@ class TestIndexedResolution:
         assert resolve_element(model, Q("X", "A", "B")) == ElementHandle("A.B", "State")
         a = ElementHandle("A", "State")
         assert resolve_element(model, Q("X", "C"), a) == ElementHandle("C", "State")
-        with pytest.raises(UnresolvedElement, match=r"^'X.B' does not name an element"):
+        with pytest.raises(ResolutionError, match=r"^'X\.B' does not name an element of 'X' \(context 'A'\)$"):
             resolve_element(model, Q("X", "B"), a)
 
     def test_chart_name_context_means_root_even_with_a_same_named_state(self):
@@ -338,23 +338,13 @@ def assert_agrees_with_oracle(model):
             try:
                 found = resolve_element(model, ref, handle)
                 got = (found.path, found.element_type)
-            except (UnresolvedElement, AmbiguousElement):
+            except ResolutionError:
                 got = None
             expected = oracle_resolve(ref, context, model, elements, transitions)
             assert got == expected, (ref.text, context)
 
 
 PARSE_ERRORS = [
-    (
-        "package p;\nstatechart X {\n state A;\n state A;\n}\n",
-        DuplicateSiblingState,
-        "duplicate sibling state",
-    ),
-    (
-        "package p;\nstatechart X {\n state A;\n A -> Ghost;\n}\n",
-        UnresolvedTransitionEndpoint,
-        "does not name a state",
-    ),
     (
         "package p;\nstatechart X {\n initial final state A;\n}\n",
         ParseError,
@@ -382,6 +372,36 @@ def test_parse_errors(text, exc, fragment):
     with pytest.raises(exc) as info:
         parse_statechart(text)
     assert fragment in str(info.value)
+
+
+# Problems the parser reads past: (condition, message, line, col) of each finding.
+FINDINGS = [
+    (
+        "package p;\nstatechart X {\n state A;\n state A;\n}\n",
+        [("DuplicateSiblingState", "duplicate sibling state 'A'", 4, 8)],
+    ),
+    (
+        "package p;\nstatechart X {\n state A;\n A -> Ghost;\n}\n",
+        [("UnresolvedTransitionEndpoint", "transition target 'Ghost' does not name a state", 4, 2)],
+    ),
+    (
+        "package p;\nstatechart X {\n state A { state B; state B; }\n"
+        " Ghost -> A.Nope;\n A -> A;\n A -> A;\n}\n",
+        [
+            ("DuplicateSiblingState", "duplicate sibling state 'B'", 3, 27),
+            ("UnresolvedTransitionEndpoint", "transition source 'Ghost' does not name a state", 4, 2),
+            ("UnresolvedTransitionEndpoint", "transition target 'A.Nope' does not name a state", 4, 2),
+            ("DuplicateTransition", "duplicate transition A -> A (lines 5 and 6)", 6, 2),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", FINDINGS)
+def test_findings(text, expected):
+    model = parse_statechart(text, filename="x.sc")
+    assert [(d.condition, d.message, d.line, d.col) for d in model.findings] == expected
+    assert {d.file for d in model.findings} == {"x.sc"}
 
 
 def test_sibling_duplicates_allowed_in_different_parents():
@@ -412,15 +432,15 @@ class TestDuplicateTransitionWarnings:
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B : go;\n A -> B : go;\n}\n"
         )
-        assert len(model.warnings) == 1
-        assert "duplicate transition A -> B : go" in model.warnings[0].message
+        assert len(model.findings) == 1
+        assert "duplicate transition A -> B : go" in model.findings[0].message
 
     def test_differing_events_do_not_warn(self):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B : go;\n A -> B : stop;\n}\n"
         )
-        assert model.warnings == ()
+        assert model.findings == ()
 
     def test_enumeration_keeps_both_duplicates(self):
         model = parse_statechart(

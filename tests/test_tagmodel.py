@@ -9,11 +9,9 @@ import pytest
 from tagweaver import (
     Context,
     ElementIdentifier,
-    MissingConformsTo,
     ParseError,
     TagStatement,
     TagValue,
-    UnknownIdentifierForm,
     derive_profile,
     parse_manifest,
     parse_statechart,
@@ -91,7 +89,9 @@ class TestParsing:
         assert m.conforms_to == ("a.B", "c.D")
 
     def test_missing_conforms(self, profile):
-        with pytest.raises(MissingConformsTo):
+        with pytest.raises(
+            ParseError, match=r"^<input>:2:1: expected 'conforms to <schema>;' after the package declaration$"
+        ):
             parse_tag_model("package m;\ntags T for X { }\n", profile)
 
     def test_multi_tag_statement(self, profile):
@@ -157,7 +157,11 @@ class TestBracketAcceptance:
         named_only = derive_profile(
             parse_manifest("grammar G\nexternal N\n@named production A = N\n")
         )
-        with pytest.raises(UnknownIdentifierForm, match="no bracket identifier forms"):
+        with pytest.raises(
+            ParseError,
+            match=r"^<input>:5:6: '\[anything\]' matches no bracket identifier form "
+            r"\(the 'G' profile declares no bracket identifier forms\)$",
+        ):
             parse(" tag [anything] with T;\n", named_only)
 
     def test_unmatched_bracket_text_rejected(self):
@@ -167,7 +171,11 @@ class TestBracketAcceptance:
                 '@sketch "a -> b" production T = x:N y:N\n'
             )
         )
-        with pytest.raises(UnknownIdentifierForm, match="available bracket forms: T"):
+        with pytest.raises(
+            ParseError,
+            match=r"^<input>:5:6: '\[no arrow here\]' matches no bracket identifier form "
+            r"\(available bracket forms: T\)$",
+        ):
             parse(" tag [no arrow here] with X;\n", arrow_only)
         m = parse(" tag [A -> B] with X;\n", arrow_only)
         assert m.body[0].element_refs[0].raw == "A -> B"

@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from tagweaver import (
     Cardinality,
     DomainSpec,
-    DuplicateTagTypeName,
-    EmptyEnumDomain,
     ParseError,
     Reference,
     ScopeSpec,
     TagSchema,
     TagTypeDef,
-    UnknownScopeKeyword,
-    UnresolvedNamedReference,
     Workspace,
     WorkspaceError,
     load_workspace,
@@ -32,8 +28,12 @@ from util import random_schema_text, required_chain_schema_text
 HEADER = "package s;\ntagschema Types {\n"
 
 
-def parse(body: str, profile, strict: bool = True) -> TagSchema:
-    return parse_tag_schema(HEADER + body + "}\n", profile, strict=strict)
+def parse(body: str, profile) -> TagSchema:
+    return parse_tag_schema(HEADER + body + "}\n", profile)
+
+
+def findings(body: str, profile) -> list[tuple]:
+    return [(d.condition, d.message, d.line, d.col) for d in parse(body, profile).findings]
 
 
 class TestGoldenSchema:
@@ -158,111 +158,97 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="tagtype"):
             parse(" tagtype T { a:int; };\n", profile)
 
-    def test_duplicate_tag_type_names_always_raise(self, profile):
-        with pytest.raises(DuplicateTagTypeName, match="already defined"):
-            parse(" tagtype T;\n tagtype T;\n", profile, strict=False)
+    def test_duplicate_tag_type_names_are_a_finding(self, profile):
+        assert findings(" tagtype T;\n tagtype T;\n", profile) == [
+            ("DuplicateTagTypeName", "tag type 'T' already defined on line 3", 4, 10)
+        ]
 
-    def test_duplicate_enum_values_always_raise(self, profile):
-        with pytest.raises(EmptyEnumDomain, match="duplicate enumeration value"):
-            parse(' tagtype T:["a"|"a"];\n', profile, strict=False)
+    def test_duplicate_enum_values_are_a_finding(self, profile):
+        assert findings(' tagtype T:["a"|"a"];\n', profile) == [
+            ("DuplicateEnumValue", 'duplicate enumeration value "a" in \'T\'', 3, 17)
+        ]
 
-    def test_duplicate_reference_names_always_raise(self, profile):
-        with pytest.raises(ParseError, match="duplicate reference name"):
-            parse(" tagtype T { a:int, a:String; }\n", profile, strict=False)
+    def test_duplicate_reference_names_are_a_finding(self, profile):
+        assert findings(" tagtype T { a:int, a:String; }\n", profile) == [
+            ("DuplicateReferenceName", "duplicate reference name 'a' in 'T'", 3, 21)
+        ]
 
-    def test_unknown_scope_keyword_strict(self, profile):
-        with pytest.raises(UnknownScopeKeyword, match="'Transation' is not a scope keyword"):
-            parse(" tagtype Log for Transation;\n", profile)
+    def test_unknown_scope_keyword_is_a_finding(self, profile):
+        assert findings(" tagtype Log for Transation;\n", profile) == [
+            ("UnknownScopeKeyword", "'Transation' is not a scope keyword of grammar 'Statechart'", 3, 18)
+        ]
 
-    def test_unresolved_named_reference_strict(self, profile):
-        with pytest.raises(UnresolvedNamedReference, match="unknown tag type 'Ghost'"):
-            parse(" tagtype T { g:Ghost; }\n", profile)
+    def test_unresolved_named_reference_is_a_finding(self, profile):
+        assert findings(" tagtype T { g:Ghost; }\n", profile) == [
+            ("UnresolvedNamedReference", "reference 'g' of 'T' points to unknown tag type 'Ghost'", 3, 14)
+        ]
 
     def test_missing_package(self, profile):
         with pytest.raises(ParseError, match="package"):
             parse_tag_schema("tagschema X { }\n", profile)
 
 
-class TestLenientParsing:
+class TestFindingsMatchTheValidator:
     def test_unknown_scope_keyword_becomes_diagnostic(self, profile):
-        s = parse(" tagtype Log for Transation;\n", profile, strict=False)
+        s = parse(" tagtype Log for Transation;\n", profile)
         diags = validate_schema_well_formedness(s, profile)
         assert [d.condition for d in diags] == ["UnknownScopeKeyword"]
         assert "'Transation'" in diags[0].message
         assert diags[0].severity.value == "error"
 
     def test_unresolved_reference_becomes_diagnostic(self, profile):
-        s = parse(" tagtype T { g:Ghost; }\n", profile, strict=False)
+        s = parse(" tagtype T { g:Ghost; }\n", profile)
         diags = validate_schema_well_formedness(s, profile)
         assert [d.condition for d in diags] == ["UnresolvedNamedReference"]
 
 
-# One case per condition that ``parse_tag_schema`` raises: the body (from
-# line 3), the exception class, its message and position, the validator's
-# condition name, and whether ``strict=False`` raises it too.
+# One case per schema error condition: the body (from line 3), and the
+# condition, message and position of its one finding.
 SINGLE_PROBLEMS = [
     pytest.param(
-        " tagtype T;\n tagtype T;\n", DuplicateTagTypeName,
-        "tag type 'T' already defined on line 3", 4, 10, "DuplicateTagTypeName", True,
+        " tagtype T;\n tagtype T;\n",
+        "DuplicateTagTypeName", "tag type 'T' already defined on line 3", 4, 10,
         id="duplicate-tag-type",
     ),
     pytest.param(
-        ' tagtype T:["a"|"b"|"a"];\n', EmptyEnumDomain,
-        'duplicate enumeration value "a" in \'T\'', 3, 21, "EmptyEnumDomain", True,
+        ' tagtype T:["a"|"b"|"a"];\n',
+        "DuplicateEnumValue", 'duplicate enumeration value "a" in \'T\'', 3, 21,
         id="duplicate-enum-value",
     ),
     pytest.param(
-        " tagtype T { a:int, a:String; }\n", ParseError,
-        "duplicate reference name 'a' in 'T'", 3, 21, "DuplicateReferenceName", True,
+        " tagtype T { a:int, a:String; }\n",
+        "DuplicateReferenceName", "duplicate reference name 'a' in 'T'", 3, 21,
         id="duplicate-reference-name",
     ),
     pytest.param(
-        " tagtype Log for State, Transation;\n", UnknownScopeKeyword,
-        "'Transation' is not a scope keyword of grammar 'Statechart'", 3, 25,
-        "UnknownScopeKeyword", False,
+        " tagtype Log for State, Transation;\n",
+        "UnknownScopeKeyword", "'Transation' is not a scope keyword of grammar 'Statechart'", 3, 25,
         id="unknown-scope-keyword",
     ),
     pytest.param(
-        " tagtype T { g:Ghost; }\n", UnresolvedNamedReference,
-        "reference 'g' of 'T' points to unknown tag type 'Ghost'", 3, 14,
-        "UnresolvedNamedReference", False,
+        " tagtype T { g:Ghost; }\n",
+        "UnresolvedNamedReference", "reference 'g' of 'T' points to unknown tag type 'Ghost'", 3, 14,
         id="unresolved-named-reference",
     ),
 ]
-PROBLEM_ARGS = "body, exc, message, line, col, condition, lenient_raises"
-
-
-def raised(body: str, profile, strict: bool) -> tuple:
-    with pytest.raises(ParseError) as info:
-        parse(body, profile, strict=strict)
-    err = info.value
-    return type(err), err.message, err.line, err.col
+PROBLEM_ARGS = "body, condition, message, line, col"
 
 
 class TestOneValidationPath:
     @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
-    def test_strict_raises_the_condition(
-        self, profile, body, exc, message, line, col, condition, lenient_raises
-    ):
-        assert raised(body, profile, strict=True) == (exc, message, line, col)
+    def test_parse_keeps_the_condition(self, profile, body, condition, message, line, col):
+        assert findings(body, profile) == [(condition, message, line, col)]
 
     @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
-    def test_lenient_raises_only_structural_conditions(
-        self, profile, body, exc, message, line, col, condition, lenient_raises
-    ):
-        if lenient_raises:
-            assert raised(body, profile, strict=False) == (exc, message, line, col)
-        else:
-            schema = parse(body, profile, strict=False)
-            diags = validate_schema_well_formedness(schema, profile)
-            assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
-                (condition, message, line, col)
-            ]
+    def test_validator_reports_the_same(self, profile, body, condition, message, line, col):
+        diags = validate_schema_well_formedness(parse(body, profile), profile)
+        assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
+            (condition, message, line, col)
+        ]
 
     @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
     def test_workspace_reports_the_same(
-        self, profile, samples_dir, tmp_path, body, exc, message, line, col, condition,
-        lenient_raises,
+        self, profile, samples_dir, tmp_path, body, condition, message, line, col
     ):
         path = tmp_path / "bad.tagschema"
         path.write_text(HEADER + body + "}\n")
@@ -271,33 +257,25 @@ class TestOneValidationPath:
             model_files=(samples_dir / "mobile.sc",),
             schema_files=(path,),
         )
-        if lenient_raises:
-            with pytest.raises(ParseError) as info:
-                load_workspace(ws)
-            err = info.value
-            assert (type(err), err.message, err.line, err.col, err.filename) == (
-                exc, message, line, col, str(path)
-            )
-        else:
-            with pytest.raises(WorkspaceError, match="not well-formed") as info:
-                load_workspace(ws)
-            assert [
-                (d.condition, d.message, d.file, d.line, d.col)
-                for d in info.value.diagnostics
-            ] == [(condition, message, str(path), line, col)]
+        with pytest.raises(WorkspaceError, match=r"^schema 's\.Types' is not well-formed$") as info:
+            load_workspace(ws)
+        assert [
+            (d.condition, d.message, d.file, d.line, d.col)
+            for d in info.value.diagnostics
+        ] == [(condition, message, str(path), line, col)]
 
     @pytest.mark.parametrize(
-        "body, strict, conditions",
+        "body, conditions",
         [
-            (" tagtype Log for Transation;\n tagtype T { g:Ghost; }\n", False,
+            (" tagtype Log for Transation;\n tagtype T { g:Ghost; }\n",
              ["UnknownScopeKeyword", "UnresolvedNamedReference"]),
-            (" tagtype Ends for source;\n tagtype T { t:T; }\n", True,
+            (" tagtype Ends for source;\n tagtype T { t:T; }\n",
              ["ScopeAdmitsNoElement", "RecursiveRequiredReference"]),
-            (" tagtype T;\n", True, []),
+            (" tagtype T;\n", []),
         ],
     )
-    def test_parse_keeps_what_the_validator_found(self, profile, body, strict, conditions):
-        schema = parse(body, profile, strict=strict)
+    def test_parse_keeps_what_the_validator_found(self, profile, body, conditions):
+        schema = parse(body, profile)
 
         def found(diags):
             return [(d.condition, d.severity, d.message, d.line, d.col) for d in diags]
@@ -331,44 +309,40 @@ class TestOneValidationPath:
             ("UnresolvedNamedReference", 4, 24),
             ("DuplicateReferenceName", 4, 33),
             ("DuplicateTagTypeName", 5, 10),
-            ("EmptyEnumDomain", 5, 10),
+            ("DuplicateEnumValue", 5, 10),
             ("RecursiveRequiredReference", 3, 10),  # cycles come last
         ]
 
     @pytest.mark.parametrize(
-        "body, strict, expected",
+        "body, expected",
         [
-            # The first problem in source order raises, whichever kind it is.
+            # Every problem is kept, tag type by tag type in source order.
             pytest.param(
                 " tagtype A for Nodee { g:Ghost, g:int; }\n",
-                True,
-                (UnknownScopeKeyword, 3, 16),
-                id="scope-keyword-before-duplicate-reference",
-            ),
-            pytest.param(
-                " tagtype A for Nodee { g:Ghost, g:int; }\n",
-                False,
-                (ParseError, 3, 33),
-                id="lenient-skips-to-duplicate-reference",
+                [("UnknownScopeKeyword", 3, 16), ("UnresolvedNamedReference", 3, 24),
+                 ("DuplicateReferenceName", 3, 33)],
+                id="scope-keyword-before-references",
             ),
             pytest.param(
                 ' tagtype T;\n tagtype T:["a"|"a"];\n',
-                False,
-                (DuplicateTagTypeName, 4, 10),
+                [("DuplicateTagTypeName", 4, 10), ("DuplicateEnumValue", 4, 17)],
                 id="type-name-before-its-enum-values",
             ),
-            # A syntax error anywhere takes precedence over well-formedness.
             pytest.param(
-                " tagtype T;\n tagtype T;\n tagtype U:Floaty;\n",
-                False,
-                (ParseError, 5, 12),
-                id="syntax-error-first",
+                ' tagtype A:["x"|"x"];\n tagtype B for Nodee;\n tagtype A;\n',
+                [("DuplicateEnumValue", 3, 17), ("UnknownScopeKeyword", 4, 16),
+                 ("DuplicateTagTypeName", 5, 10)],
+                id="every-tag-type-in-turn",
             ),
         ],
     )
-    def test_several_problems_raise_the_first(self, profile, body, strict, expected):
-        exc, message, line, col = raised(body, profile, strict=strict)
-        assert (exc, line, col) == expected
+    def test_several_problems_are_all_kept(self, profile, body, expected):
+        assert [(c, line, col) for c, _, line, col in findings(body, profile)] == expected
+
+    def test_a_syntax_error_anywhere_raises(self, profile):
+        with pytest.raises(ParseError) as info:
+            parse(" tagtype T;\n tagtype T;\n tagtype U:Floaty;\n", profile)
+        assert (type(info.value), info.value.line, info.value.col) == (ParseError, 5, 12)
 
     def test_constructed_schema_falls_back_to_the_tag_type_position(self, profile):
         tt = TagTypeDef(
@@ -377,7 +351,7 @@ class TestOneValidationPath:
         )
         diags = validate_schema_well_formedness(TagSchema("p", "S", (tt,)), profile)
         assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
-            ("EmptyEnumDomain", 'duplicate enumeration value "x" in \'T\'', 7, 3),
+            ("DuplicateEnumValue", 'duplicate enumeration value "x" in \'T\'', 7, 3),
             ("UnknownScopeKeyword", "'Nope' is not a scope keyword of grammar 'Statechart'", 7, 3),
         ]
 
@@ -396,15 +370,10 @@ class TestValidation:
             "DuplicateTagTypeName"
         ]
 
-    def test_empty_enum_on_constructed_schema(self, profile):
-        s = TagSchema(
-            package="p",
-            name="S",
-            tag_types=(TagTypeDef("A", DomainSpec.enum_of()),),
-        )
-        assert [d.condition for d in validate_schema_well_formedness(s, profile)] == [
-            "EmptyEnumDomain"
-        ]
+    def test_an_empty_enumeration_cannot_be_parsed(self, profile):
+        # So the validator has no empty-domain condition to report.
+        with pytest.raises(ParseError, match=r"^<input>:3:13: expected a string literal, found '\]'$"):
+            parse(" tagtype T:[];\n", profile)
 
     def test_duplicated_enum_values_on_constructed_schema(self, profile):
         s = TagSchema(
@@ -413,7 +382,7 @@ class TestValidation:
             tag_types=(TagTypeDef("A", DomainSpec.enum_of("x", "x")),),
         )
         assert [d.condition for d in validate_schema_well_formedness(s, profile)] == [
-            "EmptyEnumDomain"
+            "DuplicateEnumValue"
         ]
 
     def test_duplicate_reference_names_on_constructed_schema(self, profile):
@@ -433,7 +402,7 @@ class TestValidation:
 
 class TestRequiredCycles:
     def validate(self, body: str, profile) -> list[str]:
-        s = parse(body, profile, strict=False)
+        s = parse(body, profile)
         return [d.condition for d in validate_schema_well_formedness(s, profile)]
 
     def test_self_loop(self, profile):
@@ -466,7 +435,6 @@ class TestRequiredCycles:
         s = parse(
             " tagtype A { b:B; }\n tagtype B { c:C; }\n tagtype C { a:A; }\n",
             profile,
-            strict=False,
         )
         (diag,) = validate_schema_well_formedness(s, profile)
         assert diag.condition == "RecursiveRequiredReference"
@@ -495,7 +463,7 @@ class TestRequiredCycles:
 
     def test_long_required_cycle_is_one_diagnostic(self, profile):
         text = required_chain_schema_text(1200, closed=True)
-        schema = parse_tag_schema(text, profile)  # cycles never raise while parsing
+        schema = parse_tag_schema(text, profile)
         (diag,) = validate_schema_well_formedness(schema, profile)
         assert diag.condition == "RecursiveRequiredReference"
         assert (diag.line, diag.col) == (3, 13)  # T0, the lowest position
