@@ -33,7 +33,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "LanguageProfile",
         "ScopeKeyword",
         "derive_profile",
-        "profile_from_json",
         "profile_to_json",
         "render_derived_grammar",
     ),

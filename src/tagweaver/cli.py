@@ -15,7 +15,9 @@ references, bad usage — and 3 for an internal error: any other
 exception, reported as one ``error: internal error:`` line on stderr
 without a traceback, so that a crash never reads as a verdict.  An
 ill-formed file is refused with one ``error: <kind> '<name>' is not
-well-formed`` line on stderr, followed by every finding of that file.
+well-formed`` line on stderr, followed by every finding of that file;
+ill-formed models and schemas are named together in one such line
+(``model 'a' and schema 'b' are not well-formed``).
 
 ``--format json`` switches diagnostic output to a machine-readable JSON
 document, also for the findings of a refused file.  The
@@ -161,7 +163,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     manifest = parse_manifest(read_source(args.manifest), filename=str(args.manifest))
-    require_well_formed("manifest", manifest.grammar_name, manifest.findings)
+    require_well_formed(("manifest", manifest.grammar_name, manifest.findings))
     profile = derive_profile(manifest)
     out_dir = args.out if args.out is not None else args.manifest.parent
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -42,7 +42,6 @@ __all__ = [
     "derive_profile",
     "render_derived_grammar",
     "profile_to_json",
-    "profile_from_json",
 ]
 
 
@@ -288,28 +287,3 @@ def profile_to_json(profile: LanguageProfile) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def profile_from_json(text: str) -> LanguageProfile:
-    """Inverse of :func:`profile_to_json`."""
-
-    payload = json.loads(text)
-    return LanguageProfile(
-        grammar_name=payload["grammarName"],
-        identifier_rules=tuple(
-            IdentifierRule(
-                nonterminal=entry["nonterminal"],
-                kind=IdentifierKind(entry["kind"]),
-                syntax_sketch=entry.get("syntaxSketch"),
-            )
-            for entry in payload["identifierRules"]
-        ),
-        scope_keywords=tuple(
-            ScopeKeyword(
-                keyword=entry["keyword"],
-                production=entry["production"],
-                preceding_identifier=entry.get("precedingIdentifier"),
-            )
-            for entry in payload["scopeKeywords"]
-        ),
-    )

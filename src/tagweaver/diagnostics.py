@@ -28,6 +28,8 @@ class Condition(str, Enum):
     # Well-formedness of a grammar manifest (``manifest``).
     DUPLICATE_PRODUCTION = "DuplicateProduction"
     UNKNOWN_NONTERMINAL_REFERENCE = "UnknownNonterminalReference"
+    UNLABELLED_REPEATED_NONTERMINAL = "UnlabelledRepeatedNonterminal"
+    DUPLICATE_PRECEDING_IDENTIFIER = "DuplicatePrecedingIdentifier"
     # Well-formedness of a tag schema (``tagschema``).
     DUPLICATE_TAG_TYPE_NAME = "DuplicateTagTypeName"
     DUPLICATE_ENUM_VALUE = "DuplicateEnumValue"
@@ -66,11 +68,20 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-def require_well_formed(kind: str, name: str, findings: tuple[Diagnostic, ...]) -> None:
-    """Refuse a parsed file whose findings hold an error, listing them all."""
+def require_well_formed(*files: tuple[str, str, tuple[Diagnostic, ...]]) -> None:
+    """Refuse the ``(kind, name, findings)`` files whose findings hold an error.
 
-    if has_errors(findings):
-        raise WorkspaceError(f"{kind} '{name}' is not well-formed", list(findings))
+    One refusal names each such file and lists all their findings, file by file.
+    """
+
+    refused = [(kind, name, findings) for kind, name, findings in files if has_errors(findings)]
+    if refused:
+        names = [f"{kind} '{name}'" for kind, name, _ in refused]
+        if len(names) == 1:
+            header = f"{names[0]} is not well-formed"
+        else:
+            header = f"{', '.join(names[:-1])} and {names[-1]} are not well-formed"
+        raise WorkspaceError(header, [d for *_, findings in refused for d in findings])
 
 
 def reporter(diags: list[Diagnostic], file: str | None) -> Callable[..., None]:

@@ -42,7 +42,7 @@ class ResolutionError(TagweaverError):
 class WorkspaceError(TagweaverError):
     """A workspace-level problem: an ill-formed file, a missing reference, etc.
 
-    ``diagnostics`` holds every finding of a refused file.  Defined here
+    ``diagnostics`` holds every finding of each refused file.  Defined here
     rather than in :mod:`tagweaver.workspace`, which re-exports it, so that
     the CLI can catch it without loading the workspace pipeline.
     """

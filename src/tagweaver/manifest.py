@@ -35,15 +35,21 @@ with a preceding identifier (``source:Name``) and optionally suffixed
 with a cardinality mark (``?``, ``*``, ``+``) which is accepted and
 ignored.  ``= ...`` marks a right-hand side as elided.  Every referenced
 nonterminal must be defined as a production, declared as an ``interface``,
-or declared ``external``, and no nonterminal may be declared twice; the
-parser keeps a breach of either rule as one of ``GrammarManifest.findings``.
+or declared ``external``, and no nonterminal may be declared twice.  A
+nonterminal that occurs more than once on one right-hand side needs a
+preceding identifier on every occurrence, and no preceding identifier may
+occur twice there.  The parser keeps a breach of any of these rules as one
+of ``GrammarManifest.findings``; a line it cannot read raises
+:class:`~tagweaver.errors.ParseError`.
 """
 
 from __future__ import annotations
 
+import re
+
 from .diagnostics import Condition, Diagnostic, reporter
 from .errors import ParseError
-from .parsing import escape_string, is_identifier
+from .parsing import EOF, STRING, Token, TokenCursor, escape_string, is_identifier, unescape_string
 from .records import field, record
 
 __all__ = [
@@ -94,7 +100,7 @@ class GrammarManifest:
     productions: tuple[Production, ...]
     interfaces: tuple[str, ...] = ()
     externals: tuple[str, ...] = ()
-    # Duplicate declarations and undeclared references; set by parse_manifest.
+    # The breaches of the declaration and right-hand-side rules; set by parse_manifest.
     findings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     def production(self, name: str) -> Production | None:
@@ -109,6 +115,13 @@ class GrammarManifest:
 # ---------------------------------------------------------------------------
 
 _CARDINALITY = "?*+"
+WORD = "word"  # the token kinds are WORD, parsing.STRING, "=" and parsing.EOF
+
+# One match reads one token of a line, or a ``#`` comment (group 4), or a
+# lone ``"`` that opens no string (group 5).  Words run up to blank, ``#``,
+# ``"`` or ``=``; strings end on the line and unescape only ``\"`` and
+# ``\\``, a backslash before anything else standing for itself.
+_TOKEN = re.compile(r'''([^ \t#"=]+)|"((?:[^"\\]|\\["\\]|\\(?!["\\]))*)"|(=)|(#)|(")''')
 
 
 def _is_ident(text: str) -> bool:
@@ -116,51 +129,24 @@ def _is_ident(text: str) -> bool:
     return text.isascii() and is_identifier(text)
 
 
-@record
-class _Word:
-    text: str
-    col: int
-    quoted: bool = False
+def _scan_line(line: str, lineno: int, filename: str | None) -> list[Token]:
+    """Split one line into ``word``, ``string`` and ``=`` tokens, then EOF."""
 
-
-def _scan_line(line: str, lineno: int, filename: str | None) -> list[_Word]:
-    """Split one line into words, honouring quotes and ``#`` comments."""
-
-    words: list[_Word] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    tokens: list[Token] = []
+    for m in _TOKEN.finditer(line):
+        group, col = m.lastindex, m.start() + 1
+        if group == 1:
+            tokens.append(Token(WORD, m[1], lineno, col))
+        elif group == 2:
+            tokens.append(Token(STRING, unescape_string(m[2]), lineno, col))
+        elif group == 3:
+            tokens.append(Token("=", "=", lineno, col))
+        elif group == 4:
             break
-        col = i + 1
-        if ch == '"':
-            i += 1
-            out: list[str] = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n and line[i + 1] in ('"', "\\"):
-                    out.append(line[i + 1])
-                    i += 2
-                    continue
-                out.append(line[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated string", lineno, col, filename)
-            i += 1
-            words.append(_Word("".join(out), col, quoted=True))
-            continue
-        if ch == "=":
-            words.append(_Word("=", col))
-            i += 1
-            continue
-        start = i
-        while i < n and line[i] not in ' \t#"' and line[i] != "=":
-            i += 1
-        words.append(_Word(line[start:i], col))
-    return words
+        else:
+            raise ParseError("unterminated string", lineno, col, filename)
+    tokens.append(Token(EOF, "", lineno, len(line) + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +158,9 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
     """Parse manifest source text into a :class:`GrammarManifest`.
 
     Raises :class:`ParseError` for malformed lines.  A nonterminal declared
-    twice and a right-hand side that mentions an undeclared nonterminal are
-    kept as ``findings``.
+    twice, a right-hand side that mentions an undeclared nonterminal, a
+    repeated nonterminal without a preceding identifier and a preceding
+    identifier used twice in one right-hand side are kept as ``findings``.
     """
 
     grammar_name: str | None = None
@@ -184,48 +171,41 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
     findings: list[Diagnostic] = []
     report = reporter(findings, filename)
 
-    def declare(name: str, lineno: int, col: int) -> None:
-        if name in declared:
+    def declare(tok: Token) -> None:
+        if tok.value in declared:
             report(
                 Condition.DUPLICATE_PRODUCTION,
-                f"nonterminal '{name}' already declared on line {declared[name]}",
-                lineno,
-                col,
+                f"nonterminal '{tok.value}' already declared on line {declared[tok.value]}",
+                tok.line,
+                tok.col,
             )
         else:
-            declared[name] = lineno
+            declared[tok.value] = tok.line
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        words = _scan_line(raw_line, lineno, filename)
-        if not words:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        cur = TokenCursor(_scan_line(line, lineno, filename), filename)
+        head = cur.peek()
+        if head.kind == EOF:
             continue
 
         if grammar_name is None:
-            if words[0].text != "grammar" or len(words) != 2 or words[1].quoted:
-                raise ParseError(
-                    "expected 'grammar <Name>' as the first declaration",
-                    lineno,
-                    words[0].col,
-                    filename,
-                )
-            _require_ident(words[1], lineno, filename)
-            grammar_name = words[1].text
-            continue
-
-        head = words[0]
-        if head.text == "grammar":
-            raise ParseError("duplicate 'grammar' declaration", lineno, head.col, filename)
-
-        if head.text == "external":
-            if len(words) < 2:
-                raise ParseError("expected nonterminal name after 'external'", lineno, head.col, filename)
-            for word in words[1:]:
-                _require_ident(word, lineno, filename)
-                declare(word.text, lineno, word.col)
-                externals.append(word.text)
-            continue
-
-        _parse_declaration(words, lineno, filename, declare, productions, interfaces)
+            cur.advance()
+            name = cur.advance()
+            if head.value != "grammar" or name.kind in (STRING, EOF) or not cur.at(EOF):
+                raise cur.error("expected 'grammar <Name>' as the first declaration", head)
+            grammar_name = _ident(cur, name).value
+        elif head.value == "grammar":
+            raise cur.error("duplicate 'grammar' declaration", head)
+        elif head.value == "external":
+            cur.advance()
+            if cur.at(EOF):
+                raise cur.error("expected nonterminal name after 'external'", head)
+            while not cur.at(EOF):
+                name = _ident(cur, cur.advance())
+                declare(name)
+                externals.append(name.value)
+        else:
+            _parse_declaration(cur, declare, report, productions, interfaces)
 
     if grammar_name is None:
         raise ParseError("empty manifest: no 'grammar' declaration", 1, 1, filename)
@@ -251,151 +231,138 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
 
 
 def _parse_declaration(
-    words: list[_Word],
-    lineno: int,
-    filename: str | None,
+    cur: TokenCursor,
     declare,
+    report,
     productions: list[Production],
     interfaces: list[str],
 ) -> None:
+    start = cur.peek()
     named = False
     skipped = False
     alias: str | None = None
     sketch: str | None = None
     seen: set[str] = set()
 
-    i = 0
-    while i < len(words) and words[i].text.startswith("@") and not words[i].quoted:
-        ann = words[i]
-        if ann.text in seen:
-            raise ParseError(f"duplicate annotation '{ann.text}'", lineno, ann.col, filename)
-        seen.add(ann.text)
-        if ann.text == "@named":
+    while cur.at(WORD) and cur.peek().value.startswith("@"):
+        ann = cur.advance()
+        if ann.value in seen:
+            raise cur.error(f"duplicate annotation '{ann.value}'", ann)
+        seen.add(ann.value)
+        if ann.value == "@named":
             named = True
-            i += 1
-        elif ann.text == "@skip":
+        elif ann.value == "@skip":
             skipped = True
-            i += 1
-        elif ann.text == "@alias":
-            if i + 1 >= len(words) or words[i + 1].quoted:
-                raise ParseError("expected keyword after '@alias'", lineno, ann.col, filename)
-            _require_ident(words[i + 1], lineno, filename)
-            alias = words[i + 1].text
-            i += 2
-        elif ann.text == "@sketch":
-            if i + 1 >= len(words) or not words[i + 1].quoted:
-                raise ParseError("expected quoted text after '@sketch'", lineno, ann.col, filename)
-            sketch = words[i + 1].text
-            i += 2
+        elif ann.value == "@alias":
+            if cur.at(EOF) or cur.at(STRING):
+                raise cur.error("expected keyword after '@alias'", ann)
+            alias = _ident(cur, cur.advance()).value
+        elif ann.value == "@sketch":
+            if not cur.at(STRING):
+                raise cur.error("expected quoted text after '@sketch'", ann)
+            sketch = cur.advance().value
         else:
-            raise ParseError(f"unknown annotation '{ann.text}'", lineno, ann.col, filename)
+            raise cur.error(f"unknown annotation '{ann.value}'", ann)
 
-    if i >= len(words):
-        raise ParseError("expected 'production' or 'interface' declaration", lineno, 1, filename)
+    if cur.at(EOF):
+        # Reported at the start of the line.
+        raise cur.error("expected 'production' or 'interface' declaration", start._replace(col=1))
 
-    keyword = words[i]
-    if keyword.text == "interface":
+    keyword = cur.advance()
+    if keyword.value == "interface":
         if alias is not None or sketch is not None or named:
-            raise ParseError(
-                "only '@skip' may be applied to an interface", lineno, keyword.col, filename
-            )
-        if i + 1 >= len(words) or len(words) > i + 2:
-            raise ParseError("expected exactly one interface name", lineno, keyword.col, filename)
-        name_word = words[i + 1]
-        _require_ident(name_word, lineno, filename)
-        declare(name_word.text, lineno, name_word.col)
-        interfaces.append(name_word.text)
+            raise cur.error("only '@skip' may be applied to an interface", keyword)
+        name = cur.advance()
+        if name.kind == EOF or not cur.at(EOF):
+            raise cur.error("expected exactly one interface name", keyword)
+        declare(_ident(cur, name))
+        interfaces.append(name.value)
         return
 
-    if keyword.text != "production":
-        raise ParseError(
-            f"expected 'production', 'interface', or 'external', found '{keyword.text}'",
-            lineno,
-            keyword.col,
-            filename,
+    if keyword.value != "production":
+        raise cur.error(
+            f"expected 'production', 'interface', or 'external', found '{keyword.value}'", keyword
         )
 
-    if i + 1 >= len(words):
-        raise ParseError("expected production name", lineno, keyword.col, filename)
-    name_word = words[i + 1]
-    _require_ident(name_word, lineno, filename)
-    declare(name_word.text, lineno, name_word.col)
+    if cur.at(EOF):
+        raise cur.error("expected production name", keyword)
+    name = _ident(cur, cur.advance())
+    declare(name)
 
-    rhs_refs: tuple[RhsRef, ...] = ()
+    rhs_refs: list[RhsRef] = []
     rhs_elided = False
-    rest = words[i + 2 :]
-    if rest:
-        if rest[0].text != "=" or rest[0].quoted:
-            raise ParseError("expected '=' after production name", lineno, rest[0].col, filename)
-        body = rest[1:]
-        if len(body) == 1 and body[0].text == "..." and not body[0].quoted:
+    if not cur.at(EOF):
+        if not cur.match("="):
+            raise cur.error("expected '=' after production name")
+        # ``...`` alone elides the right-hand side; anywhere else it is malformed.
+        dots = cur.match(WORD, "...")
+        if dots is not None and cur.at(EOF):
             rhs_elided = True
-        else:
-            rhs_refs = tuple(_parse_ref(word, lineno, filename) for word in body)
-            _check_rhs(name_word.text, rhs_refs, lineno, filename)
+        elif dots is not None:
+            raise cur.error("malformed reference '...'", dots)
+        while not cur.at(EOF):
+            rhs_refs.append(_parse_ref(cur))
+        _check_rhs(name.value, rhs_refs, report)
 
     productions.append(
         Production(
-            name=name_word.text,
+            name=name.value,
             name_identifiable=named,
-            rhs_refs=rhs_refs,
+            rhs_refs=tuple(rhs_refs),
             concrete_syntax_sketch=sketch,
             skipped=skipped,
             alias=alias,
             rhs_elided=rhs_elided,
-            line=lineno,
+            line=name.line,
         )
     )
 
 
-def _parse_ref(word: _Word, lineno: int, filename: str | None) -> RhsRef:
-    if word.quoted:
-        raise ParseError("unexpected string in right-hand side", lineno, word.col, filename)
-    text = word.text
+def _parse_ref(cur: TokenCursor) -> RhsRef:
+    tok = cur.advance()
+    if tok.kind == STRING:
+        raise cur.error("unexpected string in right-hand side", tok)
+    text = tok.value
     if text and text[-1] in _CARDINALITY:
         text = text[:-1]
-    pi: str | None = None
-    if ":" in text:
-        pi_text, _, nt_text = text.partition(":")
-        if not _is_ident(pi_text) or not _is_ident(nt_text):
-            raise ParseError(f"malformed reference '{word.text}'", lineno, word.col, filename)
-        pi = pi_text
-        text = nt_text
-    elif not _is_ident(text):
-        raise ParseError(f"malformed reference '{word.text}'", lineno, word.col, filename)
-    return RhsRef(nonterminal=text, preceding_identifier=pi, line=lineno, col=word.col)
+    pi, colon, text = text.rpartition(":")
+    if not _is_ident(text) or (colon and not _is_ident(pi)):
+        raise cur.error(f"malformed reference '{tok.value}'", tok)
+    return RhsRef(text, pi if colon else None, line=tok.line, col=tok.col)
 
 
-def _check_rhs(
-    prod_name: str, refs: tuple[RhsRef, ...], lineno: int, filename: str | None
-) -> None:
+def _check_rhs(prod_name: str, refs: list[RhsRef], report) -> None:
     counts: dict[str, int] = {}
     for ref in refs:
         counts[ref.nonterminal] = counts.get(ref.nonterminal, 0) + 1
     pis: set[str] = set()
     for ref in refs:
-        if counts[ref.nonterminal] > 1 and ref.preceding_identifier is None:
-            raise ParseError(
+        pi = ref.preceding_identifier
+        if pi is None and counts[ref.nonterminal] > 1:
+            report(
+                Condition.UNLABELLED_REPEATED_NONTERMINAL,
                 f"nonterminal '{ref.nonterminal}' occurs more than once in '{prod_name}' "
                 "and needs a preceding identifier on every occurrence",
                 ref.line,
                 ref.col,
-                filename,
             )
-        if ref.preceding_identifier is not None:
-            if ref.preceding_identifier in pis:
-                raise ParseError(
-                    f"preceding identifier '{ref.preceding_identifier}' used twice in '{prod_name}'",
-                    ref.line,
-                    ref.col,
-                    filename,
-                )
-            pis.add(ref.preceding_identifier)
+        elif pi in pis:
+            report(
+                Condition.DUPLICATE_PRECEDING_IDENTIFIER,
+                f"preceding identifier '{pi}' used twice in '{prod_name}'",
+                ref.line,
+                ref.col,
+            )
+        elif pi is not None:
+            pis.add(pi)
 
 
-def _require_ident(word: _Word, lineno: int, filename: str | None) -> None:
-    if word.quoted or not _is_ident(word.text):
-        raise ParseError(f"invalid identifier '{word.text}'", lineno, word.col, filename)
+def _ident(cur: TokenCursor, tok: Token) -> Token:
+    """``tok``, which must be an unquoted identifier."""
+
+    if tok.kind != WORD or not _is_ident(tok.value):
+        raise cur.error(f"invalid identifier '{tok.value}'", tok)
+    return tok
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,15 @@ _BRACKETS = re.compile(r"[\[\]]")
 
 
 def escape_string(text: str) -> str:
-    """Escape a string for inclusion in double quotes; ``_UNESCAPE`` undoes it."""
+    """Escape a string for inclusion in double quotes; :func:`unescape_string` undoes it."""
 
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def unescape_string(body: str) -> str:
+    """The text of a quoted string's body: ``\\"`` and ``\\\\`` stand for ``"`` and ``\\``."""
+
+    return _UNESCAPE.sub(r"\1", body)
 
 
 def is_identifier(text: str) -> bool:

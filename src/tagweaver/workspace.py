@@ -100,20 +100,26 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     """Read and parse every file of the workspace.
 
     Raises :class:`~tagweaver.errors.ParseError` on malformed files,
-    :class:`WorkspaceError` when the manifest, a model or a schema has an
-    error finding or when two files share a qualified name, and propagates
-    ``OSError`` for unreadable paths.  Models and schemas keep their
-    warnings as ``findings`` for :func:`check_workspace`.
+    :class:`WorkspaceError` when the manifest has an error finding, when
+    models or schemas do (one refusal names all of them, after every model
+    and schema is parsed) or when two files share a qualified name, and
+    propagates ``OSError`` for unreadable paths.  Models and schemas keep
+    their warnings as ``findings`` for :func:`check_workspace`.
     """
 
     manifest = parse_manifest(read_source(ws.manifest_file), filename=str(ws.manifest_file))
     # Refused before derivation, which would report a duplicate production
     # again as a scope keyword derived twice.
-    require_well_formed("manifest", manifest.grammar_name, manifest.findings)
+    require_well_formed(("manifest", manifest.grammar_name, manifest.findings))
     profile = derive_profile(manifest)
 
-    models = _parse_each("model", ws.model_files, parse_statechart)
-    schemas = _parse_each("schema", ws.schema_files, parse_tag_schema, profile)
+    models = tuple(
+        parse_statechart(read_source(path), filename=str(path)) for path in ws.model_files
+    )
+    schemas = tuple(
+        parse_tag_schema(read_source(path), profile, filename=str(path)) for path in ws.schema_files
+    )
+    _require_sound([("model", m) for m in models] + [("schema", s) for s in schemas])
     tag_models = tuple(
         parse_tag_model(read_source(path), profile, filename=str(path)) for path in ws.tag_files
     )
@@ -127,23 +133,18 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     )
 
 
-def _parse_each(kind: str, paths: tuple[Path, ...], parse, *args) -> tuple:
-    """Parse each file, refusing one with an error finding or a name taken twice."""
+def _require_sound(files: list[tuple[str, StatechartModel | TagSchema]]) -> None:
+    """Refuse every ill-formed model and schema at once, then a name taken twice."""
 
-    parsed = []
-    for path in paths:
-        item = parse(read_source(path), *args, filename=str(path))
-        require_well_formed(kind, item.qualified_name, item.findings)
-        parsed.append(item)
-    seen: dict[str, str | None] = {}
-    for item in parsed:
-        name = item.qualified_name
-        if name in seen:
+    require_well_formed(*((kind, item.qualified_name, item.findings) for kind, item in files))
+    seen: dict[tuple[str, str], str | None] = {}
+    for kind, item in files:
+        key = (kind, item.qualified_name)
+        if key in seen:
             raise WorkspaceError(
-                f"{kind} '{name}' is defined by both {seen[name]} and {item.source_name}"
+                f"{kind} '{key[1]}' is defined by both {seen[key]} and {item.source_name}"
             )
-        seen[name] = item.source_name
-    return tuple(parsed)
+        seen[key] = item.source_name
 
 
 # ---------------------------------------------------------------------------

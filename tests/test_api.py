@@ -101,7 +101,7 @@ def test_condition_has_one_definition():
     from tagweaver import conformance, diagnostics
 
     assert tagweaver.Condition is diagnostics.Condition is conformance.Condition
-    assert len({c.value for c in diagnostics.Condition}) == len(diagnostics.Condition) == 21
+    assert len({c.value for c in diagnostics.Condition}) == len(diagnostics.Condition) == 23
 
 
 def test_readme_conditions_table_lists_every_condition():

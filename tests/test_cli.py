@@ -416,6 +416,7 @@ DUP_CHART = (
     "}\n"
 )
 DUP_MANIFEST = "grammar G\nproduction P = Ghost\nproduction P = Phantom\n"
+RHS_MANIFEST = "grammar G\nexternal N\nproduction P = N N\nproduction Q = a:N a:N\n"
 
 
 class TestIllFormedFiles:
@@ -469,6 +470,90 @@ class TestIllFormedFiles:
             f"reference to undeclared nonterminal 'Phantom' {undeclared}\n"
         )
         assert not (tmp_path / "G.profile.json").exists()
+
+    def test_manifest_right_hand_side_findings(self, tmp_path, capsys):
+        bad = tmp_path / "rhs.glang"
+        bad.write_text(RHS_MANIFEST)
+        assert run_cli(["derive", "--manifest", str(bad), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        needs = "occurs more than once in 'P' and needs a preceding identifier on every occurrence"
+        assert captured.err == (
+            "error: manifest 'G' is not well-formed\n"
+            f"{bad}:3:16: error[UnlabelledRepeatedNonterminal]: nonterminal 'N' {needs}\n"
+            f"{bad}:3:18: error[UnlabelledRepeatedNonterminal]: nonterminal 'N' {needs}\n"
+            f"{bad}:4:20: error[DuplicatePrecedingIdentifier]: "
+            "preceding identifier 'a' used twice in 'Q'\n"
+        )
+        assert not (tmp_path / "G.profile.json").exists()
+
+    @staticmethod
+    def _ill_formed_model_and_schema(golden_argv, tmp_path) -> tuple[list[str], Path, Path]:
+        model, schema = tmp_path / "dup.sc", tmp_path / "dup.tagschema"
+        model.write_text(DUP_CHART)
+        schema.write_text(DUP_SCHEMA)
+        return swap(swap(golden_argv, "--model", model), "--schema", schema), model, schema
+
+    def test_every_ill_formed_file_is_refused_at_once(self, golden_argv, tmp_path, capsys):
+        argv, model, schema = self._ill_formed_model_and_schema(golden_argv, tmp_path)
+        other = tmp_path / "other.tagschema"
+        other.write_text("package other;\ntagschema S { tagtype T for Stat; }\n")
+        assert run_cli(["check", *argv, "--schema", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: model 'mobile.Mobile', schema 'loggingschema.StatechartTagSchema' "
+            "and schema 'other.S' are not well-formed\n"
+            f"{model}:4:11: error[DuplicateSiblingState]: duplicate sibling state 'A'\n"
+            f"{model}:5:5: error[UnresolvedTransitionEndpoint]: transition target 'Ghost' does not name a state\n"
+            f"{model}:6:5: error[UnresolvedTransitionEndpoint]: transition source 'Nowhere' does not name a state\n"
+            f"{schema}:4:13: error[DuplicateTagTypeName]: tag type 'Monitored' already defined on line 3\n"
+            f'{schema}:5:22: error[DuplicateEnumValue]: duplicate enumeration value "a" in \'Log\'\n'
+            f"{other}:2:29: error[UnknownScopeKeyword]: "
+            "'Stat' is not a scope keyword of grammar 'Statechart'\n"
+        )
+
+    def test_sample_files_with_a_repeated_declaration(self, samples_dir, golden_argv, tmp_path, capsys):
+        model, schema = tmp_path / "mobile.sc", tmp_path / "logging_schema.tagschema"
+        line = "    state ConnectionProblems;\n"
+        model.write_text((samples_dir / "mobile.sc").read_text().replace(line, line * 2))
+        line = "    tagtype Monitored for State;\n"
+        schema.write_text((samples_dir / "logging_schema.tagschema").read_text().replace(line, line * 2))
+        argv = swap(swap(golden_argv, "--model", model), "--schema", schema)
+        assert run_cli(["check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: model 'mobile.Mobile' and schema 'loggingschema.StatechartTagSchema' "
+            "are not well-formed\n"
+            f"{model}:16:11: error[DuplicateSiblingState]: duplicate sibling state 'ConnectionProblems'\n"
+            f"{schema}:5:13: error[DuplicateTagTypeName]: tag type 'Monitored' already defined on line 4\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "export"])
+    def test_json_lists_every_ill_formed_file(self, golden_argv, tmp_path, capsys, command):
+        argv, model, schema = self._ill_formed_model_and_schema(golden_argv, tmp_path)
+        assert run_cli([command, *argv, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        header = (
+            "error: model 'mobile.Mobile' and schema 'loggingschema.StatechartTagSchema' "
+            "are not well-formed\n"
+        )
+        if command == "check":
+            assert captured.err == header
+            payload = json.loads(captured.out)
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(header)
+            payload = json.loads(captured.err[len(header):])
+        assert [(d["file"], d["condition"], d["line"], d["col"]) for d in payload["diagnostics"]] == [
+            (str(model), "DuplicateSiblingState", 4, 11),
+            (str(model), "UnresolvedTransitionEndpoint", 5, 5),
+            (str(model), "UnresolvedTransitionEndpoint", 6, 5),
+            (str(schema), "DuplicateTagTypeName", 4, 13),
+            (str(schema), "DuplicateEnumValue", 5, 22),
+        ]
+        assert (payload["errors"], payload["warnings"]) == (5, 0)
 
     @pytest.mark.parametrize("command", ["check", "export"])
     def test_json_format_holds_for_a_refused_schema(self, golden_argv, tmp_path, capsys, command):

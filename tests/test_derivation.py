@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from tagweaver import (
     ScopeKeyword,
     derive_profile,
     parse_manifest,
-    profile_from_json,
     profile_to_json,
     render_derived_grammar,
 )
@@ -256,16 +256,32 @@ class TestRendering:
         assert "nested scope identifiers" not in report
 
 
+def _profile_as_dict(profile) -> dict:
+    """Every field of the profile, as ``profile_to_json`` is expected to write it."""
+
+    return {
+        "grammarName": profile.grammar_name,
+        "identifierRules": [
+            {"nonterminal": rule.nonterminal, "kind": rule.kind.value,
+             "syntaxSketch": rule.syntax_sketch}
+            for rule in profile.identifier_rules
+        ],
+        "scopeKeywords": [
+            {"keyword": kw.keyword, "production": kw.production,
+             "precedingIdentifier": kw.preceding_identifier}
+            for kw in profile.scope_keywords
+        ],
+    }
+
+
 class TestProfileJson:
     def test_round_trip(self, profile):
-        assert profile_from_json(profile_to_json(profile)) == profile
+        assert json.loads(profile_to_json(profile)) == _profile_as_dict(profile)
 
     def test_serialization_is_deterministic(self, profile):
         assert profile_to_json(profile) == profile_to_json(profile)
 
     def test_json_shape(self, profile):
-        import json
-
         payload = json.loads(profile_to_json(profile))
         assert payload["grammarName"] == "Statechart"
         assert payload["identifierRules"][0] == {
@@ -283,7 +299,7 @@ class TestProfileJson:
     def test_random_profiles_round_trip(self, seed):
         rng = random.Random(seed)
         profile = derive(render_manifest_plan(random_manifest_plan(rng), rng))
-        assert profile_from_json(profile_to_json(profile)) == profile
+        assert json.loads(profile_to_json(profile)) == _profile_as_dict(profile)
 
 
 def test_scope_keyword_nested_flag():

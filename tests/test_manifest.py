@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagweaver import (
     ParseError,
@@ -14,7 +16,8 @@ from tagweaver import (
     parse_manifest,
     pretty_print_manifest,
 )
-from util import random_manifest_plan, render_manifest_plan
+from tagweaver.manifest import _scan_line
+from util import oracle_scan_manifest_line, random_manifest_plan, render_manifest_plan
 
 
 class TestGoldenManifest:
@@ -113,43 +116,52 @@ class TestParsing:
         assert m.production("P").rhs_refs == (RhsRef("N"),)
 
 
+# Malformed manifests: the full ``file:line:col: message`` of each ParseError.
 ERROR_CASES = [
-    ("production P\n", ParseError, "expected 'grammar"),
-    ("grammar G\ngrammar H\n", ParseError, "duplicate 'grammar'"),
-    (
-        "grammar G\nexternal N\nproduction P = N N\n",
-        ParseError,
-        "needs a preceding identifier",
-    ),
-    ("grammar G\nexternal N\nproduction P = a:N a:N\n", ParseError, "used twice"),
-    ("grammar G\n@alias K interface I\n", ParseError, "only '@skip'"),
-    ("grammar G\n@named interface I\n", ParseError, "only '@skip'"),
-    ("grammar G\n@wat production P\n", ParseError, "unknown annotation"),
-    ("grammar G\n@named @named production P\n", ParseError, "duplicate annotation"),
-    ("grammar G\n@alias\n", ParseError, "expected keyword after '@alias'"),
-    ("grammar G\n@alias \"K\" production P\n", ParseError, "expected keyword after '@alias'"),
-    ("grammar G\n@sketch production P\n", ParseError, "expected quoted text"),
-    ("grammar G\nexternal N\nproduction P = a:b:c\n", ParseError, "malformed reference"),
-    ("grammar G\nproduction 9x\n", ParseError, "invalid identifier"),
-    ("grammar G\nproduction Straße\n", ParseError, "invalid identifier"),
-    ('grammar G\n@sketch "oops production P\n', ParseError, "unterminated string"),
-    ("grammar G\ninterface A B\n", ParseError, "exactly one interface name"),
-    ("grammar G\nproduction P Name\n", ParseError, "expected '='"),
-    ("grammar G\nwidget P\n", ParseError, "expected 'production'"),
-    ("# nothing here\n\n", ParseError, "empty manifest"),
-    ("grammar G\nexternal\n", ParseError, "expected nonterminal name"),
-    ("grammar G\n@named\n", ParseError, "expected 'production' or 'interface'"),
+    ("production P\n", "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
+    ('grammar "G"\n', "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
+    ("grammar G H\n", "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
+    ("grammar =\n", "g.glang:1:9: invalid identifier '='"),
+    ("grammar G\ngrammar H\n", "g.glang:2:1: duplicate 'grammar' declaration"),
+    ("grammar G\n@alias K interface I\n", "g.glang:2:10: only '@skip' may be applied to an interface"),
+    ("grammar G\n@named interface I\n", "g.glang:2:8: only '@skip' may be applied to an interface"),
+    ("grammar G\n@wat production P\n", "g.glang:2:1: unknown annotation '@wat'"),
+    ("grammar G\n@named @named production P\n", "g.glang:2:8: duplicate annotation '@named'"),
+    ("grammar G\n@alias\n", "g.glang:2:1: expected keyword after '@alias'"),
+    ('grammar G\n@alias "K" production P\n', "g.glang:2:1: expected keyword after '@alias'"),
+    ("grammar G\n@alias = production P\n", "g.glang:2:8: invalid identifier '='"),
+    ("grammar G\n@sketch production P\n", "g.glang:2:1: expected quoted text after '@sketch'"),
+    ("grammar G\nexternal N\nproduction P = a:b:c\n", "g.glang:3:16: malformed reference 'a:b:c'"),
+    ("grammar G\nexternal N\nproduction P = ... N\n", "g.glang:3:16: malformed reference '...'"),
+    ("grammar G\nexternal N\nproduction P = N ...\n", "g.glang:3:18: malformed reference '...'"),
+    ('grammar G\nproduction P = "N"\n', "g.glang:2:16: unexpected string in right-hand side"),
+    ("grammar G\nproduction 9x\n", "g.glang:2:12: invalid identifier '9x'"),
+    ("grammar G\nproduction Straße\n", "g.glang:2:12: invalid identifier 'Straße'"),
+    ('grammar G\n@sketch "oops production P\n', "g.glang:2:9: unterminated string"),
+    ('grammar G\n@sketch "oops\\" production P\n', "g.glang:2:9: unterminated string"),
+    ("grammar G\ninterface A B\n", "g.glang:2:1: expected exactly one interface name"),
+    ("grammar G\ninterface 9x B\n", "g.glang:2:1: expected exactly one interface name"),
+    ("grammar G\n  interface\n", "g.glang:2:3: expected exactly one interface name"),
+    ("grammar G\nproduction P Name\n", "g.glang:2:14: expected '=' after production name"),
+    ("grammar G\nproduction P\"=\" N\n", "g.glang:2:13: expected '=' after production name"),
+    ("grammar G\n  production\n", "g.glang:2:3: expected production name"),
+    ("grammar G\nwidget P\n", "g.glang:2:1: expected 'production', 'interface', or 'external', found 'widget'"),
+    ("# nothing here\n\n", "g.glang:1:1: empty manifest: no 'grammar' declaration"),
+    ("grammar G\n  external\n", "g.glang:2:3: expected nonterminal name after 'external'"),
+    ("grammar G\nexternal N 9x\n", "g.glang:2:12: invalid identifier '9x'"),
+    ("grammar G\n  @named\n", "g.glang:2:1: expected 'production' or 'interface' declaration"),
 ]
 
 
-@pytest.mark.parametrize("text,exc,fragment", ERROR_CASES)
-def test_parse_errors(text, exc, fragment):
-    with pytest.raises(exc) as info:
-        parse_manifest(text)
-    assert fragment in str(info.value)
+@pytest.mark.parametrize("text,expected", ERROR_CASES)
+def test_parse_errors(text, expected):
+    with pytest.raises(ParseError) as info:
+        parse_manifest(text, filename="g.glang")
+    assert str(info.value) == expected
 
 
 GHOST = "reference to undeclared nonterminal 'Ghost' (declare it as a production, interface, or external)"
+REPEATED = "nonterminal 'N' occurs more than once in '{}' and needs a preceding identifier on every occurrence"
 
 # Problems the parser reads past: (condition, message, line, col) of each finding.
 FINDING_CASES = [
@@ -166,6 +178,28 @@ FINDING_CASES = [
             ("DuplicateProduction", "nonterminal 'P' already declared on line 3", 4, 12),
             ("UnknownNonterminalReference", GHOST, 3, 16),
             ("UnknownNonterminalReference", GHOST, 4, 18),
+        ],
+    ),
+    ("grammar G\nexternal N\nproduction P = N N\n",
+     [("UnlabelledRepeatedNonterminal", REPEATED.format("P"), 3, 16),
+      ("UnlabelledRepeatedNonterminal", REPEATED.format("P"), 3, 18)]),
+    ("grammar G\nexternal N\nproduction P = a:N a:N\n",
+     [("DuplicatePrecedingIdentifier", "preceding identifier 'a' used twice in 'P'", 3, 20)]),
+    (
+        "grammar G\nexternal N\nproduction P = N N\nproduction Q = a:N a:N\n",
+        [
+            ("UnlabelledRepeatedNonterminal", REPEATED.format("P"), 3, 16),
+            ("UnlabelledRepeatedNonterminal", REPEATED.format("P"), 3, 18),
+            ("DuplicatePrecedingIdentifier", "preceding identifier 'a' used twice in 'Q'", 4, 20),
+        ],
+    ),
+    (
+        # Only the bare occurrences need a label; each reuse of one is reported.
+        "grammar G\nexternal N M\nproduction P = a:N N a:M a:N\n",
+        [
+            ("UnlabelledRepeatedNonterminal", REPEATED.format("P"), 3, 20),
+            ("DuplicatePrecedingIdentifier", "preceding identifier 'a' used twice in 'P'", 3, 22),
+            ("DuplicatePrecedingIdentifier", "preceding identifier 'a' used twice in 'P'", 3, 26),
         ],
     ),
 ]
@@ -186,6 +220,43 @@ def test_error_location_formatting():
     (finding,) = parse_manifest("grammar G\nproduction P = Ghost\n", filename="g.glang").findings
     assert (finding.file, finding.line) == ("g.glang", 2)
     assert format_diagnostic(finding).startswith("g.glang:2:16:")
+
+
+# Pieces of manifest lines, whole tokens and troublemakers alike.
+_PIECES = [
+    "grammar", "production", "@named", "@alias", "N", "a:N", "N*", "9x", "é", "...", ":",
+    '"s"', '""', '"a b # c"', '"q\\"uote"', '"back\\\\slash"', '"\\q"', '"\\\\\\""',
+    "=", "==", "a=b", "#", "# note", "a#b", 'a"b"', '"', '"open', '"tail\\', "\\",
+    " ", "  ", "\t", "\r", "\x0c", "\u00a0",
+]
+
+
+class TestScannerAgainstOracle:
+    """The line scanner agrees with a character-at-a-time oracle."""
+
+    @staticmethod
+    def _scan(scanner, line):
+        try:
+            return [tuple(tok)[:4] for tok in scanner(line, 7, None)]
+        except ParseError as exc:
+            return ("error", exc.message, exc.line, exc.col)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(line=st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=10).map("".join),
+        st.text(alphabet=' \t"\\#=@:.*aN9é', max_size=20),
+    ))
+    def test_same_tokens_or_same_error(self, line):
+        assert self._scan(_scan_line, line) == self._scan(oracle_scan_manifest_line, line)
+
+    def test_hand_picked_lines(self):
+        line = '@sketch "say \\"hi\\" \\\\ \\n" production P=a:N* # done'
+        tokens = self._scan(_scan_line, line)
+        assert tokens == self._scan(oracle_scan_manifest_line, line)
+        assert [tok[:2] for tok in tokens] == [
+            ("word", "@sketch"), ("string", 'say "hi" \\ \\n'), ("word", "production"),
+            ("word", "P"), ("=", "="), ("word", "a:N*"), ("eof", ""),
+        ]
 
 
 class TestRoundTrip:

@@ -92,8 +92,8 @@ def _record_classes_in_package() -> set[type]:
     return found
 
 
-def test_the_package_builds_29_record_classes():
-    assert len(RECORDS) == 29
+def test_the_package_builds_28_record_classes():
+    assert len(RECORDS) == 28
     assert _record_classes_in_package() == set(RECORDS)
 
 

@@ -878,3 +878,55 @@ def oracle_tokenize(text: str, *, raw_brackets: bool) -> list[tuple]:
 
     tokens.append(("eof", "", line, col, n, n))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Character-at-a-time manifest line scanner oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_scan_manifest_line(line: str, lineno: int, filename: str | None) -> list[tuple]:
+    """Split one manifest line one character at a time.
+
+    Returns (kind, value, line, col) tuples, the kinds being ``word``,
+    ``string`` and ``=``, then an ``eof`` one past the end of the line, and
+    raises the same ``ParseError`` message and position as the manifest's
+    own scanner.
+    """
+
+    words: list[tuple] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch == '"':
+            i += 1
+            out: list[str] = []
+            while i < n and line[i] != '"':
+                if line[i] == "\\" and i + 1 < n and line[i + 1] in ('"', "\\"):
+                    out.append(line[i + 1])
+                    i += 2
+                    continue
+                out.append(line[i])
+                i += 1
+            if i >= n:
+                raise ParseError("unterminated string", lineno, col, filename)
+            i += 1
+            words.append(("string", "".join(out), lineno, col))
+            continue
+        if ch == "=":
+            words.append(("=", "=", lineno, col))
+            i += 1
+            continue
+        start = i
+        while i < n and line[i] not in ' \t#"' and line[i] != "=":
+            i += 1
+        words.append(("word", line[start:i], lineno, col))
+    words.append(("eof", "", lineno, n + 1))
+    return words
