@@ -37,6 +37,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "render_derived_grammar",
     ),
     "diagnostics": ("Condition", "Diagnostic", "Severity", "format_diagnostic", "has_errors"),
+    "elements": ("ElementHandle", "normalize_expression", "resolve_element"),
     "errors": ("ParseError", "ResolutionError", "TagweaverError", "WorkspaceError"),
     "manifest": (
         "GrammarManifest",
@@ -46,15 +47,12 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "pretty_print_manifest",
     ),
     "statechart": (
-        "ElementHandle",
         "StatechartModel",
         "StateDef",
         "TransitionDef",
         "enumerate_elements",
-        "normalize_expression",
         "parse_statechart",
         "pretty_print_statechart",
-        "resolve_element",
     ),
     "tagmodel": (
         "Context",

@@ -26,13 +26,18 @@ typed form.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, has_errors, reporter
+from .elements import ElementHandle, resolve_element
 from .errors import ResolutionError
 from .records import field, record
-from .statechart import ElementHandle, StatechartModel, resolve_element
 from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue, qualify
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
+
+if TYPE_CHECKING:
+    from .statechart import StatechartModel
 
 __all__ = [
     "NormalizedValue",
@@ -172,7 +177,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
         found = resolved.get(key)
         if found is None:
             try:
-                element = resolve_element(inp.target, ref, context)
+                element = resolve_element(inp.target, ref, context, profile=inp.profile)
             except ResolutionError as exc:
                 found = str(exc)
             else:

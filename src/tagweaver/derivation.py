@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import cached_property
 
 from .errors import TagweaverError
 from .manifest import GrammarManifest, Production
@@ -67,25 +68,64 @@ class IdentifierRule:
     kind: IdentifierKind
     syntax_sketch: str | None = None
 
+    @cached_property
+    def _sketch(self) -> tuple[tuple[str | None, ...], tuple[str, ...]]:
+        """The sketch's literals with None for each run of words (a slot), and its literals."""
+
+        shape: list[str | None] = []
+        for tok in (self.syntax_sketch or "").split():
+            word = is_identifier(tok)
+            if not (word and shape and shape[-1] is None):
+                shape.append(None if word else tok)
+        return tuple(shape), tuple(tok for tok in shape if tok is not None)
+
     def sketch_literals(self) -> tuple[str, ...]:
         """Non-identifier tokens of the sketch, i.e. required literal text."""
 
-        if self.syntax_sketch is None:
+        return self._sketch[1]
+
+    def slot_values(self, raw: str) -> tuple[tuple[str, ...], ...] | None:
+        """The dotted path in each slot of ``raw``, or None when ``raw`` has another form.
+
+        ``raw`` is split at the sketch's literals, found in order.  A gap
+        that the sketch fills with words is a slot and needs a dotted name;
+        any other gap must be blank.  A sketch without literals reads any
+        text, with no slots.
+        """
+
+        shape, literals = self._sketch
+        if not literals:
             return ()
-        return tuple(
-            tok for tok in self.syntax_sketch.split() if not is_identifier(tok)
-        )
+        slots: list[tuple[str, ...]] = []
+        pos, in_slot = 0, False
+        for tok in (*shape, ""):  # "" stands for the end of the text
+            if tok is None:
+                in_slot = True
+                continue
+            end = raw.find(tok, pos) if tok else len(raw)
+            if end < 0:
+                return None
+            gap = raw[pos:end]
+            if in_slot:
+                path = tuple([part.strip() for part in gap.split(".")])
+                if not all(map(is_identifier, path)):
+                    return None
+                slots.append(path)
+            elif gap.strip():
+                return None
+            pos, in_slot = end + len(tok), False
+        return tuple(slots)
+
+    def render_slots(self, slots: tuple[tuple[str, ...], ...]) -> str:
+        """The slot values between the sketch's literals, one blank apart."""
+
+        values = iter(slots)
+        return " ".join(tok or ".".join(next(values)) for tok in self._sketch[0])
 
     def matches_bracket_text(self, raw: str) -> bool:
-        """True when ``raw`` contains the sketch's literal tokens in order."""
+        """True when ``raw`` has this rule's bracket form (see :meth:`slot_values`)."""
 
-        pos = 0
-        for literal in self.sketch_literals():
-            found = raw.find(literal, pos)
-            if found < 0:
-                return False
-            pos = found + len(literal)
-        return True
+        return self.slot_values(raw) is not None
 
 
 @record
@@ -125,6 +165,12 @@ class LanguageProfile:
 
     def matching_bracket_rules(self, raw: str) -> tuple[IdentifierRule, ...]:
         return tuple(rule for rule in self.bracket_rules() if rule.matches_bracket_text(raw))
+
+    @cached_property
+    def bracket_forms(self) -> tuple[IdentifierRule, ...]:
+        """The bracket rules in the order a reference tries them: most sketch literals first."""
+
+        return tuple(sorted(self.bracket_rules(), key=lambda rule: -len(rule.sketch_literals())))
 
 
 # ---------------------------------------------------------------------------

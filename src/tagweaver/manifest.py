@@ -27,8 +27,10 @@ Annotations:
   all derivation output (useful for mirroring a full grammar).
 * ``@alias K``  -- use ``K`` instead of the production name as the derived
   scope keyword.
-* ``@sketch "..."`` -- free-text sketch of the production's concrete
-  syntax, used when documenting bracketed identifier forms.
+* ``@sketch "..."`` -- the production's bracket identifier form: its
+  non-identifier words are the literals a ``[...]`` reference is split at,
+  and each gap a word fills holds a slot value (see
+  :meth:`~tagweaver.derivation.IdentifierRule.slot_values`).
 
 Right-hand sides list nonterminal references, each optionally prefixed
 with a preceding identifier (``source:Name``) and optionally suffixed
@@ -189,15 +191,14 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
             continue
 
         if grammar_name is None:
-            cur.advance()
+            keyword = cur.match(WORD, "grammar")
             name = cur.advance()
-            if head.value != "grammar" or name.kind in (STRING, EOF) or not cur.at(EOF):
+            if keyword is None or name.kind in (STRING, EOF) or not cur.at(EOF):
                 raise cur.error("expected 'grammar <Name>' as the first declaration", head)
             grammar_name = _ident(cur, name).value
-        elif head.value == "grammar":
+        elif cur.at(WORD, "grammar"):
             raise cur.error("duplicate 'grammar' declaration", head)
-        elif head.value == "external":
-            cur.advance()
+        elif cur.match(WORD, "external"):
             if cur.at(EOF):
                 raise cur.error("expected nonterminal name after 'external'", head)
             while not cur.at(EOF):
@@ -237,7 +238,6 @@ def _parse_declaration(
     productions: list[Production],
     interfaces: list[str],
 ) -> None:
-    start = cur.peek()
     named = False
     skipped = False
     alias: str | None = None
@@ -265,11 +265,10 @@ def _parse_declaration(
             raise cur.error(f"unknown annotation '{ann.value}'", ann)
 
     if cur.at(EOF):
-        # Reported at the start of the line.
-        raise cur.error("expected 'production' or 'interface' declaration", start._replace(col=1))
+        raise cur.error("expected 'production' or 'interface' declaration")
 
     keyword = cur.advance()
-    if keyword.value == "interface":
+    if keyword.kind == WORD and keyword.value == "interface":
         if alias is not None or sketch is not None or named:
             raise cur.error("only '@skip' may be applied to an interface", keyword)
         name = cur.advance()
@@ -279,10 +278,11 @@ def _parse_declaration(
         interfaces.append(name.value)
         return
 
-    if keyword.value != "production":
-        raise cur.error(
-            f"expected 'production', 'interface', or 'external', found '{keyword.value}'", keyword
-        )
+    if (keyword.kind, keyword.value) != (WORD, "production"):
+        # A quoted keyword is a string, and shows as one.
+        found = f'"{escape_string(keyword.value)}"' if keyword.kind == STRING else keyword.value
+        message = f"expected 'production', 'interface', or 'external', found '{found}'"
+        raise cur.error(message, keyword)
 
     if cur.at(EOF):
         raise cur.error("expected production name", keyword)

@@ -1,4 +1,4 @@
-"""Parser and element resolution for the statechart DSL (``.sc`` files).
+"""Parser and pretty-printer for the statechart DSL (``.sc`` files).
 
 The language is a small hierarchical statechart notation::
 
@@ -19,15 +19,12 @@ which are kept as opaque text.  Transitions connect states by (possibly
 dotted) name and may carry opaque event text after ``:``.  A bare ``...``
 inside a body is accepted as an elision marker and ignored.
 
-Beyond parsing, this module answers the question "which model element
-does this identifier denote?" for the element identifiers that appear in
-tag files: dotted state paths, the chart's own name, ``[A -> B]`` for
-transitions, and ``[expr]`` for invariants.  Resolution goes through a
-per-model element index (state paths, transition endpoints, invariant
-texts) that is built once per model, so each lookup is a few dictionary
-lookups rather than a walk of the chart.  An element is reported with
-the grammar production it comes from, never with a scope keyword: the
-derived language profile names those.
+The parser also fills the model's element table (see
+:mod:`tagweaver.elements`): the chart, its states by path, each invariant
+under its state, and each transition keyed by its (source, target) paths.
+An element is reported with the grammar production it comes from, never
+with a scope keyword: the derived language profile names those, and it
+decides, through its bracket forms, how a reference reads as an element.
 """
 
 from __future__ import annotations
@@ -36,21 +33,17 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
-from .errors import ResolutionError
-from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, is_identifier, tokenize
+from .elements import ElementHandle, ElementTable
+from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, tokenize
 from .records import field, record
-from .tagmodel import ElementIdentifier
 
 __all__ = [
     "StateDef",
     "TransitionDef",
     "StatechartModel",
-    "ElementHandle",
     "parse_statechart",
-    "resolve_element",
     "enumerate_elements",
     "pretty_print_statechart",
-    "normalize_expression",
 ]
 
 # The grammar productions (``samples/statechart.glang``) elements come from.
@@ -74,12 +67,7 @@ class StateDef:
 
     @property
     def modifiers(self) -> frozenset[str]:
-        mods = set()
-        if self.initial:
-            mods.add("initial")
-        if self.final:
-            mods.add("final")
-        return frozenset(mods)
+        return frozenset(w for w, on in (("initial", self.initial), ("final", self.final)) if on)
 
 
 @record
@@ -106,22 +94,8 @@ class StatechartModel:
         return f"{self.package}.{self.name}"
 
     @cached_property
-    def _index(self) -> _ElementIndex:
-        return _ElementIndex(self.states, self.transitions)
-
-
-@record
-class ElementHandle:
-    """An addressable element of a model, typed by its grammar production."""
-
-    path: str
-    element_type: str
-
-
-def normalize_expression(text: str) -> str:
-    """Collapse all whitespace runs so invariant text compares stably."""
-
-    return " ".join(text.split())
+    def element_table(self) -> ElementTable:
+        return _element_table(self.name, self.states, self.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -147,31 +121,13 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     name_tok = cur.expect(IDENT)
     cur.expect("{")
 
-    states: list[StateDef] = []
-    transitions: list[TransitionDef] = []
-    sibling_names: set[str] = set()
     findings: list[Diagnostic] = []
     report = reporter(findings, filename)
-
-    while not cur.at("}"):
-        if cur.match(ELLIPSIS):
-            continue
-        tok = cur.peek()
-        if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-            states.append(_parse_state(cur, sibling_names, report))
-        elif tok.kind == IDENT:
-            transitions.append(_parse_transition(cur, text))
-        elif tok.kind == BRACKET:
-            raise cur.error("invariants are only allowed inside a state body")
-        elif tok.kind == EOF:
-            raise cur.error("unexpected end of input: missing '}'")
-        else:
-            raise cur.error(f"unexpected '{tok.value}' in statechart body")
-    cur.expect("}")
+    states, _, transitions = _parse_body(cur, text, report, "statechart")
     cur.expect(EOF)
 
-    index = _ElementIndex(states, transitions)
-    _check_transitions(transitions, index, report)
+    table = _element_table(name_tok.value, states, transitions)
+    _check_transitions(transitions, table, report)
     model = StatechartModel(
         package=".".join(package_parts),
         name=name_tok.value,
@@ -180,25 +136,46 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
         findings=tuple(findings),
         source_name=filename,
     )
-    model.__dict__["_index"] = index  # what the cached property would build
+    model.__dict__["element_table"] = table  # what the cached property would build
     return model
 
 
-def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
-    initial = False
-    final = False
+def _parse_body(cur: TokenCursor, text: str, report, where: str):
+    """The states, invariants and transitions of a ``statechart`` or ``state`` body, up to '}'."""
+
+    states, invariants, transitions = [], [], []
+    sibling_names: set[str] = set()
+    while not cur.at("}"):
+        if cur.match(ELLIPSIS):
+            continue
+        tok = cur.peek()
+        if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
+            states.append(_parse_state(cur, text, sibling_names, report))
+        elif tok.kind == IDENT and where == "statechart":
+            transitions.append(_parse_transition(cur, text))
+        elif tok.kind == BRACKET and where == "state":
+            cur.advance()
+            cur.expect(";")
+            invariants.append(tok.value.strip())
+        elif tok.kind == BRACKET:
+            raise cur.error("invariants are only allowed inside a state body")
+        elif tok.kind == EOF:
+            raise cur.error("unexpected end of input: missing '}'")
+        else:
+            raise cur.error(f"unexpected '{tok.value}' in {where} body")
+    cur.expect("}")
+    return states, invariants, transitions
+
+
+def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -> StateDef:
     first = cur.peek()
+    modifiers: list[str] = []
     while cur.peek().kind == IDENT and cur.peek().value in ("initial", "final"):
         word = cur.advance().value
-        if word == "initial":
-            if initial:
-                raise cur.error("duplicate 'initial' modifier", first)
-            initial = True
-        else:
-            if final:
-                raise cur.error("duplicate 'final' modifier", first)
-            final = True
-    if initial and final:
+        if word in modifiers:
+            raise cur.error(f"duplicate '{word}' modifier", first)
+        modifiers.append(word)
+    if len(modifiers) == 2:
         raise cur.error("a state cannot be both initial and final", first)
     cur.expect_keyword("state")
     name_tok = cur.expect(IDENT)
@@ -211,34 +188,18 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
         )
     sibling_names.add(name_tok.value)
 
-    substates: list[StateDef] = []
-    invariants: list[str] = []
+    substates, invariants = [], []
     if cur.at("{"):
         cur.enter(cur.advance())
-        nested_names: set[str] = set()
-        while not cur.at("}"):
-            if cur.match(ELLIPSIS):
-                continue
-            tok = cur.peek()
-            if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-                substates.append(_parse_state(cur, nested_names, report))
-            elif tok.kind == BRACKET:
-                cur.advance()
-                cur.expect(";")
-                invariants.append(tok.value.strip())
-            elif tok.kind == EOF:
-                raise cur.error("unexpected end of input: missing '}'")
-            else:
-                raise cur.error(f"unexpected '{tok.value}' in state body")
-        cur.expect("}")
+        substates, invariants, _ = _parse_body(cur, text, report, "state")
         cur.leave()
     else:
         cur.expect(";")
 
     return StateDef(
         name=name_tok.value,
-        initial=initial,
-        final=final,
+        initial="initial" in modifiers,
+        final="final" in modifiers,
         substates=tuple(substates),
         invariants_src=tuple(invariants),
         line=name_tok.line,
@@ -258,21 +219,20 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
             cur.advance()
         if cur.at(EOF):
             raise cur.error("unterminated transition: missing ';'")
-        semi = cur.peek()
-        event = text[colon.end : semi.start].strip()
+        event = text[colon.end : cur.peek().start].strip()
     cur.expect(";")
     return TransitionDef(
         source=source, target=target, event=event, line=first.line, col=first.col
     )
 
 
-def _check_transitions(transitions: list[TransitionDef], index: _ElementIndex, report) -> None:
+def _check_transitions(transitions: list[TransitionDef], table: ElementTable, report) -> None:
     """Report each endpoint that names no state, and each repeated transition."""
 
     seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
     for tr in transitions:
         for label, endpoint in (("source", tr.source), ("target", tr.target)):
-            if endpoint not in index.states:
+            if endpoint not in table.named:
                 report(
                     Condition.UNRESOLVED_TRANSITION_ENDPOINT,
                     f"transition {label} '{'.'.join(endpoint)}' does not name a state",
@@ -296,38 +256,27 @@ def _check_transitions(transitions: list[TransitionDef], index: _ElementIndex, r
 
 
 # ---------------------------------------------------------------------------
-# Element lookup
+# Elements
 # ---------------------------------------------------------------------------
 
 
-class _ElementIndex:
-    """Lookup tables over one model, built by one iterative pre-order walk.
+def _element_table(
+    name: str, states: Sequence[StateDef], transitions: Sequence[TransitionDef]
+) -> ElementTable:
+    """The chart's elements, by one iterative pre-order walk of its states."""
 
-    ``states`` maps each state path (a tuple of segments) to its state, in
-    pre-order.  ``transitions`` maps ``(source, target)`` paths to their
-    transitions, in source order.  ``invariants`` maps normalized invariant
-    text to the path of the owning state, once per occurrence, in
-    pre-order.
-    """
-
-    def __init__(self, states: Sequence[StateDef], transitions: Sequence[TransitionDef]):
-        self.states: dict[tuple[str, ...], StateDef] = {}
-        self.invariants: dict[str, list[tuple[str, ...]]] = {}
-        stack = [((st.name,), st) for st in reversed(states)]
-        while stack:
-            path, st = stack.pop()
-            self.states[path] = st
-            for inv in st.invariants_src:
-                self.invariants.setdefault(normalize_expression(inv), []).append(path)
-            stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
-        self.transitions: dict[tuple[tuple[str, ...], tuple[str, ...]], list[TransitionDef]] = {}
-        for tr in transitions:
-            self.transitions.setdefault((tr.source, tr.target), []).append(tr)
-
-
-def _transition_handle(tr: TransitionDef) -> ElementHandle:
-    src, tgt = ".".join(tr.source), ".".join(tr.target)
-    return ElementHandle(path=f"[{src} -> {tgt}]", element_type=_TRANSITION)
+    table = ElementTable(ElementHandle(name, _CHART), _STATE)
+    stack = [((st.name,), st) for st in reversed(states)]
+    while stack:
+        path, st = stack.pop()
+        table.add_named(path)
+        for inv in st.invariants_src:
+            table.add_expression(path, _INVARIANT, inv)
+        stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
+    for tr in transitions:
+        src, tgt = ".".join(tr.source), ".".join(tr.target)
+        table.add_sketched(_TRANSITION, (tr.source, tr.target), f"[{src} -> {tgt}]")
+    return table
 
 
 def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
@@ -338,132 +287,7 @@ def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
     in source order.
     """
 
-    handles = [ElementHandle(path=model.name, element_type=_CHART)]
-    for segments, st in model._index.states.items():
-        path = ".".join(segments)
-        handles.append(ElementHandle(path=path, element_type=_STATE))
-        for inv in st.invariants_src:
-            norm = normalize_expression(inv)
-            handles.append(ElementHandle(path=f"{path}.[{norm}]", element_type=_INVARIANT))
-    handles.extend(_transition_handle(tr) for tr in model.transitions)
-    return tuple(handles)
-
-
-def resolve_element(
-    model: StatechartModel, ident: ElementIdentifier, context: ElementHandle | None = None
-) -> ElementHandle:
-    """Resolve one element identifier against the model.
-
-    Qualified names resolve relative to ``context`` first, when it is a
-    state of the model, and fall back to the model root; the model's own
-    name denotes the chart itself.  Bracket identifiers of the shape
-    ``[A -> B]`` denote the unique transition with those endpoints; any
-    other bracket text denotes the invariant with the same
-    (whitespace-normalized) expression.  Every lookup goes through the
-    model's element index.
-
-    Raises :class:`~tagweaver.errors.ResolutionError` when the identifier
-    names no element or more than one.
-    """
-
-    # Context search applies only when the context is a state.  No context
-    # and the chart itself mean the root level; a transition or an
-    # invariant offers no children, and neither does a state path the
-    # model lacks, because nothing in the index lies below it.
-    state = None
-    if context is not None and context.element_type == _STATE:
-        state = tuple(context.path.split("."))
-    if ident.is_bracket:
-        return _resolve_bracket(model, ident.raw, state)
-    return _resolve_qualified(model, ident.path, context, state)
-
-
-def _resolve_qualified(
-    model: StatechartModel,
-    segments: tuple[str, ...],
-    context: ElementHandle | None,
-    state: tuple[str, ...] | None,
-) -> ElementHandle:
-    states = model._index.states
-    if state is not None and state + segments in states:
-        return ElementHandle(path=".".join(state + segments), element_type=_STATE)
-
-    # Root: the chart's own name denotes the chart, and may also be used
-    # as an explicit leading segment.
-    if segments[0] == model.name:
-        if len(segments) == 1:
-            return ElementHandle(path=model.name, element_type=_CHART)
-        if segments[1:] in states:
-            return ElementHandle(path=".".join(segments[1:]), element_type=_STATE)
-    elif segments in states:
-        return ElementHandle(path=".".join(segments), element_type=_STATE)
-
-    where = f" (context '{context.path}')" if context is not None else ""
-    raise ResolutionError(
-        f"'{'.'.join(segments)}' does not name an element of '{model.name}'{where}"
-    )
-
-
-def _resolve_bracket(
-    model: StatechartModel, raw: str, state: tuple[str, ...] | None
-) -> ElementHandle:
-    index = model._index
-    endpoints = _parse_endpoints(raw)
-    if endpoints is not None:
-        # Endpoints always resolve from the root, whatever the context.
-        source, target = endpoints
-        if source not in index.states or target not in index.states:
-            raise ResolutionError(
-                f"'[{normalize_expression(raw)}]' endpoints do not name states of '{model.name}'"
-            )
-        src, tgt = ".".join(source), ".".join(target)
-        matches = index.transitions.get(endpoints, [])
-        if not matches:
-            raise ResolutionError(f"no transition {src} -> {tgt} in '{model.name}'")
-        if len(matches) > 1:
-            raise ResolutionError(
-                f"{len(matches)} transitions match {src} -> {tgt} in '{model.name}'"
-            )
-        return _transition_handle(matches[0])
-
-    # Invariant lookup by normalized expression text, context subtree first.
-    norm = normalize_expression(raw)
-    owners = index.invariants.get(norm, [])
-    matches: list[tuple[str, ...]] = []
-    if state is not None:
-        depth = len(state)
-        matches = [path for path in owners if len(path) > depth and path[:depth] == state]
-        # The context state's own invariants count once, however often the
-        # text repeats there; each occurrence below it counts.
-        if state in owners:
-            matches.append(state)
-    if not matches:
-        matches = owners
-    if not matches:
-        raise ResolutionError(f"no invariant '[{norm}]' in '{model.name}'")
-    if len(matches) > 1:
-        raise ResolutionError(f"{len(matches)} invariants match '[{norm}]' in '{model.name}'")
-    return ElementHandle(path=f"{'.'.join(matches[0])}.[{norm}]", element_type=_INVARIANT)
-
-
-def _parse_endpoints(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """Parse ``A -> B`` endpoint text; None when the text is not that shape."""
-
-    if "->" not in raw:
-        return None
-    left, _, right = raw.partition("->")
-    source = _parse_dotted(left)
-    target = _parse_dotted(right)
-    if source is None or target is None:
-        return None
-    return source, target
-
-
-def _parse_dotted(text: str) -> tuple[str, ...] | None:
-    parts = [p.strip() for p in text.strip().split(".")]
-    if not parts or any(not is_identifier(p) for p in parts):
-        return None
-    return tuple(parts)
+    return tuple(model.element_table.handles)
 
 
 # ---------------------------------------------------------------------------

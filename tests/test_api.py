@@ -97,6 +97,34 @@ def test_no_module_imports_dataclasses(name):
     assert imports == []
 
 
+def test_only_workspace_imports_statechart_at_run_time():
+    # Resolution (``elements``) and checking (``conformance``) know no model
+    # language; the workspace alone picks the model parser.  An import under
+    # ``if TYPE_CHECKING:`` serves annotations only and does not count.
+    importers = set()
+    for name in MODULES:
+        tree = ast.parse((ROOT / "src" / "tagweaver" / f"{name}.py").read_text())
+        type_only = {
+            id(node)
+            for guard in ast.walk(tree)
+            if isinstance(guard, ast.If) and ast.unparse(guard.test).endswith("TYPE_CHECKING")
+            for node in ast.walk(guard)
+        }
+        for node in ast.walk(tree):
+            if id(node) in type_only:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("tagweaver")
+                targets = {module.lstrip(".")} | {alias.name for alias in node.names if not module}
+            elif isinstance(node, ast.Import):
+                targets = {alias.name.removeprefix("tagweaver.") for alias in node.names}
+            else:
+                continue
+            if "statechart" in targets:
+                importers.add(name)
+    assert importers == {"workspace"}
+
+
 def test_condition_has_one_definition():
     from tagweaver import conformance, diagnostics
 

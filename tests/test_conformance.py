@@ -369,9 +369,9 @@ class TestResolutionMemo:
         calls = []
         resolve = conformance.resolve_element
 
-        def counting(model, ident, context=None):
+        def counting(model, ident, context=None, *, profile):
             calls.append((ident.text, context.path if context else ""))
-            return resolve(model, ident, context)
+            return resolve(model, ident, context, profile=profile)
 
         monkeypatch.setattr(conformance, "resolve_element", counting)
         body = self.BODY + " within Active { tag Call, Call with Monitored; }\n"

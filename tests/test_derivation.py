@@ -215,6 +215,15 @@ class TestBracketMatching:
         assert not rule.matches_bracket_text("when )x(")
         assert not rule.matches_bracket_text("x")
 
+    def test_slot_values_follow_the_sketch(self):
+        rule = IdentifierRule("W", IdentifierKind.BRACKET_SYNTAX, "when ( cond )")
+        assert rule.slot_values("when ( a . b )") == (("when",), ("a", "b"))
+        assert rule.render_slots((("when",), ("a", "b"))) == "when ( a.b )"
+        # A gap the sketch leaves empty must stay blank; a slot needs a dotted name.
+        assert rule.slot_values("when (x) y") is None
+        assert rule.slot_values("when (x > 1)") is None
+        assert IdentifierRule("I", IdentifierKind.BRACKET_SYNTAX, "Expression").slot_values("x > 1") == ()
+
     def test_profile_level_matching(self, profile):
         matched = profile.matching_bracket_rules("Start -> Active")
         assert [r.nonterminal for r in matched] == ["Transition", "Invariant"]

@@ -149,7 +149,20 @@ ERROR_CASES = [
     ("# nothing here\n\n", "g.glang:1:1: empty manifest: no 'grammar' declaration"),
     ("grammar G\n  external\n", "g.glang:2:3: expected nonterminal name after 'external'"),
     ("grammar G\nexternal N 9x\n", "g.glang:2:12: invalid identifier '9x'"),
-    ("grammar G\n  @named\n", "g.glang:2:1: expected 'production' or 'interface' declaration"),
+    ("grammar G\n  @named\n", "g.glang:2:9: expected 'production' or 'interface' declaration"),
+    ('"grammar" G\n', "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
+    (
+        'grammar G\n"external" N\n',
+        "g.glang:2:1: expected 'production', 'interface', or 'external', found '\"external\"'",
+    ),
+    (
+        'grammar G\nexternal N\n  "production" P = N\n',
+        "g.glang:3:3: expected 'production', 'interface', or 'external', found '\"production\"'",
+    ),
+    (
+        'grammar G\n@skip "interface" I\n',
+        "g.glang:2:7: expected 'production', 'interface', or 'external', found '\"interface\"'",
+    ),
 ]
 
 

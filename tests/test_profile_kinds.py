@@ -3,13 +3,15 @@
 The statechart model reports the grammar production of each element; the
 checker names it with the scope keyword the profile derives for that
 production.  These tests pin that keyword through ``@alias`` and
-``@skip``, the warning for nested keywords, which name no element, and
-element identity as (type, path) when a state shares the chart's name.
+``@skip``, the warning for nested keywords, which name no element,
+element identity as (type, path) when a state shares the chart's name,
+and the bracket form a reference takes from the production's ``@sketch``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -18,14 +20,19 @@ from tagweaver import (
     Workspace,
     build_export_report,
     check_workspace,
+    ElementIdentifier,
+    ResolutionError,
     derive_profile,
     load_workspace,
     parse_manifest,
+    parse_statechart,
     parse_tag_schema,
     render_export_report,
+    resolve_element,
     validate_schema_well_formedness,
 )
 from tagweaver.cli import run_cli
+from util import addressable_refs, bogus_refs, random_statechart_text, transition_counts
 
 # Every production of the sample manifest aliased, and the sample schema's
 # scope keywords renamed to match.
@@ -268,3 +275,74 @@ class TestChartAndStateShareAName:
     def test_within_the_chart_name_is_the_root(self, samples_dir, tmp_path):
         diags, _ = self.run(samples_dir, tmp_path, " within A { tag B with M; }\n")
         assert diags == [("E1", "'B' does not name an element of 'A' (context 'A')")]
+
+
+def double_arrow_manifest(text: str) -> str:
+    return text.replace('@sketch "source -> target"', '@sketch "source => target"')
+
+
+class TestSketchDecidesTheBracketForm:
+    SCHEMA = "package s;\ntagschema S { tagtype Seen; }\n"
+
+    def run(self, samples_dir, tmp_path, ref: str):
+        ws = workspace(
+            tmp_path,
+            double_arrow_manifest(read(samples_dir, "statechart.glang")),
+            read(samples_dir, "mobile.sc"),
+            self.SCHEMA,
+            f"package mobile;\nconforms to s.S;\ntags T for Mobile {{\n tag {ref} with Seen;\n}}\n",
+        )
+        diags, text = export_text(ws)
+        records = json.loads(text)["attachments"] if text is not None else None
+        return [(d.condition, d.message) for d in diags], records
+
+    def test_the_sketched_form_names_the_transition(self, samples_dir, tmp_path):
+        diags, records = self.run(samples_dir, tmp_path, "[Start => Active]")
+        assert diags == []
+        assert [(r["elementPath"], r["elementType"]) for r in records] == [
+            ("[Start -> Active]", "Transition")
+        ]
+
+    def test_the_old_form_is_an_expression(self, samples_dir, tmp_path):
+        diags, records = self.run(samples_dir, tmp_path, "[Start -> Active]")
+        assert diags == [("E1", "no invariant '[Start -> Active]' in 'Mobile'")]
+        assert records is None
+
+
+def test_the_form_with_more_literals_is_tried_first(manifest_text, chart):
+    invariant = "production Invariant = Expression\n"
+    first = manifest_text.replace(invariant, "").replace("@sketch", invariant + "@sketch")
+    profile = derive_profile(parse_manifest(first))
+    assert [rule.nonterminal for rule in profile.bracket_rules()] == ["Invariant", "Transition"]
+    handle = resolve_element(chart, ElementIdentifier.bracket("Start -> Active"), profile=profile)
+    assert (handle.path, handle.element_type) == ("[Start -> Active]", "Transition")
+
+
+# Sample profiles under which some references match no bracket form.
+PROFILE_VARIANTS = {
+    "sample": lambda text: text,
+    "double-arrow": double_arrow_manifest,
+    "no-invariant": lambda text: text.replace(
+        "production Invariant", "@skip production Invariant"
+    ),
+}
+ODD_BRACKETS = ["S00 => S00", "S00 ->", "-> S00", "S00 -> S00 -> S00", "x -> 1", "S00 . S00 -> S00"]
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_the_tag_parser_and_the_resolver_agree_on_bracket_forms(manifest_text, seed):
+    model = parse_statechart(
+        random_statechart_text(random.Random(seed), max_extra_elements=12, unique_invariants=False)
+    )
+    raws = [ref.raw for ref, _ in addressable_refs(model) if ref.is_bracket]
+    raws += [ref.raw for ref in bogus_refs(model) if ref.is_bracket]
+    raws += [key[1:-1] for key in transition_counts(model)] + ODD_BRACKETS
+    for variant in PROFILE_VARIANTS.values():
+        profile = derive_profile(parse_manifest(variant(manifest_text)))
+        for raw in raws:
+            try:
+                resolve_element(model, ElementIdentifier.bracket(raw), profile=profile)
+                found_a_form = True
+            except ResolutionError as exc:
+                found_a_form = "matches no bracket identifier form" not in str(exc)
+            assert bool(profile.matching_bracket_rules(raw)) == found_a_form, raw

@@ -159,17 +159,17 @@ def test_assignment_and_deletion_raise(cls):
     assert cls(*[0] * len(DECLARED[cls])) == record
 
 
-def test_statechart_index_is_cached_on_the_instance(samples_dir):
+def test_statechart_index_is_cached_on_the_instance(samples_dir, profile):
     built = StatechartModel("p", "C", (), ())
-    assert "_index" not in built.__dict__
-    index = built._index
-    assert built.__dict__["_index"] is index
-    assert built._index is index
+    assert "element_table" not in built.__dict__
+    table = built.element_table
+    assert built.__dict__["element_table"] is table
+    assert built.element_table is table
 
     text = (samples_dir / "mobile.sc").read_text()
     model = parse_statechart(text)
-    handle = resolve_element(model, ElementIdentifier(ElementIdentifier.QUALIFIED, ("Start",), "Start"))
+    handle = resolve_element(model, ElementIdentifier(ElementIdentifier.QUALIFIED, ("Start",), "Start"), profile=profile)
     assert handle.path == "Start"
-    assert model.__dict__["_index"] is model._index
+    assert model.__dict__["element_table"] is model.element_table
     assert model == parse_statechart(text)
     assert hash(model) == hash(parse_statechart(text))

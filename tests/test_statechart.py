@@ -80,158 +80,158 @@ class TestGoldenChart:
 
 
 class TestResolution:
-    def test_chart_by_its_own_name(self, chart):
-        assert resolve_element(chart, Q("Mobile")) == ElementHandle("Mobile", "SCDefinition")
+    def test_chart_by_its_own_name(self, chart, profile):
+        assert resolve_element(chart, Q("Mobile"), profile=profile) == ElementHandle("Mobile", "SCDefinition")
 
-    def test_top_level_state(self, chart):
-        assert resolve_element(chart, Q("Start")) == ElementHandle("Start", "State")
+    def test_top_level_state(self, chart, profile):
+        assert resolve_element(chart, Q("Start"), profile=profile) == ElementHandle("Start", "State")
 
-    def test_dotted_path(self, chart):
-        handle = resolve_element(chart, Q("Active", "Call"))
+    def test_dotted_path(self, chart, profile):
+        handle = resolve_element(chart, Q("Active", "Call"), profile=profile)
         assert handle == ElementHandle("Active.Call", "State")
 
-    def test_nested_state_needs_full_path_from_root(self, chart):
+    def test_nested_state_needs_full_path_from_root(self, chart, profile):
         with pytest.raises(ResolutionError, match=r"^'Call' does not name an element of 'Mobile'$"):
-            resolve_element(chart, Q("Call"))
+            resolve_element(chart, Q("Call"), profile=profile)
 
-    def test_context_relative_lookup(self, chart):
-        handle = resolve_element(chart, Q("Call"), ElementHandle("Active", "State"))
+    def test_context_relative_lookup(self, chart, profile):
+        handle = resolve_element(chart, Q("Call"), ElementHandle("Active", "State"), profile=profile)
         assert handle == ElementHandle("Active.Call", "State")
 
-    def test_context_falls_back_to_root(self, chart):
-        handle = resolve_element(chart, Q("Start"), ElementHandle("Active", "State"))
+    def test_context_falls_back_to_root(self, chart, profile):
+        handle = resolve_element(chart, Q("Start"), ElementHandle("Active", "State"), profile=profile)
         assert handle == ElementHandle("Start", "State")
 
-    def test_chart_name_resolves_inside_context(self, chart):
-        handle = resolve_element(chart, Q("Mobile"), ElementHandle("Active", "State"))
+    def test_chart_name_resolves_inside_context(self, chart, profile):
+        handle = resolve_element(chart, Q("Mobile"), ElementHandle("Active", "State"), profile=profile)
         assert handle == ElementHandle("Mobile", "SCDefinition")
 
-    def test_chart_name_as_leading_segment(self, chart):
-        handle = resolve_element(chart, Q("Mobile", "Active", "Call"))
+    def test_chart_name_as_leading_segment(self, chart, profile):
+        handle = resolve_element(chart, Q("Mobile", "Active", "Call"), profile=profile)
         assert handle == ElementHandle("Active.Call", "State")
 
-    def test_unknown_context_path_means_root_lookup(self, chart):
+    def test_unknown_context_path_means_root_lookup(self, chart, profile):
         transition = ElementHandle("[Start -> Active]", "Transition")
-        handle = resolve_element(chart, Q("Start"), transition)
+        handle = resolve_element(chart, Q("Start"), transition, profile=profile)
         assert handle == ElementHandle("Start", "State")
 
-    def test_transition_by_endpoints(self, chart):
-        handle = resolve_element(chart, B("Start -> Active"))
+    def test_transition_by_endpoints(self, chart, profile):
+        handle = resolve_element(chart, B("Start -> Active"), profile=profile)
         assert handle == ElementHandle("[Start -> Active]", "Transition")
 
-    def test_transition_endpoint_spacing_is_normalized(self, chart):
-        handle = resolve_element(chart, B("Start->Active"))
+    def test_transition_endpoint_spacing_is_normalized(self, chart, profile):
+        handle = resolve_element(chart, B("Start->Active"), profile=profile)
         assert handle == ElementHandle("[Start -> Active]", "Transition")
 
-    def test_missing_transition(self, chart):
+    def test_missing_transition(self, chart, profile):
         with pytest.raises(ResolutionError, match=r"^no transition Active -> Done in 'Mobile'$"):
-            resolve_element(chart, B("Active -> Done"))
+            resolve_element(chart, B("Active -> Done"), profile=profile)
 
-    def test_transition_with_unknown_endpoint(self, chart):
+    def test_transition_with_unknown_endpoint(self, chart, profile):
         with pytest.raises(
             ResolutionError, match=r"^'\[Start -> Ghost\]' endpoints do not name states of 'Mobile'$"
         ):
-            resolve_element(chart, B("Start -> Ghost"))
+            resolve_element(chart, B("Start -> Ghost"), profile=profile)
 
-    def test_invariant_by_expression(self, chart):
-        handle = resolve_element(chart, B("status!=isActive"))
+    def test_invariant_by_expression(self, chart, profile):
+        handle = resolve_element(chart, B("status!=isActive"), profile=profile)
         assert handle == ElementHandle("Active.Call.[status!=isActive]", "Invariant")
 
-    def test_invariant_whitespace_is_normalized(self, chart):
-        handle = resolve_element(chart, B("  status!=isActive  "))
+    def test_invariant_whitespace_is_normalized(self, chart, profile):
+        handle = resolve_element(chart, B("  status!=isActive  "), profile=profile)
         assert handle == ElementHandle("Active.Call.[status!=isActive]", "Invariant")
 
-    def test_unknown_invariant(self, chart):
+    def test_unknown_invariant(self, chart, profile):
         with pytest.raises(ResolutionError, match=r"^no invariant '\[no_such_invariant\]' in 'Mobile'$"):
-            resolve_element(chart, B("no_such_invariant"))
+            resolve_element(chart, B("no_such_invariant"), profile=profile)
 
-    def test_unknown_name(self, chart):
+    def test_unknown_name(self, chart, profile):
         with pytest.raises(ResolutionError, match=r"^'Ghost' does not name an element of 'Mobile'$"):
-            resolve_element(chart, Q("Ghost"))
+            resolve_element(chart, Q("Ghost"), profile=profile)
 
 
 class TestResolutionCornerCases:
-    def test_chart_name_beats_same_named_top_state(self):
+    def test_chart_name_beats_same_named_top_state(self, profile):
         model = parse_statechart("package p;\nstatechart X {\n state X;\n}\n")
-        assert resolve_element(model, Q("X")) == ElementHandle("X", "SCDefinition")
-        assert resolve_element(model, Q("X", "X")) == ElementHandle("X", "State")
+        assert resolve_element(model, Q("X"), profile=profile) == ElementHandle("X", "SCDefinition")
+        assert resolve_element(model, Q("X", "X"), profile=profile) == ElementHandle("X", "State")
 
-    def test_dotted_transition_endpoints(self):
+    def test_dotted_transition_endpoints(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state P { state C; }\n state Q;\n"
             " P.C -> Q;\n}\n"
         )
-        handle = resolve_element(model, B("P.C -> Q"))
+        handle = resolve_element(model, B("P.C -> Q"), profile=profile)
         assert handle == ElementHandle("[P.C -> Q]", "Transition")
 
-    def test_transition_endpoint_named_like_any_identifier(self):
+    def test_transition_endpoint_named_like_any_identifier(self, profile):
         model = parse_statechart("package p;\nstatechart X {\n state a²;\n state B;\n a² -> B;\n}\n")
-        assert resolve_element(model, B("a² -> B")) == ElementHandle("[a² -> B]", "Transition")
+        assert resolve_element(model, B("a² -> B"), profile=profile) == ElementHandle("[a² -> B]", "Transition")
 
-    def test_ambiguous_transition(self):
+    def test_ambiguous_transition(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B : first;\n A -> B : second;\n}\n"
         )
         with pytest.raises(ResolutionError, match=r"^2 transitions match A -> B in 'X'$"):
-            resolve_element(model, B("A -> B"))
+            resolve_element(model, B("A -> B"), profile=profile)
 
-    def test_ambiguous_invariant(self):
+    def test_ambiguous_invariant(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { [busy]; }\n state B { [busy]; }\n}\n"
         )
         with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
-            resolve_element(model, B("busy"))
+            resolve_element(model, B("busy"), profile=profile)
 
-    def test_context_disambiguates_invariant(self):
+    def test_context_disambiguates_invariant(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { [busy]; }\n state B { [busy]; }\n}\n"
         )
-        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"), profile=profile)
         assert handle == ElementHandle("A.[busy]", "Invariant")
 
-    def test_context_subtree_invariant_beats_outside_one(self):
+    def test_context_subtree_invariant_beats_outside_one(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { state Inner { [busy]; } }\n state B { [busy]; }\n}\n"
         )
-        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"), profile=profile)
         assert handle == ElementHandle("A.Inner.[busy]", "Invariant")
 
-    def test_two_matches_inside_context_are_still_ambiguous(self):
+    def test_two_matches_inside_context_are_still_ambiguous(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { [busy]; state Inner { [busy]; } }\n}\n"
         )
         with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
-            resolve_element(model, B("busy"), ElementHandle("A", "State"))
+            resolve_element(model, B("busy"), ElementHandle("A", "State"), profile=profile)
 
-    def test_same_state_name_in_different_branches(self):
+    def test_same_state_name_in_different_branches(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { state Leaf; }\n state B { state Leaf; }\n}\n"
         )
-        assert resolve_element(model, Q("A", "Leaf")).path == "A.Leaf"
-        assert resolve_element(model, Q("Leaf"), ElementHandle("B", "State")).path == "B.Leaf"
+        assert resolve_element(model, Q("A", "Leaf"), profile=profile).path == "A.Leaf"
+        assert resolve_element(model, Q("Leaf"), ElementHandle("B", "State"), profile=profile).path == "B.Leaf"
         with pytest.raises(ResolutionError, match=r"^'Leaf' does not name an element of 'X'$"):
-            resolve_element(model, Q("Leaf"))
+            resolve_element(model, Q("Leaf"), profile=profile)
 
 
 class TestIndexedResolution:
-    def test_identical_invariants_in_one_state_are_ambiguous(self):
+    def test_identical_invariants_in_one_state_are_ambiguous(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A { [busy]; [ busy ]; }\n}\n"
         )
         with pytest.raises(ResolutionError, match=r"^2 invariants match '\[busy\]' in 'X'$"):
-            resolve_element(model, B("busy"))
+            resolve_element(model, B("busy"), profile=profile)
         # Inside that state's own context the repeated text counts once.
-        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"))
+        handle = resolve_element(model, B("busy"), ElementHandle("A", "State"), profile=profile)
         assert handle == ElementHandle("A.[busy]", "Invariant")
 
-    def test_duplicate_transitions_are_ambiguous_in_any_context(self):
+    def test_duplicate_transitions_are_ambiguous_in_any_context(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A;\n state B;\n"
             " A -> B;\n A -> B : again;\n}\n"
@@ -239,85 +239,92 @@ class TestIndexedResolution:
         contexts = (None, ElementHandle("X", "SCDefinition"), ElementHandle("A", "State"))
         for context in contexts:
             with pytest.raises(ResolutionError, match=r"^2 transitions match A -> B in 'X'$"):
-                resolve_element(model, B("A -> B"), context)
+                resolve_element(model, B("A -> B"), context, profile=profile)
 
-    def test_transition_endpoints_resolve_from_the_root(self):
+    def test_a_transition_to_no_state_is_not_addressable(self, profile):
+        model = parse_statechart("package p;\nstatechart X {\n state A;\n A -> Ghost;\n}\n")
+        with pytest.raises(
+            ResolutionError, match=r"^'\[A -> Ghost\]' endpoints do not name states of 'X'$"
+        ):
+            resolve_element(model, B("A -> Ghost"), profile=profile)
+
+    def test_transition_endpoints_resolve_from_the_root(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state P { state A; state B; }\n state A;\n state B;\n"
             " P.A -> P.B;\n}\n"
         )
         with pytest.raises(ResolutionError, match=r"^no transition A -> B in 'X'$"):
-            resolve_element(model, B("A -> B"), ElementHandle("P", "State"))
-        handle = resolve_element(model, B("P.A -> P.B"), ElementHandle("P", "State"))
+            resolve_element(model, B("A -> B"), ElementHandle("P", "State"), profile=profile)
+        handle = resolve_element(model, B("P.A -> P.B"), ElementHandle("P", "State"), profile=profile)
         assert handle == ElementHandle("[P.A -> P.B]", "Transition")
 
     @pytest.mark.parametrize(
         "context", ["[Start -> Active]", "Active.Call.[status!=isActive]", "Ghost"]
     )
-    def test_context_naming_no_state_falls_back_to_root(self, chart, context):
+    def test_context_naming_no_state_falls_back_to_root(self, chart, context, profile):
         production = {"[": "Transition", "A": "Invariant", "G": "State"}[context[0]]
         handle = ElementHandle(context, production)
-        assert resolve_element(chart, Q("Active"), handle) == ElementHandle("Active", "State")
-        assert resolve_element(chart, B("status=isActive"), handle) == ElementHandle(
+        assert resolve_element(chart, Q("Active"), handle, profile=profile) == ElementHandle("Active", "State")
+        assert resolve_element(chart, B("status=isActive"), handle, profile=profile) == ElementHandle(
             "Active.Busy.[status=isActive]", "Invariant"
         )
         with pytest.raises(
             ResolutionError, match=rf"^'Call' does not name an element of 'Mobile' \(context '{re.escape(context)}'\)$"
         ):
-            resolve_element(chart, Q("Call"), handle)
+            resolve_element(chart, Q("Call"), handle, profile=profile)
 
-    def test_context_subtree_shadows_same_text_elsewhere(self):
+    def test_context_subtree_shadows_same_text_elsewhere(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n"
             " state A { [busy]; }\n state B { state C { [ busy ]; } }\n"
             " state BB { state D { [busy]; } }\n}\n"
         )
         expected = ElementHandle("B.C.[busy]", "Invariant")
-        assert resolve_element(model, B("busy"), ElementHandle("B", "State")) == expected
-        assert resolve_element(model, B("busy"), ElementHandle("B.C", "State")) == expected
+        assert resolve_element(model, B("busy"), ElementHandle("B", "State"), profile=profile) == expected
+        assert resolve_element(model, B("busy"), ElementHandle("B.C", "State"), profile=profile) == expected
         with pytest.raises(ResolutionError, match=r"^3 invariants match '\[busy\]' in 'X'$"):
-            resolve_element(model, B("busy"))
+            resolve_element(model, B("busy"), profile=profile)
 
-    def test_chart_name_prefix_resolves_to_state(self):
+    def test_chart_name_prefix_resolves_to_state(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n state A { state B; }\n state C;\n}\n"
         )
-        assert resolve_element(model, Q("X", "A", "B")) == ElementHandle("A.B", "State")
+        assert resolve_element(model, Q("X", "A", "B"), profile=profile) == ElementHandle("A.B", "State")
         a = ElementHandle("A", "State")
-        assert resolve_element(model, Q("X", "C"), a) == ElementHandle("C", "State")
+        assert resolve_element(model, Q("X", "C"), a, profile=profile) == ElementHandle("C", "State")
         with pytest.raises(ResolutionError, match=r"^'X\.B' does not name an element of 'X' \(context 'A'\)$"):
-            resolve_element(model, Q("X", "B"), a)
+            resolve_element(model, Q("X", "B"), a, profile=profile)
 
-    def test_chart_name_context_means_root_even_with_a_same_named_state(self):
+    def test_chart_name_context_means_root_even_with_a_same_named_state(self, profile):
         model = parse_statechart(
             "package p;\nstatechart X {\n state X { state Y; }\n state Y;\n}\n"
         )
         chart = ElementHandle("X", "SCDefinition")
-        assert resolve_element(model, Q("Y"), chart) == ElementHandle("Y", "State")
+        assert resolve_element(model, Q("Y"), chart, profile=profile) == ElementHandle("Y", "State")
         # The same-named state is a context of its own.
         state = ElementHandle("X", "State")
-        assert resolve_element(model, Q("Y"), state) == ElementHandle("X.Y", "State")
+        assert resolve_element(model, Q("Y"), state, profile=profile) == ElementHandle("X.Y", "State")
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_agrees_with_string_path_oracle(self, seed):
+    def test_agrees_with_string_path_oracle(self, seed, profile):
         rng = random.Random(seed)
         model = parse_statechart(
             random_statechart_text(rng, max_extra_elements=12, unique_invariants=False)
         )
-        assert_agrees_with_oracle(model)
+        assert_agrees_with_oracle(model, profile)
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_agrees_with_oracle_when_the_chart_is_named_after_a_state(self, seed):
+    def test_agrees_with_oracle_when_the_chart_is_named_after_a_state(self, seed, profile):
         rng = random.Random(seed)
         text = random_statechart_text(rng, max_extra_elements=12, unique_invariants=False)
         name = rng.choice(parse_statechart(text).states).name
         model = parse_statechart(text.replace("statechart Chart {", f"statechart {name} {{"))
         assert model.name == name
-        assert_agrees_with_oracle(model)
+        assert_agrees_with_oracle(model, profile)
 
 
-def assert_agrees_with_oracle(model):
+def assert_agrees_with_oracle(model, profile):
     """Every reference, under every context, resolves as the oracle says."""
 
     elements, transitions = flat_elements(model), transition_counts(model)
@@ -336,7 +343,7 @@ def assert_agrees_with_oracle(model):
         handle = ElementHandle(*context) if context else None
         for ref in refs:
             try:
-                found = resolve_element(model, ref, handle)
+                found = resolve_element(model, ref, handle, profile=profile)
                 got = (found.path, found.element_type)
             except ResolutionError:
                 got = None
