@@ -69,20 +69,38 @@ class IdentifierRule:
     syntax_sketch: str | None = None
 
     @cached_property
-    def _sketch(self) -> tuple[tuple[str | None, ...], tuple[str, ...]]:
-        """The sketch's literals with None for each run of words (a slot), and its literals."""
+    def _sketch(self) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...], tuple[str, ...]]:
+        """The sketch's steps, its literals and the words of each slot.
 
-        shape: list[str | None] = []
+        Each step is a literal ("" for the end of the text) and whether a
+        slot, a run of words, comes before it.
+        """
+
+        steps: list[tuple[str, bool]] = []
+        labels: list[str] = []
+        in_slot = False
         for tok in (self.syntax_sketch or "").split():
-            word = is_identifier(tok)
-            if not (word and shape and shape[-1] is None):
-                shape.append(None if word else tok)
-        return tuple(shape), tuple(tok for tok in shape if tok is not None)
+            if not is_identifier(tok):
+                steps.append((tok, in_slot))
+                in_slot = False
+            elif in_slot:
+                labels[-1] += " " + tok
+            else:
+                labels.append(tok)
+                in_slot = True
+        literals = tuple(literal for literal, _ in steps)
+        return (*steps, ("", in_slot)), literals, tuple(labels)
 
     def sketch_literals(self) -> tuple[str, ...]:
         """Non-identifier tokens of the sketch, i.e. required literal text."""
 
         return self._sketch[1]
+
+    @property
+    def slot_labels(self) -> tuple[str, ...]:
+        """The word in each slot of the sketch: the label of the part its value names."""
+
+        return self._sketch[2]
 
     def slot_values(self, raw: str) -> tuple[tuple[str, ...], ...] | None:
         """The dotted path in each slot of ``raw``, or None when ``raw`` has another form.
@@ -93,39 +111,37 @@ class IdentifierRule:
         text, with no slots.
         """
 
-        shape, literals = self._sketch
+        steps, literals, _ = self._sketch
         if not literals:
             return ()
         slots: list[tuple[str, ...]] = []
-        pos, in_slot = 0, False
-        for tok in (*shape, ""):  # "" stands for the end of the text
-            if tok is None:
-                in_slot = True
-                continue
-            end = raw.find(tok, pos) if tok else len(raw)
+        pos = 0
+        for literal, after_slot in steps:
+            end = raw.find(literal, pos) if literal else len(raw)
             if end < 0:
                 return None
             gap = raw[pos:end]
-            if in_slot:
+            if after_slot:
                 path = tuple([part.strip() for part in gap.split(".")])
                 if not all(map(is_identifier, path)):
                     return None
                 slots.append(path)
             elif gap.strip():
                 return None
-            pos, in_slot = end + len(tok), False
+            pos = end + len(literal)
         return tuple(slots)
 
     def render_slots(self, slots: tuple[tuple[str, ...], ...]) -> str:
         """The slot values between the sketch's literals, one blank apart."""
 
         values = iter(slots)
-        return " ".join(tok or ".".join(next(values)) for tok in self._sketch[0])
-
-    def matches_bracket_text(self, raw: str) -> bool:
-        """True when ``raw`` has this rule's bracket form (see :meth:`slot_values`)."""
-
-        return self.slot_values(raw) is not None
+        words: list[str] = []
+        for literal, after_slot in self._sketch[0]:
+            if after_slot:
+                words.append(".".join(next(values)))
+            if literal:
+                words.append(literal)
+        return " ".join(words)
 
 
 @record
@@ -163,14 +179,33 @@ class LanguageProfile:
             if rule.kind is IdentifierKind.BRACKET_SYNTAX
         )
 
-    def matching_bracket_rules(self, raw: str) -> tuple[IdentifierRule, ...]:
-        return tuple(rule for rule in self.bracket_rules() if rule.matches_bracket_text(raw))
-
     @cached_property
-    def bracket_forms(self) -> tuple[IdentifierRule, ...]:
-        """The bracket rules in the order a reference tries them: most sketch literals first."""
+    def _bracket_tiers(self) -> tuple[tuple[IdentifierRule, ...], ...]:
+        """The bracket rules grouped by their number of sketch literals, most first."""
 
-        return tuple(sorted(self.bracket_rules(), key=lambda rule: -len(rule.sketch_literals())))
+        tiers: dict[int, list[IdentifierRule]] = {}
+        for rule in self.bracket_rules():
+            tiers.setdefault(len(rule.sketch_literals()), []).append(rule)
+        return tuple(tuple(tiers[n]) for n in sorted(tiers, reverse=True))
+
+    def bracket_readings(self, raw: str) -> list[tuple[IdentifierRule, tuple[tuple[str, ...], ...]]]:
+        """The bracket forms that read ``raw``, each with its slot values.
+
+        Of the forms that fit ``raw`` (see :meth:`IdentifierRule.slot_values`),
+        those with the most sketch literals read it, all of them, in
+        declaration order; [] when no form fits.  The tag-model parser and
+        the resolver both ask this one question.
+        """
+
+        for tier in self._bracket_tiers:
+            readings = []
+            for rule in tier:
+                slots = rule.slot_values(raw)
+                if slots is not None:
+                    readings.append((rule, slots))
+            if readings:
+                return readings
+        return []
 
 
 # ---------------------------------------------------------------------------

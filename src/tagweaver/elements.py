@@ -3,10 +3,13 @@
 A model parser fills one :class:`ElementTable` per model.
 :func:`resolve_element` reads that table and the derived language profile
 alone: a qualified name is looked up by path, in the context first; a
-bracket identifier takes the profile's first bracket form that it matches,
-those with the most sketch literals first.  A form with literals names an
-element by the dotted paths in its slots, a form without literals by its
-whitespace-normalized expression text, searched in the context first.
+bracket identifier is read by the profile's bracket forms
+(:meth:`~tagweaver.derivation.LanguageProfile.bracket_readings`).  A form
+with sketch literals names an element by the dotted paths in its slots,
+each the part of the element that the slot's word labels; a form without
+literals names it by its whitespace-normalized text, searched in the
+context first.  When several forms read the text, their matches are
+pooled.
 """
 
 from __future__ import annotations
@@ -43,33 +46,46 @@ class ElementTable:
     """The elements of one model, with the lookups resolution needs.
 
     ``handles`` lists them in enumeration order, ``root`` first; ``named``
-    maps each path below the root to its element (all ``named_type``);
-    ``expressions`` maps (production, normalized text) to (owner path,
-    element) pairs; ``sketched`` maps (production, slot values) to elements.
+    maps each path below the root to its element (all ``named_type``).
+    ``texts`` maps (production, normalized text) of each bracketed element
+    to (owner path, element) pairs.  ``parts`` maps (production, the path
+    of each of its parts) to the elements with those parts, the parts in
+    the order of the production's labels in ``part_labels``.
     """
 
     def __init__(self, root: ElementHandle, named_type: str):
         self.root, self.named_type = root, named_type
         self.handles: list[ElementHandle] = [root]
         self.named: dict[Segments, ElementHandle] = {}
-        self.expressions: dict[tuple[str, str], list[tuple[Segments, ElementHandle]]] = {}
-        self.sketched: dict[tuple[str, tuple[Segments, ...]], list[ElementHandle]] = {}
+        self.texts: dict[tuple[str, str], list[tuple[Segments, ElementHandle]]] = {}
+        self.part_labels: dict[str, tuple[str, ...]] = {}
+        self.parts: dict[tuple[str, tuple[Segments, ...]], list[ElementHandle]] = {}
 
     def add_named(self, path: Segments) -> None:
         if path not in self.named:
             self.named[path] = handle = ElementHandle(".".join(path), self.named_type)
             self.handles.append(handle)
 
-    def add_expression(self, owner: Segments, production: str, text: str) -> None:
-        norm = normalize_expression(text)
-        handle = ElementHandle(f"{'.'.join(owner)}.[{norm}]", production)
-        self.handles.append(handle)
-        self.expressions.setdefault((production, norm), []).append((owner, handle))
+    def add_bracketed(
+        self, production: str, owner: Segments, text: str, parts: dict[str, Segments] | None = None
+    ) -> None:
+        """File an element written ``[text]`` below ``owner`` (() for the root), with its parts."""
 
-    def add_sketched(self, production: str, slots: tuple[Segments, ...], path: str) -> None:
-        handle = ElementHandle(path, production)
+        norm = normalize_expression(text)
+        handle = ElementHandle(f"{'.'.join(owner)}.[{norm}]" if owner else f"[{norm}]", production)
         self.handles.append(handle)
-        self.sketched.setdefault((production, slots), []).append(handle)
+        self.texts.setdefault((production, norm), []).append((owner, handle))
+        if parts is not None:
+            labels = self.part_labels.setdefault(production, tuple(parts))
+            self.parts.setdefault((production, tuple(map(parts.get, labels))), []).append(handle)
+
+    def with_parts(self, production: str, parts: dict[str, Segments]) -> list[ElementHandle]:
+        """The elements of ``production`` whose parts are ``parts``, label for label."""
+
+        labels = self.part_labels.get(production, ())
+        if len(parts) != len(labels):
+            return []
+        return self.parts.get((production, tuple(map(parts.get, labels))), [])
 
 
 def resolve_element(
@@ -102,34 +118,37 @@ def resolve_element(
         return found
 
     norm = normalize_expression(ident.raw)
-    for rule in profile.bracket_forms:  # the rule that reads the text
-        slots = rule.slot_values(ident.raw)
-        if slots is not None:
-            break
-    else:
+    readings = profile.bracket_readings(ident.raw)
+    if not readings:
         grammar = profile.grammar_name
         raise ResolutionError(f"'[{norm}]' matches no bracket identifier form of '{grammar}'")
-    sketched = bool(rule.sketch_literals())
-    if sketched:
+    rule, slots = readings[0]
+    if rule.sketch_literals():  # then every form read has literals
         # Slots name elements from the root, whatever the context.
-        if any(slot not in table.named for slot in slots):
+        readings = [(r, s) for r, s in readings if all(slot in table.named for slot in s)]
+        if not readings:
             named = table.named_type.lower()
             raise ResolutionError(f"'[{norm}]' endpoints do not name {named}s of '{root}'")
-        matches = table.sketched.get((rule.nonterminal, slots), ())
+        matches = [
+            handle
+            for r, s in readings
+            for handle in table.with_parts(r.nonterminal, dict(zip(r.slot_labels, s)))
+        ]
+        text = rule.render_slots(slots)
     else:
-        occurrences = table.expressions.get((rule.nonterminal, norm), ())
+        occurrences = [o for r, _ in readings for o in table.texts.get((r.nonterminal, norm), ())]
         matches = []
         if owner is not None:
             depth = len(owner)
             matches = [h for path, h in occurrences if len(path) > depth and path[:depth] == owner]
-            # The context's own expressions count once, however often the
+            # The context's own elements count once, however often the
             # text repeats there; each occurrence below it counts.
             matches += [h for path, h in occurrences if path == owner][:1]
         matches = matches or [h for _, h in occurrences]
+        text = f"'[{norm}]'"
     if len(matches) == 1:
         return matches[0]
-    kind = rule.nonterminal.lower()
-    text = rule.render_slots(slots) if sketched else f"'[{norm}]'"
+    kinds = [r.nonterminal.lower() for r, _ in readings]
     if not matches:
-        raise ResolutionError(f"no {kind} {text} in '{root}'")
-    raise ResolutionError(f"{len(matches)} {kind}s match {text} in '{root}'")
+        raise ResolutionError(f"no {' or '.join(kinds)} {text} in '{root}'")
+    raise ResolutionError(f"{len(matches)} {'s or '.join(kinds)}s match {text} in '{root}'")

@@ -29,7 +29,8 @@ Annotations:
   scope keyword.
 * ``@sketch "..."`` -- the production's bracket identifier form: its
   non-identifier words are the literals a ``[...]`` reference is split at,
-  and each gap a word fills holds a slot value (see
+  and each gap a word fills holds a slot value, the element's part that
+  the word labels (see
   :meth:`~tagweaver.derivation.IdentifierRule.slot_values`).
 
 Right-hand sides list nonterminal references, each optionally prefixed

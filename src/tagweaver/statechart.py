@@ -21,10 +21,11 @@ inside a body is accepted as an elision marker and ignored.
 
 The parser also fills the model's element table (see
 :mod:`tagweaver.elements`): the chart, its states by path, each invariant
-under its state, and each transition keyed by its (source, target) paths.
-An element is reported with the grammar production it comes from, never
-with a scope keyword: the derived language profile names those, and it
-decides, through its bracket forms, how a reference reads as an element.
+under its state, and each transition with its ``source`` and ``target``
+paths, labelled as in its production.  An element is reported with the
+grammar production it comes from, never with a scope keyword: the
+derived language profile names those, and it decides, through its
+bracket forms, how a reference reads as an element.
 """
 
 from __future__ import annotations
@@ -67,7 +68,12 @@ class StateDef:
 
     @property
     def modifiers(self) -> frozenset[str]:
-        return frozenset(w for w, on in (("initial", self.initial), ("final", self.final)) if on)
+        mods = set()
+        if self.initial:
+            mods.add("initial")
+        if self.final:
+            mods.add("final")
+        return frozenset(mods)
 
 
 @record
@@ -121,9 +127,27 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     name_tok = cur.expect(IDENT)
     cur.expect("{")
 
+    states: list[StateDef] = []
+    transitions: list[TransitionDef] = []
+    sibling_names: set[str] = set()
     findings: list[Diagnostic] = []
     report = reporter(findings, filename)
-    states, _, transitions = _parse_body(cur, text, report, "statechart")
+
+    while not cur.at("}"):
+        if cur.match(ELLIPSIS):
+            continue
+        tok = cur.peek()
+        if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
+            states.append(_parse_state(cur, sibling_names, report))
+        elif tok.kind == IDENT:
+            transitions.append(_parse_transition(cur, text))
+        elif tok.kind == BRACKET:
+            raise cur.error("invariants are only allowed inside a state body")
+        elif tok.kind == EOF:
+            raise cur.error("unexpected end of input: missing '}'")
+        else:
+            raise cur.error(f"unexpected '{tok.value}' in statechart body")
+    cur.expect("}")
     cur.expect(EOF)
 
     table = _element_table(name_tok.value, states, transitions)
@@ -140,42 +164,21 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     return model
 
 
-def _parse_body(cur: TokenCursor, text: str, report, where: str):
-    """The states, invariants and transitions of a ``statechart`` or ``state`` body, up to '}'."""
-
-    states, invariants, transitions = [], [], []
-    sibling_names: set[str] = set()
-    while not cur.at("}"):
-        if cur.match(ELLIPSIS):
-            continue
-        tok = cur.peek()
-        if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
-            states.append(_parse_state(cur, text, sibling_names, report))
-        elif tok.kind == IDENT and where == "statechart":
-            transitions.append(_parse_transition(cur, text))
-        elif tok.kind == BRACKET and where == "state":
-            cur.advance()
-            cur.expect(";")
-            invariants.append(tok.value.strip())
-        elif tok.kind == BRACKET:
-            raise cur.error("invariants are only allowed inside a state body")
-        elif tok.kind == EOF:
-            raise cur.error("unexpected end of input: missing '}'")
-        else:
-            raise cur.error(f"unexpected '{tok.value}' in {where} body")
-    cur.expect("}")
-    return states, invariants, transitions
-
-
-def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -> StateDef:
+def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
+    initial = False
+    final = False
     first = cur.peek()
-    modifiers: list[str] = []
     while cur.peek().kind == IDENT and cur.peek().value in ("initial", "final"):
         word = cur.advance().value
-        if word in modifiers:
-            raise cur.error(f"duplicate '{word}' modifier", first)
-        modifiers.append(word)
-    if len(modifiers) == 2:
+        if word == "initial":
+            if initial:
+                raise cur.error("duplicate 'initial' modifier", first)
+            initial = True
+        else:
+            if final:
+                raise cur.error("duplicate 'final' modifier", first)
+            final = True
+    if initial and final:
         raise cur.error("a state cannot be both initial and final", first)
     cur.expect_keyword("state")
     name_tok = cur.expect(IDENT)
@@ -188,18 +191,34 @@ def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -
         )
     sibling_names.add(name_tok.value)
 
-    substates, invariants = [], []
+    substates: list[StateDef] = []
+    invariants: list[str] = []
     if cur.at("{"):
         cur.enter(cur.advance())
-        substates, invariants, _ = _parse_body(cur, text, report, "state")
+        nested_names: set[str] = set()
+        while not cur.at("}"):
+            if cur.match(ELLIPSIS):
+                continue
+            tok = cur.peek()
+            if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
+                substates.append(_parse_state(cur, nested_names, report))
+            elif tok.kind == BRACKET:
+                cur.advance()
+                cur.expect(";")
+                invariants.append(tok.value.strip())
+            elif tok.kind == EOF:
+                raise cur.error("unexpected end of input: missing '}'")
+            else:
+                raise cur.error(f"unexpected '{tok.value}' in state body")
+        cur.expect("}")
         cur.leave()
     else:
         cur.expect(";")
 
     return StateDef(
         name=name_tok.value,
-        initial="initial" in modifiers,
-        final="final" in modifiers,
+        initial=initial,
+        final=final,
         substates=tuple(substates),
         invariants_src=tuple(invariants),
         line=name_tok.line,
@@ -219,7 +238,8 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
             cur.advance()
         if cur.at(EOF):
             raise cur.error("unterminated transition: missing ';'")
-        event = text[colon.end : cur.peek().start].strip()
+        semi = cur.peek()
+        event = text[colon.end : semi.start].strip()
     cur.expect(";")
     return TransitionDef(
         source=source, target=target, event=event, line=first.line, col=first.col
@@ -271,11 +291,11 @@ def _element_table(
         path, st = stack.pop()
         table.add_named(path)
         for inv in st.invariants_src:
-            table.add_expression(path, _INVARIANT, inv)
+            table.add_bracketed(_INVARIANT, path, inv)
         stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
     for tr in transitions:
-        src, tgt = ".".join(tr.source), ".".join(tr.target)
-        table.add_sketched(_TRANSITION, (tr.source, tr.target), f"[{src} -> {tgt}]")
+        text = f"{'.'.join(tr.source)} -> {'.'.join(tr.target)}"
+        table.add_bracketed(_TRANSITION, (), text, {"source": tr.source, "target": tr.target})
     return table
 
 

@@ -273,7 +273,7 @@ def _parse_element_identifier(cur: TokenCursor, profile: LanguageProfile) -> Ele
     if cur.at(BRACKET):
         tok = cur.advance()
         raw = tok.value.strip()
-        if not any(rule.matches_bracket_text(raw) for rule in profile.bracket_forms):
+        if not profile.bracket_readings(raw):
             available = ", ".join(rule.nonterminal for rule in profile.bracket_rules())
             detail = (
                 f"available bracket forms: {available}"

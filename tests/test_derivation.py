@@ -195,8 +195,8 @@ class TestBracketMatching:
     def test_arrow_sketch_literals(self):
         rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, "source -> target")
         assert rule.sketch_literals() == ("->",)
-        assert rule.matches_bracket_text("Start -> Active")
-        assert not rule.matches_bracket_text("StartActive")
+        assert rule.slot_values("Start -> Active") is not None
+        assert rule.slot_values("StartActive") is None
 
     def test_sketch_words_follow_the_tokenizer_identifier_rule(self):
         rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, "a² -> b")
@@ -205,15 +205,15 @@ class TestBracketMatching:
     def test_literal_free_sketch_matches_anything(self):
         rule = IdentifierRule("I", IdentifierKind.BRACKET_SYNTAX, "Expression")
         assert rule.sketch_literals() == ()
-        assert rule.matches_bracket_text("status != isActive")
-        assert rule.matches_bracket_text("")
+        assert rule.slot_values("status != isActive") is not None
+        assert rule.slot_values("") is not None
 
     def test_multiple_literals_must_appear_in_order(self):
         rule = IdentifierRule("W", IdentifierKind.BRACKET_SYNTAX, "when ( cond )")
         assert rule.sketch_literals() == ("(", ")")
-        assert rule.matches_bracket_text("when (x)")
-        assert not rule.matches_bracket_text("when )x(")
-        assert not rule.matches_bracket_text("x")
+        assert rule.slot_values("when (x)") is not None
+        assert rule.slot_values("when )x(") is None
+        assert rule.slot_values("x") is None
 
     def test_slot_values_follow_the_sketch(self):
         rule = IdentifierRule("W", IdentifierKind.BRACKET_SYNTAX, "when ( cond )")
@@ -225,10 +225,13 @@ class TestBracketMatching:
         assert IdentifierRule("I", IdentifierKind.BRACKET_SYNTAX, "Expression").slot_values("x > 1") == ()
 
     def test_profile_level_matching(self, profile):
-        matched = profile.matching_bracket_rules("Start -> Active")
-        assert [r.nonterminal for r in matched] == ["Transition", "Invariant"]
-        matched = profile.matching_bracket_rules("status != isActive")
-        assert [r.nonterminal for r in matched] == ["Invariant"]
+        # The form with more literals reads the text alone.
+        readings = profile.bracket_readings("Start -> Active")
+        assert [(r.nonterminal, slots) for r, slots in readings] == [
+            ("Transition", (("Start",), ("Active",)))
+        ]
+        readings = profile.bracket_readings("status != isActive")
+        assert [(r.nonterminal, slots) for r, slots in readings] == [("Invariant", ())]
 
     def test_bracket_rules_listing(self, profile):
         assert [r.nonterminal for r in profile.bracket_rules()] == [

@@ -318,13 +318,85 @@ def test_the_form_with_more_literals_is_tried_first(manifest_text, chart):
     assert (handle.path, handle.element_type) == ("[Start -> Active]", "Transition")
 
 
-# Sample profiles under which some references match no bracket form.
+def resolve(chart, profile, raw: str) -> tuple[str, str]:
+    handle = resolve_element(chart, ElementIdentifier.bracket(raw), profile=profile)
+    return handle.path, handle.element_type
+
+
+def unsketched_manifest(text: str) -> str:
+    return text.replace('@sketch "source -> target" ', "")
+
+
+class TestFormsWithoutLiteralsReadTogether:
+    """Forms with equally many sketch literals pool what they find."""
+
+    def test_an_unsketched_transition_is_read_by_its_text(self, manifest_text, chart):
+        profile = derive_profile(parse_manifest(unsketched_manifest(manifest_text)))
+        assert [rule.syntax_sketch for rule in profile.bracket_rules()] == [
+            "source target",
+            "Expression",
+        ]
+        assert resolve(chart, profile, "Start -> Active") == ("[Start -> Active]", "Transition")
+        assert resolve(chart, profile, "status!=isActive") == (
+            "Active.Call.[status!=isActive]",
+            "Invariant",
+        )
+        with pytest.raises(ResolutionError) as exc:
+            resolve(chart, profile, "Start -> Done")
+        assert str(exc.value) == "no transition or invariant '[Start -> Done]' in 'Mobile'"
+
+    def test_a_text_both_forms_find_is_ambiguous(self, manifest_text):
+        profile = derive_profile(parse_manifest(unsketched_manifest(manifest_text)))
+        chart = parse_statechart(
+            "package p;\nstatechart C {\n state A { [A -> B]; }\n state B;\n A -> B;\n}\n"
+        )
+        with pytest.raises(ResolutionError) as exc:
+            resolve(chart, profile, "A -> B")
+        assert str(exc.value) == "2 transitions or invariants match '[A -> B]' in 'C'"
+
+    def test_an_expression_production_before_invariant_leaves_invariants_readable(
+        self, manifest_text, chart
+    ):
+        invariant = "production Invariant = Expression\n"
+        text = manifest_text.replace(invariant, "production Guard = Expression\n" + invariant)
+        profile = derive_profile(parse_manifest(text))
+        assert [rule.nonterminal for rule in profile.bracket_rules()] == [
+            "Transition",
+            "Guard",
+            "Invariant",
+        ]
+        assert resolve(chart, profile, "status!=isActive") == (
+            "Active.Call.[status!=isActive]",
+            "Invariant",
+        )
+
+
+def test_each_sketch_word_names_the_part_its_slot_holds(manifest_text):
+    profile = derive_profile(
+        parse_manifest(manifest_text.replace('"source -> target"', '"target <- source"'))
+    )
+    chart = parse_statechart(
+        "package p;\nstatechart C {\n state A;\n state B;\n A -> B;\n B -> A;\n}\n"
+    )
+    assert resolve(chart, profile, "B <- A") == ("[A -> B]", "Transition")
+    assert resolve(chart, profile, "A <- B") == ("[B -> A]", "Transition")
+    # A slot whose word labels no part leaves the reference naming nothing.
+    profile = derive_profile(
+        parse_manifest(manifest_text.replace('"source -> target"', '"source -> target / via"'))
+    )
+    with pytest.raises(ResolutionError) as exc:
+        resolve(chart, profile, "A -> B / A")
+    assert str(exc.value) == "no transition A -> B / A in 'C'"
+
+
+# Variants of the sample profile; under some, references match no bracket form.
 PROFILE_VARIANTS = {
     "sample": lambda text: text,
     "double-arrow": double_arrow_manifest,
     "no-invariant": lambda text: text.replace(
         "production Invariant", "@skip production Invariant"
     ),
+    "no-sketch": unsketched_manifest,
 }
 ODD_BRACKETS = ["S00 => S00", "S00 ->", "-> S00", "S00 -> S00 -> S00", "x -> 1", "S00 . S00 -> S00"]
 
@@ -345,4 +417,4 @@ def test_the_tag_parser_and_the_resolver_agree_on_bracket_forms(manifest_text, s
                 found_a_form = True
             except ResolutionError as exc:
                 found_a_form = "matches no bracket identifier form" not in str(exc)
-            assert bool(profile.matching_bracket_rules(raw)) == found_a_form, raw
+            assert bool(profile.bracket_readings(raw)) == found_a_form, raw
