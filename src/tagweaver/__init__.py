@@ -22,7 +22,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Attachment",
         "CheckInput",
         "NormalizedValue",
-        "ResolvedTagging",
         "check",
         "check_value_domain",
     ),
@@ -48,8 +47,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "statechart": (
         "StatechartModel",
-        "StateDef",
-        "TransitionDef",
         "enumerate_elements",
         "parse_statechart",
         "pretty_print_statechart",

@@ -10,8 +10,9 @@ Three subcommands::
 Exit codes: 0 when checking found no errors (warnings are fine), 1 when
 at least one error diagnostic was reported (or an export was refused
 because of one), 2 for unusable input — unreadable or non-UTF-8 files,
-parse errors, an ill-formed manifest, model or schema, unresolvable
-references, bad usage — and 3 for an internal error: any other
+parse errors, an ill-formed manifest, model or schema, a manifest that
+does not fit the statechart parser, unresolvable references, bad
+usage — and 3 for an internal error: any other
 exception, reported as one ``error: internal error:`` line on stderr
 without a traceback, so that a crash never reads as a verdict.  An
 ill-formed file is refused with one ``error: <kind> '<name>' is not
@@ -29,14 +30,14 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .derivation import DerivationError, derive_profile, profile_to_json, render_derived_grammar
-from .diagnostics import Diagnostic, Severity, format_diagnostic, has_errors, require_well_formed
+from .diagnostics import (Diagnostic, Severity, format_diagnostic, has_errors, render_json,
+                          require_well_formed)
 from .errors import ParseError, WorkspaceError
 from .manifest import parse_manifest
 from .parsing import read_source
@@ -130,7 +131,7 @@ def _emit_diagnostics(diags: list[Diagnostic], fmt: str, stream) -> None:
             "errors": sum(1 for d in diags if d.severity is Severity.ERROR),
             "warnings": sum(1 for d in diags if d.severity is Severity.WARNING),
         }
-        print(json.dumps(payload, indent=2), file=stream)
+        stream.write(render_json(payload))
         return
     color = _use_color(stream)
     for diag in diags:

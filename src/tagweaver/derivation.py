@@ -25,10 +25,12 @@ non-skipped productions.
 
 from __future__ import annotations
 
-import json
+import re
 from enum import Enum
 from functools import cached_property
+from itertools import chain, groupby
 
+from .diagnostics import render_json
 from .errors import TagweaverError
 from .manifest import GrammarManifest, Production
 from .parsing import is_identifier
@@ -50,6 +52,10 @@ class DerivationError(TagweaverError):
     """The manifest cannot be turned into a usable language profile."""
 
 
+# A slot's value in a bracket reference: a dotted name, blanks around its dots.
+_DOTTED_NAME = r"(\w+(?:\s*\.\s*\w+)*)"
+
+
 class IdentifierKind(str, Enum):
     QUALIFIED_NAME = "QualifiedName"
     BRACKET_SYNTAX = "BracketSyntax"
@@ -69,79 +75,63 @@ class IdentifierRule:
     syntax_sketch: str | None = None
 
     @cached_property
-    def _sketch(self) -> tuple[tuple[tuple[str, bool], ...], tuple[str, ...], tuple[str, ...]]:
-        """The sketch's steps, its literals and the words of each slot.
+    def _pieces(self) -> tuple[tuple[bool, str], ...]:
+        """The sketch as (is a slot, text) pieces: a slot's text is its run of words."""
 
-        Each step is a literal ("" for the end of the text) and whether a
-        slot, a run of words, comes before it.
+        pieces: list[tuple[bool, str]] = []
+        for is_slot, tokens in groupby((self.syntax_sketch or "").split(), is_identifier):
+            if is_slot:
+                pieces.append((True, " ".join(tokens)))
+            else:
+                pieces.extend((False, tok) for tok in tokens)
+        return tuple(pieces)
+
+    @cached_property
+    def _pattern(self) -> re.Pattern[str]:
+        """The sketch as one pattern: blanks around each piece, each slot a dotted name.
+
+        A slot ends at the first ``.`` after it, so one that a ``.`` literal
+        follows holds a single word.  A sketch without literals reads any text.
         """
 
-        steps: list[tuple[str, bool]] = []
-        labels: list[str] = []
-        in_slot = False
-        for tok in (self.syntax_sketch or "").split():
-            if not is_identifier(tok):
-                steps.append((tok, in_slot))
-                in_slot = False
-            elif in_slot:
-                labels[-1] += " " + tok
-            else:
-                labels.append(tok)
-                in_slot = True
-        literals = tuple(literal for literal, _ in steps)
-        return (*steps, ("", in_slot)), literals, tuple(labels)
+        if not self.sketch_literals():
+            return re.compile(r"(?s:.*)")
+        after = [text for _, text in self._pieces[1:]] + [""]
+        parts = [
+            re.escape(text) if not is_slot else r"(\w+)" if following == "." else _DOTTED_NAME
+            for (is_slot, text), following in zip(self._pieces, after)
+        ]
+        return re.compile(r"\s*" + r"\s*".join(parts) + r"\s*")
 
     def sketch_literals(self) -> tuple[str, ...]:
         """Non-identifier tokens of the sketch, i.e. required literal text."""
 
-        return self._sketch[1]
+        return tuple(text for is_slot, text in self._pieces if not is_slot)
 
-    @property
+    @cached_property
     def slot_labels(self) -> tuple[str, ...]:
         """The word in each slot of the sketch: the label of the part its value names."""
 
-        return self._sketch[2]
+        return tuple(text for is_slot, text in self._pieces if is_slot)
 
     def slot_values(self, raw: str) -> tuple[tuple[str, ...], ...] | None:
         """The dotted path in each slot of ``raw``, or None when ``raw`` has another form.
 
-        ``raw`` is split at the sketch's literals, found in order.  A gap
-        that the sketch fills with words is a slot and needs a dotted name;
-        any other gap must be blank.  A sketch without literals reads any
-        text, with no slots.
+        ``raw`` must match the sketch's pattern, and each part of a slot's
+        path must be an identifier.
         """
 
-        steps, literals, _ = self._sketch
-        if not literals:
-            return ()
-        slots: list[tuple[str, ...]] = []
-        pos = 0
-        for literal, after_slot in steps:
-            end = raw.find(literal, pos) if literal else len(raw)
-            if end < 0:
-                return None
-            gap = raw[pos:end]
-            if after_slot:
-                path = tuple([part.strip() for part in gap.split(".")])
-                if not all(map(is_identifier, path)):
-                    return None
-                slots.append(path)
-            elif gap.strip():
-                return None
-            pos = end + len(literal)
-        return tuple(slots)
+        match = self._pattern.fullmatch(raw)
+        if match is None:
+            return None
+        slots = tuple([tuple([part.strip() for part in path.split(".")]) for path in match.groups()])
+        return slots if all(map(is_identifier, chain.from_iterable(slots))) else None
 
     def render_slots(self, slots: tuple[tuple[str, ...], ...]) -> str:
         """The slot values between the sketch's literals, one blank apart."""
 
         values = iter(slots)
-        words: list[str] = []
-        for literal, after_slot in self._sketch[0]:
-            if after_slot:
-                words.append(".".join(next(values)))
-            if literal:
-                words.append(literal)
-        return " ".join(words)
+        return " ".join(".".join(next(values)) if is_slot else text for is_slot, text in self._pieces)
 
 
 @record
@@ -180,13 +170,11 @@ class LanguageProfile:
         )
 
     @cached_property
-    def _bracket_tiers(self) -> tuple[tuple[IdentifierRule, ...], ...]:
-        """The bracket rules grouped by their number of sketch literals, most first."""
+    def _bracket_order(self) -> tuple[tuple[int, IdentifierRule], ...]:
+        """(number of sketch literals, rule) of each bracket rule, most first, stably sorted."""
 
-        tiers: dict[int, list[IdentifierRule]] = {}
-        for rule in self.bracket_rules():
-            tiers.setdefault(len(rule.sketch_literals()), []).append(rule)
-        return tuple(tuple(tiers[n]) for n in sorted(tiers, reverse=True))
+        counted = [(len(rule.sketch_literals()), rule) for rule in self.bracket_rules()]
+        return tuple(sorted(counted, key=lambda pair: -pair[0]))
 
     def bracket_readings(self, raw: str) -> list[tuple[IdentifierRule, tuple[tuple[str, ...], ...]]]:
         """The bracket forms that read ``raw``, each with its slot values.
@@ -197,15 +185,16 @@ class LanguageProfile:
         the resolver both ask this one question.
         """
 
-        for tier in self._bracket_tiers:
-            readings = []
-            for rule in tier:
-                slots = rule.slot_values(raw)
-                if slots is not None:
-                    readings.append((rule, slots))
-            if readings:
-                return readings
-        return []
+        readings: list[tuple[IdentifierRule, tuple[tuple[str, ...], ...]]] = []
+        most = 0
+        for literals, rule in self._bracket_order:
+            if literals < most:
+                break
+            slots = rule.slot_values(raw)
+            if slots is not None:
+                readings.append((rule, slots))
+                most = literals
+        return readings
 
 
 # ---------------------------------------------------------------------------
@@ -367,4 +356,4 @@ def profile_to_json(profile: LanguageProfile) -> str:
             for kw in profile.scope_keywords
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return render_json(payload)

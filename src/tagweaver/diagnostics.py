@@ -5,11 +5,16 @@ from __future__ import annotations
 from collections.abc import Callable
 from enum import Enum
 
+# The C string escaper of ``json.dumps`` (CPython's accelerator module):
+# importing it alone keeps the ``json`` package, and its import time, out
+# of a process that needs nothing else of it, such as ``derive``.
+from _json import encode_basestring_ascii
+
 from .errors import WorkspaceError
 from .records import field, record
 
 __all__ = ["Condition", "Severity", "Diagnostic", "has_errors", "require_well_formed",
-           "reporter", "format_diagnostic"]
+           "reporter", "format_diagnostic", "render_json"]
 
 
 class Condition(str, Enum):
@@ -109,3 +114,40 @@ def format_diagnostic(diag: Diagnostic, color: bool = False) -> str:
     if color:
         label = f"{_COLORS[diag.severity]}{label}{_RESET}"
     return f"{prefix}:{diag.line}:{diag.col}: {label}: {diag.message}"
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, indent=2)`` and a newline, byte for byte, each container joined once.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder,
+    which yields every token on its own.
+    """
+
+    return _render_json(obj, "\n") + "\n"
+
+
+def _render_json(obj, indent: str) -> str:
+    # ``indent`` is the newline plus the indentation of ``obj``'s own line.
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        members = [
+            encode_basestring_ascii(key) + ": " + _render_json(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_render_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

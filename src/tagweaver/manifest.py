@@ -27,10 +27,10 @@ Annotations:
   all derivation output (useful for mirroring a full grammar).
 * ``@alias K``  -- use ``K`` instead of the production name as the derived
   scope keyword.
-* ``@sketch "..."`` -- the production's bracket identifier form: its
-  non-identifier words are the literals a ``[...]`` reference is split at,
-  and each gap a word fills holds a slot value, the element's part that
-  the word labels (see
+* ``@sketch "..."`` -- the production's bracket identifier form: a
+  pattern a ``[...]`` reference must match, its non-identifier words the
+  literals, and each run of words a slot whose value is the element's part
+  that the words label (see
   :meth:`~tagweaver.derivation.IdentifierRule.slot_values`).
 
 Right-hand sides list nonterminal references, each optionally prefixed

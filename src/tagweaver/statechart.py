@@ -39,6 +39,7 @@ from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, tokenize
 from .records import field, record
 
 __all__ = [
+    "PRODUCTIONS",
     "StateDef",
     "TransitionDef",
     "StatechartModel",
@@ -47,8 +48,10 @@ __all__ = [
     "pretty_print_statechart",
 ]
 
-# The grammar productions (``samples/statechart.glang``) elements come from.
-_CHART, _STATE, _TRANSITION, _INVARIANT = "SCDefinition", "State", "Transition", "Invariant"
+# What the parser files, by grammar production (``samples/statechart.glang``):
+# the labels of a bracketed production's parts, or None for a named one.
+PRODUCTIONS = dict(SCDefinition=None, State=None, Transition=("source", "target"), Invariant=())
+_CHART, _STATE, _TRANSITION, _INVARIANT = PRODUCTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ def _check_transitions(transitions: list[TransitionDef], table: ElementTable, re
 
     seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
     for tr in transitions:
-        for label, endpoint in (("source", tr.source), ("target", tr.target)):
+        for label, endpoint in zip(PRODUCTIONS[_TRANSITION], (tr.source, tr.target)):
             if endpoint not in table.named:
                 report(
                     Condition.UNRESOLVED_TRANSITION_ENDPOINT,
@@ -295,7 +298,8 @@ def _element_table(
         stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
     for tr in transitions:
         text = f"{'.'.join(tr.source)} -> {'.'.join(tr.target)}"
-        table.add_bracketed(_TRANSITION, (), text, {"source": tr.source, "target": tr.target})
+        parts = dict(zip(PRODUCTIONS[_TRANSITION], (tr.source, tr.target)))
+        table.add_bracketed(_TRANSITION, (), text, parts)
     return table
 
 

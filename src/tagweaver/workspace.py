@@ -31,18 +31,17 @@ equals concatenating their separate exports and re-sorting.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
 from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
-from .diagnostics import Diagnostic, has_errors, require_well_formed
+from .diagnostics import Diagnostic, has_errors, render_json, require_well_formed
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .parsing import read_source
 from .records import record
-from .statechart import StatechartModel, parse_statechart
+from .statechart import PRODUCTIONS, StatechartModel, parse_statechart
 from .tagmodel import TagModel, parse_tag_model, qualify
 from .tagschema import TagSchema, parse_tag_schema
 
@@ -100,11 +99,12 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     """Read and parse every file of the workspace.
 
     Raises :class:`~tagweaver.errors.ParseError` on malformed files,
-    :class:`WorkspaceError` when the manifest has an error finding, when
-    models or schemas do (one refusal names all of them, after every model
-    and schema is parsed) or when two files share a qualified name, and
-    propagates ``OSError`` for unreadable paths.  Models and schemas keep
-    their warnings as ``findings`` for :func:`check_workspace`.
+    :class:`WorkspaceError` when the manifest has an error finding or does
+    not fit the statechart parser, when models or schemas do (one refusal
+    names all of them, after every model and schema is parsed) or when two
+    files share a qualified name, and propagates ``OSError`` for unreadable
+    paths.  Models and schemas keep their warnings as ``findings`` for
+    :func:`check_workspace`.
     """
 
     manifest = parse_manifest(read_source(ws.manifest_file), filename=str(ws.manifest_file))
@@ -112,6 +112,7 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
     # again as a scope keyword derived twice.
     require_well_formed(("manifest", manifest.grammar_name, manifest.findings))
     profile = derive_profile(manifest)
+    _require_fit(manifest, profile)
 
     models = tuple(
         parse_statechart(read_source(path), filename=str(path)) for path in ws.model_files
@@ -131,6 +132,27 @@ def load_workspace(ws: Workspace) -> LoadedWorkspace:
         schemas=schemas,
         tag_models=tag_models,
     )
+
+
+def _require_fit(manifest: GrammarManifest, profile: LanguageProfile) -> None:
+    """Refuse a manifest that does not declare what the statechart parser files, as it files it."""
+
+    misfits = []
+    for name, labels in PRODUCTIONS.items():
+        prod, rule = manifest.production(name), profile.identifier_rule(name)
+        if prod is None:
+            misfits.append(f"it declares no production '{name}'")
+        elif prod.skipped:
+            continue
+        elif prod.name_identifiable != (labels is None):
+            misfits.append(f"production '{name}' is {'' if prod.name_identifiable else 'not '}@named")
+        elif rule.sketch_literals() and sorted(rule.slot_labels) != sorted(labels):
+            words = ", ".join(map(repr, rule.slot_labels))
+            parts = ", ".join(map(repr, labels)) or "none"
+            misfits.append(f"the sketch of '{name}' labels {words}, but its parts are {parts}")
+    if misfits:
+        grammar = manifest.grammar_name
+        raise WorkspaceError(f"manifest '{grammar}' does not fit the statechart parser: " + "; ".join(misfits))
 
 
 def _require_sound(files: list[tuple[str, StatechartModel | TagSchema]]) -> None:
@@ -255,46 +277,5 @@ def value_to_json(value: NormalizedValue) -> dict:
     return {"kind": value.kind, "value": value.value}
 
 
-def render_export_report(report: dict) -> str:
-    """Serialize the report deterministically (stable order, 2-space indent).
-
-    The text is byte for byte that of ``json.dumps(report, indent=2)`` plus
-    a final newline.  With ``indent`` set, ``json`` falls back to its
-    pure-Python encoder, which yields every token separately; the writer
-    below joins each container once instead.
-    """
-
-    return _render_json(report, "\n") + "\n"
-
-
-def _render_json(obj, indent: str) -> str:
-    # ``indent`` is the newline plus the indentation of ``obj``'s own line.
-    # Strings go through the C escaper that ``json.dumps`` itself uses.
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        members = [
-            encode_basestring_ascii(key) + ": " + _render_json(value, inner)
-            for key, value in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(members) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render_json(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+# The export's writer, a module attribute of its own so that a tracer can wrap it.
+render_export_report = render_json

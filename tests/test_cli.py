@@ -387,6 +387,61 @@ class TestFailureModes:
         assert captured.out == ""
         assert captured.err == f"error: {bad}:2:1: not UTF-8 text: cannot decode byte 0xc3\n"
 
+    @pytest.mark.parametrize(
+        "old, new, misfit",
+        [
+            ("Invariant", "Guard", "it declares no production 'Invariant'"),
+            ('"source -> target"', '"from -> to"',
+             "the sketch of 'Transition' labels 'from', 'to', but its parts are 'source', 'target'"),
+        ],
+    )
+    def test_a_manifest_that_does_not_fit_the_statechart_parser(
+        self, golden_argv, manifest_text, tmp_path, capsys, old, new, misfit
+    ):
+        manifest = tmp_path / "misfit.glang"
+        manifest.write_text(manifest_text.replace(old, new))
+        assert run_cli(["check", *swap(golden_argv, "--manifest", manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: manifest 'Statechart' does not fit the statechart parser: {misfit}\n"
+        )
+
+    def test_every_misfit_is_listed(self, golden_argv, manifest_text, tmp_path, capsys):
+        manifest = tmp_path / "misfit.glang"
+        manifest.write_text(
+            manifest_text.replace("@named production State", "production State")
+            .replace("production Invariant", "@named production Invariant")
+            .replace('"source -> target"', '"source -> source"')
+            .replace("@named @alias Statechart production SCDefinition", "@skip production SCDefinition")
+        )
+        assert run_cli(["check", *swap(golden_argv, "--manifest", manifest)]) == 2
+        assert capsys.readouterr().err == (
+            "error: manifest 'Statechart' does not fit the statechart parser: "
+            "production 'State' is not @named; the sketch of 'Transition' labels 'source', "
+            "'source', but its parts are 'source', 'target'; production 'Invariant' is @named\n"
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, chart_keyword",
+        [
+            ("production Invariant", "@skip production Invariant", "Statechart"),
+            ("@alias Statechart", "@alias Chart", "Chart"),
+            ('@sketch "source -> target" ', "", "Statechart"),
+            ('"source -> target"', '"source => target"', "Statechart"),
+            ('"source -> target"', '"target <- source"', "Statechart"),
+        ],
+    )
+    def test_a_manifest_that_fits_loads(
+        self, golden_argv, manifest_text, schema_text, tmp_path, capsys, old, new, chart_keyword
+    ):
+        manifest, schema = tmp_path / "fits.glang", tmp_path / "fits.tagschema"
+        manifest.write_text(manifest_text.replace(old, new))
+        schema.write_text(schema_text.replace("for Statechart;", f"for {chart_keyword};"))
+        argv = swap(swap(golden_argv, "--manifest", manifest), "--schema", schema)
+        assert run_cli(["check", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_schema_reference(self, golden_argv, tmp_path, capsys):
         orphan = tmp_path / "orphan.tag"
         orphan.write_text(
@@ -676,6 +731,25 @@ class TestOneShotProcess:
         assert "tagweaver.derivation" in loaded
         unused = {"statechart", "tagmodel", "tagschema", "conformance", "workspace"}
         assert {f"tagweaver.{name}" for name in unused} & loaded == set()
+
+
+    def test_derive_loads_no_json_package(self, samples_dir, tmp_path):
+        # The profile is written by ``diagnostics.render_json``, which needs
+        # only the C string escaper of ``json``.
+        script = (
+            "import sys\n"
+            "from tagweaver.cli import run_cli\n"
+            f"code = run_cli(['derive', '--manifest', {str(samples_dir / 'statechart.glang')!r},"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tagweaver.__file__).resolve().parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "[]"
 
 
     def test_derive_and_check_load_neither_dataclasses_nor_inspect(self, golden_argv, samples_dir, tmp_path):

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tagweaver import (
     DerivationError,
@@ -19,6 +21,8 @@ from tagweaver import (
     render_derived_grammar,
 )
 from util import (
+    oracle_render_slots,
+    oracle_slot_values,
     plan_keyword_count,
     plan_keywords,
     random_manifest_plan,
@@ -238,6 +242,53 @@ class TestBracketMatching:
             "Transition",
             "Invariant",
         ]
+
+
+# Sketch words and literals without word characters, and the pieces of
+# texts to read by them.
+_SKETCH_WORDS = ["a", "b", "src", "é", "a²"]
+_SKETCH_LITERALS = ["->", "=>", "<-", "(", ")", "/", ".", ".."]
+_TEXT_PIECES = ["a", "x1", "é", "a²", "_b", "1", "42", ".", " ", "\n", "->", "=>", "<-", "(", ")", "/"]
+
+
+@st.composite
+def _sketch_and_text(draw) -> tuple[str, str]:
+    tokens = draw(st.lists(st.sampled_from(_SKETCH_WORDS + _SKETCH_LITERALS), min_size=1, max_size=5))
+    pieces = st.lists(st.sampled_from(_TEXT_PIECES), max_size=4).map("".join)
+    paths = st.lists(st.sampled_from(["a", "x1", "é", "a²", "1"]), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        # A text that follows the sketch: each literal kept, each word a
+        # dotted path or other pieces.
+        fill = st.one_of(paths.map(".".join), paths.map(" . ".join), pieces)
+        parts = [tok if tok in _SKETCH_LITERALS else draw(fill) for tok in tokens]
+        text = "".join(draw(st.sampled_from(["", " ", "\n"])) + part for part in parts)
+    else:
+        text = "".join(draw(st.lists(pieces, max_size=4)))
+    return " ".join(tokens), text
+
+
+class TestReadingAgreesWithTheScanner:
+    """The sketch's pattern reads what the first-occurrence scanner of ``util`` reads."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(case=_sketch_and_text())
+    @example(case=("a . ( b )", "x . y . ( z )"))
+    @example(case=("a . b", "x.y.z"))
+    @example(case=("a .", "a.a."))
+    @example(case=("a -> b", "x -> y -> z"))
+    @example(case=("src", "x > 1"))
+    def test_slot_values_and_render_slots(self, case):
+        sketch, raw = case
+        rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, sketch)
+        slots = rule.slot_values(raw)
+        assert slots == oracle_slot_values(sketch, raw)
+        if slots is not None and rule.sketch_literals():
+            assert rule.render_slots(slots) == oracle_render_slots(sketch, slots)
+
+    def test_a_run_of_words_is_one_slot(self):
+        rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, "a b -> c")
+        assert rule.slot_labels == ("a b", "c")
+        assert rule.slot_values("x -> y") == (("x",), ("y",))
 
 
 class TestRendering:

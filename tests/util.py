@@ -339,6 +339,62 @@ def _oracle_identifier(text: str) -> bool:
     return (first.isalpha() or first == "_") and all(c.isalnum() or c == "_" for c in text)
 
 
+def _oracle_sketch_steps(sketch: str) -> list[tuple[str, bool]]:
+    """The sketch's steps: each literal ("" for the end) and whether a slot comes before it."""
+
+    steps: list[tuple[str, bool]] = []
+    in_slot = False
+    for tok in sketch.split():
+        if not _oracle_identifier(tok):
+            steps.append((tok, in_slot))
+            in_slot = False
+        else:
+            in_slot = True
+    return [*steps, ("", in_slot)]
+
+
+def oracle_slot_values(sketch: str, raw: str) -> tuple[tuple[str, ...], ...] | None:
+    """Read ``raw`` by ``sketch`` the first-occurrence way: each literal where ``str.find`` finds it.
+
+    A gap before a literal that the sketch fills with words is a slot and
+    needs a dotted name; any other gap must be blank.  A sketch without
+    literals reads any text, with no slots.
+    """
+
+    steps = _oracle_sketch_steps(sketch)
+    if len(steps) == 1:
+        return ()
+    slots: list[tuple[str, ...]] = []
+    pos = 0
+    for literal, after_slot in steps:
+        end = raw.find(literal, pos) if literal else len(raw)
+        if end < 0:
+            return None
+        gap = raw[pos:end]
+        if after_slot:
+            path = tuple(part.strip() for part in gap.split("."))
+            if not all(map(_oracle_identifier, path)):
+                return None
+            slots.append(path)
+        elif gap.strip():
+            return None
+        pos = end + len(literal)
+    return tuple(slots)
+
+
+def oracle_render_slots(sketch: str, slots: tuple[tuple[str, ...], ...]) -> str:
+    """The slot values between the sketch's literals, one blank apart."""
+
+    values = iter(slots)
+    words: list[str] = []
+    for literal, after_slot in _oracle_sketch_steps(sketch):
+        if after_slot:
+            words.append(".".join(next(values)))
+        if literal:
+            words.append(literal)
+    return " ".join(words)
+
+
 def oracle_resolve(
     ref: ElementIdentifier,
     ctx: tuple[str, str] | None,
