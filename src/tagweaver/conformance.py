@@ -145,23 +145,24 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
     # Tag type names must be unique across the union of referenced schemas;
     # uses resolve against the first definition in conforms-to order.  A
     # schema listed twice, however spelled, is taken once.
-    types: dict[str, tuple[TagSchema, TagTypeDef]] = {}
+    types: dict[str, tuple[TagSchema, TagTypeDef, str]] = {}
     taken: set[str] = set()
     for schema in inp.schemas:
-        if schema.qualified_name in taken:
+        schema_name = schema.qualified_name
+        if schema_name in taken:
             continue
-        taken.add(schema.qualified_name)
+        taken.add(schema_name)
         for tt in schema.tag_types:
             if tt.name in types:
                 report(
                     Condition.E2_DUPLICATE_TAG_TYPE_NAME,
                     f"tag type '{tt.name}' is defined by both "
-                    f"'{types[tt.name][0].qualified_name}' and '{schema.qualified_name}'",
+                    f"'{types[tt.name][2]}' and '{schema_name}'",
                     model.conforms_line,
                     model.conforms_col,
                 )
             else:
-                types[tt.name] = (schema, tt)
+                types[tt.name] = (schema, tt, schema_name)
 
     # Each (identifier, context) is resolved once; identifier equality
     # ignores line and col, so a failure is still reported at every use.
@@ -215,7 +216,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
                 tag.col,
             )
             continue
-        schema, tt = entry
+        schema, tt, schema_name = entry
 
         if tt.is_private:
             report(
@@ -259,7 +260,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
             Attachment(
                 element=handle,
                 tag_type=tt.name,
-                schema=schema.qualified_name,
+                schema=schema_name,
                 value=normalized,
                 file=model.source_name,
                 line=tag.line,
@@ -391,8 +392,10 @@ def _check_value_inner(
         return None
 
     children: list[tuple[str, NormalizedValue]] = []
+    counts: dict[str, int] = {}
     ok = True
     for sub in value.subtags:
+        counts[sub.name] = counts.get(sub.name, 0) + 1
         ref = domain.reference(sub.name)
         if ref is None:
             declared = ", ".join(r.name for r in domain.references)
@@ -432,7 +435,7 @@ def _check_value_inner(
         children.append((sub.name, norm))
 
     for ref in domain.references:
-        count = sum(1 for sub in value.subtags if sub.name == ref.name)
+        count = counts.get(ref.name, 0)
         if not ref.cardinality.admits(count):
             report(
                 Condition.CARDINALITY_VIOLATION,

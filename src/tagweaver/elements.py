@@ -123,7 +123,8 @@ def resolve_element(
         grammar = profile.grammar_name
         raise ResolutionError(f"'[{norm}]' matches no bracket identifier form of '{grammar}'")
     rule, slots = readings[0]
-    if rule.sketch_literals():  # then every form read has literals
+    sketched = bool(rule.sketch_literals())  # then every form read has literals
+    if sketched:
         # Slots name elements from the root, whatever the context.
         readings = [(r, s) for r, s in readings if all(slot in table.named for slot in s)]
         if not readings:
@@ -134,7 +135,6 @@ def resolve_element(
             for r, s in readings
             for handle in table.with_parts(r.nonterminal, dict(zip(r.slot_labels, s)))
         ]
-        text = rule.render_slots(slots)
     else:
         occurrences = [o for r, _ in readings for o in table.texts.get((r.nonterminal, norm), ())]
         matches = []
@@ -145,9 +145,9 @@ def resolve_element(
             # text repeats there; each occurrence below it counts.
             matches += [h for path, h in occurrences if path == owner][:1]
         matches = matches or [h for _, h in occurrences]
-        text = f"'[{norm}]'"
     if len(matches) == 1:
         return matches[0]
+    text = rule.render_slots(slots) if sketched else f"'[{norm}]'"
     kinds = [r.nonterminal.lower() for r, _ in readings]
     if not matches:
         raise ResolutionError(f"no {' or '.join(kinds)} {text} in '{root}'")

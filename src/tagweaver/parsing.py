@@ -149,6 +149,7 @@ def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> l
 
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # what ``Token(...)`` does, without its Python-level ``__new__``
     scan = _SCAN.match
     count = text.count
     pos = 0
@@ -171,17 +172,17 @@ def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> l
             if not (value[0].isalpha() or value[0] == "_"):
                 raise ParseError(f"unexpected character {value[0]!r}", line,
                                  start - line_start + 1, filename)
-            append(Token(IDENT, value, line, start - line_start + 1, start, pos))
+            append(new(Token, (IDENT, value, line, start - line_start + 1, start, pos)))
         elif group == 3:
             value = m.group(3)
-            append(Token(value, value, line, start - line_start + 1, start, pos))
+            append(new(Token, (value, value, line, start - line_start + 1, start, pos)))
         elif group == 2:  # ``start`` is one past the opening quote
             value = m.group(2)
             if "\\" in value:
                 value = _UNESCAPE.sub(r"\1", value)
-            append(Token(STRING, value, line, start - line_start, start - 1, pos))
+            append(new(Token, (STRING, value, line, start - line_start, start - 1, pos)))
         elif group == 4 and not raw_brackets:
-            append(Token("[", "[", line, start - line_start + 1, start, pos))
+            append(new(Token, ("[", "[", line, start - line_start + 1, start, pos)))
         elif group == 4:
             depth = 1
             while depth:
@@ -191,13 +192,14 @@ def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> l
                                      start - line_start + 1, filename)
                 pos = found.end()
                 depth += 1 if found.group() == "[" else -1
-            append(Token(BRACKET, text[start + 1 : pos - 1], line, start - line_start + 1, start, pos))
+            append(new(Token, (BRACKET, text[start + 1 : pos - 1], line, start - line_start + 1,
+                               start, pos)))
             newlines = count("\n", start, pos)
             if newlines:
                 line += newlines
                 line_start = text.rindex("\n", start, pos) + 1
         elif pos == len(text):
-            append(Token(EOF, "", line, pos - line_start + 1, pos, pos))
+            append(new(Token, (EOF, "", line, pos - line_start + 1, pos, pos)))
             return tokens
         elif text.startswith("/*", pos):
             raise ParseError("unterminated block comment", line, pos - line_start + 1, filename)
@@ -232,8 +234,9 @@ class TokenCursor:
 
     # -- primitives ---------------------------------------------------------
 
-    # The stream ends with EOF and advance() never moves past it, so
-    # ``self._pos`` always indexes a token.
+    # The stream ends with EOF and nothing moves past it, so ``self._pos``
+    # always indexes a token.  ``advance``, ``at``, ``match`` and ``expect``
+    # each read the current token themselves: they run once or more per token.
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -246,24 +249,27 @@ class TokenCursor:
 
     def at(self, kind: str, value: str | None = None) -> bool:
         tok = self._tokens[self._pos]
-        if tok.kind != kind:
-            return False
-        return value is None or tok.value == value
+        return tok.kind == kind and (value is None or tok.value == value)
 
     def at_keyword(self, word: str) -> bool:
         return self.at(IDENT, word)
 
     def match(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
-            return self.advance()
-        return None
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
+            return None
+        if kind != EOF:
+            self._pos += 1
+        return tok
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = f"'{value}'" if value is not None else _describe_kind(kind)
             raise self.error(f"expected {want}, found {_string_repr(tok)}", tok)
-        return self.advance()
+        if kind != EOF:
+            self._pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
         return self.expect(IDENT, word)

@@ -4,11 +4,20 @@
 one generated ``exec`` per class and no evaluated annotation: every
 ``tagweaver`` run is a fresh process, and the dataclass machinery (with
 the ``inspect`` import it brings) was about a quarter of its import time.
-Fields are stored with ``object.__setattr__``, as frozen dataclasses store
-them; ``self.__dict__`` stores would give each instance an unshared dict.
+
+The class is rebuilt with ``__slots__``: one slot per field, one for the
+cached hash, and an instance ``__dict__`` only where the body uses
+``cached_property``.  The generated ``__init__`` stores each field through
+its slot's descriptor, and the field defaults live in its signature.  A
+record's hash is computed on first use and kept, since nested records
+(values inside values, identifiers in memo keys) are hashed again and
+again.  Copies and pickles go through the constructor, so they hash
+afresh.
 """
 
 from __future__ import annotations
+
+from functools import cached_property  # loaded by ``re`` already
 
 __all__ = ["record", "field", "fields", "replace"]
 
@@ -51,43 +60,56 @@ def _delattr(self, name: str) -> None:
 
 
 def record(cls: type) -> type:
-    """Make ``cls`` a frozen record over the fields its own body annotates."""
-    namespace: dict[str, object] = {"_set": object.__setattr__}
+    """A frozen, slotted record class over the fields that the body of ``cls`` annotates."""
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    namespace: dict[str, object] = {}
     names, params, stores, compared = [], [], [], []
-    for name in cls.__dict__.get("__annotations__", {}):
-        default, compare = cls.__dict__.get(name, _MISSING), True
+    for name in body.get("__annotations__", {}):
+        default, compare = body.pop(name, _MISSING), True
         if isinstance(default, field):
             default, compare = default.default, default.compare
-            if default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, default)
         names.append(name)
         if default is _MISSING:
             params.append(name)
         else:
             namespace[f"_dflt_{name}"] = default
             params.append(f"{name}=_dflt_{name}")
-        stores.append(f"\n    _set(self, {name!r}, {name})")
+        stores.append(f"    _set_{name}(self, {name})\n")
         if compare:
             compared.append(name)
     key = "".join(f"self.{name}," for name in compared)
     other_key = "".join(f"other.{name}," for name in compared)
     exec(
-        f"def __init__(self, {', '.join(params)}):{''.join(stores) or ' pass'}\n"
+        f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}"
+        "    _set_hash(self, None)\n"
         "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return ({key}) == ({other_key})\n"
         "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({key}))\n",
+        "def __hash__(self):\n"
+        "    value = self._record_hash\n"
+        "    if value is None:\n"
+        f"        value = hash(({key}))\n"
+        "        _set_hash(self, value)\n"
+        "    return value\n"
+        "def __reduce__(self):\n"
+        f"    return self.__class__, ({''.join(f'self.{name},' for name in names)})\n",
         namespace,
     )
-    for method in ("__init__", "__eq__", "__hash__"):
-        function = namespace[method]
+    for method in ("__init__", "__eq__", "__hash__", "__reduce__"):
+        function = body[method] = namespace[method]
         function.__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, function)
-    cls.__record_fields__ = tuple(names)
-    cls.__repr__ = _repr
-    cls.__setattr__ = _setattr
-    cls.__delattr__ = _delattr
-    return cls
+    cached = any(isinstance(value, cached_property) for value in body.values())
+    body.update(
+        __slots__=(*names, "_record_hash", *(("__dict__",) if cached else ())),
+        __qualname__=cls.__qualname__,
+        __record_fields__=tuple(names),
+        __repr__=_repr,
+        __setattr__=_setattr,
+        __delattr__=_delattr,
+    )
+    built = type(cls)(cls.__name__, cls.__bases__, body)
+    for name in names:
+        namespace[f"_set_{name}"] = built.__dict__[name].__set__
+    namespace["_set_hash"] = built.__dict__["_record_hash"].__set__
+    return built

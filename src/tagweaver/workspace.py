@@ -146,6 +146,10 @@ def _require_fit(manifest: GrammarManifest, profile: LanguageProfile) -> None:
             continue
         elif prod.name_identifiable != (labels is None):
             misfits.append(f"production '{name}' is {'' if prod.name_identifiable else 'not '}@named")
+        elif rule.sketch_literals() and labels == ():
+            literals = ", ".join(map(repr, rule.sketch_literals()))
+            misfits.append(f"the sketch of '{name}' has literals {literals}, but its elements have "
+                           "no parts and are named by their text")
         elif rule.sketch_literals() and sorted(rule.slot_labels) != sorted(labels):
             words = ", ".join(map(repr, rule.slot_labels))
             parts = ", ".join(map(repr, labels)) or "none"

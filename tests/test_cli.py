@@ -393,6 +393,9 @@ class TestFailureModes:
             ("Invariant", "Guard", "it declares no production 'Invariant'"),
             ('"source -> target"', '"from -> to"',
              "the sketch of 'Transition' labels 'from', 'to', but its parts are 'source', 'target'"),
+            ("production Invariant", '@sketch "( )" production Invariant',
+             "the sketch of 'Invariant' has literals '(', ')', but its elements have no parts "
+             "and are named by their text"),
         ],
     )
     def test_a_manifest_that_does_not_fit_the_statechart_parser(
@@ -420,6 +423,21 @@ class TestFailureModes:
             "error: manifest 'Statechart' does not fit the statechart parser: "
             "production 'State' is not @named; the sketch of 'Transition' labels 'source', "
             "'source', but its parts are 'source', 'target'; production 'Invariant' is @named\n"
+        )
+
+    def test_a_literal_sketch_on_a_production_without_parts_is_listed_with_the_others(
+        self, golden_argv, manifest_text, tmp_path, capsys
+    ):
+        manifest = tmp_path / "misfit.glang"
+        manifest.write_text(
+            manifest_text.replace("production Invariant", '@sketch "not ( x )" production Invariant')
+            .replace("@named production State", "production State")
+        )
+        assert run_cli(["check", *swap(golden_argv, "--manifest", manifest)]) == 2
+        assert capsys.readouterr().err == (
+            "error: manifest 'Statechart' does not fit the statechart parser: "
+            "production 'State' is not @named; the sketch of 'Invariant' has literals '(', ')', "
+            "but its elements have no parts and are named by their text\n"
         )
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""The shared tokenizer: agreement with a character-loop oracle, positions, linear time."""
+"""The shared tokenizer and token cursor: agreement with a character-loop oracle, positions,
+linear time, and the cursor's moves and messages."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from tagweaver import parse_statechart
 from tagweaver.errors import ParseError
-from tagweaver.parsing import IDENT, is_identifier, read_source, tokenize
+from tagweaver.parsing import (
+    BRACKET, EOF, IDENT, STRING, TokenCursor, is_identifier, read_source, tokenize,
+)
 
 from util import oracle_tokenize
 
@@ -157,3 +160,102 @@ class TestLinearTime:
             outcome = exc.message
         assert time.perf_counter() - began < 2.0
         assert outcome == error
+
+
+# One token of each kind: (kind, value, line, col) and how a message names it.
+_CURSOR_TEXT = 'state "s"\n  [a > b] { -> ...'
+_FOUND = [
+    (IDENT, "state", 1, 1, "'state'"),
+    (STRING, "s", 1, 7, "string literal"),
+    (BRACKET, "a > b", 2, 3, "'[a > b]'"),
+    ("{", "{", 2, 11, "'{'"),
+    ("->", "->", 2, 13, "'->'"),
+    ("...", "...", 2, 16, "'...'"),
+    (EOF, "", 2, 19, "end of input"),
+]
+# What ``expect`` is asked for, and how its message names it.
+_WANTED = [
+    ((IDENT,), "an identifier"),
+    ((IDENT, "other"), "'other'"),
+    ((STRING,), "a string literal"),
+    ((BRACKET,), "a '[...]' expression"),
+    (("{",), "'{'"),
+    (("->",), "'->'"),
+    (("[",), "'['"),
+    ((EOF,), "'eof'"),
+]
+_MISMATCHES = [
+    (index, wanted, want)
+    for index, (kind, value, *_) in enumerate(_FOUND)
+    for wanted, want in _WANTED
+    if not (wanted[0] == kind and wanted[1:] in ((), (value,)))
+]
+
+
+class TestTokenCursor:
+    def _cursor(self, skip: int = 0) -> TokenCursor:
+        cur = TokenCursor(tokenize(_CURSOR_TEXT, raw_brackets=True), "f.sc")
+        for _ in range(skip):
+            cur.advance()
+        return cur
+
+    def test_the_stream_holds_one_token_of_each_kind(self):
+        assert [tok[:4] for tok in tokenize(_CURSOR_TEXT, raw_brackets=True)] == [
+            found[:4] for found in _FOUND
+        ]
+
+    @pytest.mark.parametrize("index, wanted, want", _MISMATCHES)
+    def test_expect_names_both_tokens_at_the_found_one(self, index, wanted, want):
+        kind, value, line, col, found = _FOUND[index]
+        cur = self._cursor(index)
+        with pytest.raises(ParseError) as info:
+            cur.expect(*wanted)
+        err = info.value
+        assert (err.message, err.line, err.col, err.filename) == (
+            f"expected {want}, found {found}", line, col, "f.sc"
+        )
+        assert cur.peek()[:4] == (kind, value, line, col)
+
+    @pytest.mark.parametrize("index", range(len(_FOUND) - 1))
+    def test_a_match_returns_the_token_and_moves_one_on(self, index):
+        kind, value = _FOUND[index][:2]
+        for wanted in [(kind,), (kind, value)]:
+            for move in ("match", "expect"):
+                cur = self._cursor(index)
+                assert getattr(cur, move)(*wanted)[:2] == (kind, value)
+                assert cur.peek()[:2] == _FOUND[index + 1][:2]
+
+    @pytest.mark.parametrize("index", range(len(_FOUND)))
+    def test_at_and_match_with_and_without_a_value(self, index):
+        kind, value = _FOUND[index][:2]
+        cur = self._cursor(index)
+        assert cur.at(kind) and cur.at(kind, value)
+        assert not cur.at(kind, value + "x")
+        assert not cur.at("}") and not cur.at("}", "}")
+        assert cur.match(kind, value + "x") is None
+        assert cur.match("}") is None
+        assert cur.peek()[:2] == (kind, value)
+        assert cur.at_keyword("state") is (index == 0)
+
+    def test_nothing_moves_past_eof(self):
+        cur = self._cursor(len(_FOUND) - 1)
+        eof = cur.peek()
+        assert eof.kind == EOF
+        assert cur.advance() is eof and cur.advance() is eof
+        assert cur.match(EOF) is eof and cur.match(EOF, "") is eof
+        assert cur.expect(EOF) is eof and cur.expect(EOF, "") is eof
+        assert cur.peek() is eof and cur.at(EOF)
+
+    def test_expect_keyword_and_error_at_the_current_token(self):
+        cur = self._cursor()
+        assert cur.expect_keyword("state").value == "state"
+        with pytest.raises(ParseError, match="^f.sc:1:7: expected 'state', found string literal$"):
+            cur.expect_keyword("state")
+        err = cur.error("boom")
+        assert (err.message, err.line, err.col, err.filename) == ("boom", 1, 7, "f.sc")
+
+    def test_punctuation_bracket_is_named_by_its_spelling(self):
+        cur = TokenCursor(tokenize("x [", raw_brackets=False))
+        cur.advance()
+        with pytest.raises(ParseError, match=r"^<input>:1:3: expected an identifier, found '\['$"):
+            cur.expect(IDENT)

@@ -1,5 +1,8 @@
 """Records built by ``tagweaver.records`` behave as frozen dataclasses do.
 
+They are also slotted, cache their hash, and copy and pickle through their
+constructor, so that a copy hashes afresh.
+
 Each record class is compared with a frozen ``dataclasses.make_dataclass``
 twin whose fields, defaults and compare flags are read from the class's
 own source, not from anything the decorator computed.
@@ -8,9 +11,16 @@ own source, not from anything the decorator computed.
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
+import functools
 import importlib
+import inspect
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagweaver
-from tagweaver import ElementIdentifier, parse_statechart, records, resolve_element
+from tagweaver import ElementIdentifier, NormalizedValue, parse_statechart, records, resolve_element
 from tagweaver.statechart import StatechartModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,9 +71,13 @@ RECORDS = sorted(DECLARED, key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
 def _twin(cls: type) -> type:
+    # The defaults live in the signature of the generated ``__init__``: the
+    # class holds a slot under each field's name.
+    parameters = inspect.signature(cls.__init__).parameters
     specs = []
     for name, compare, has_default in DECLARED[cls]:
-        default = {"default": cls.__dict__[name]} if has_default else {}
+        assert (parameters[name].default is not inspect.Parameter.empty) is has_default
+        default = {"default": parameters[name].default} if has_default else {}
         specs.append((name, "object", dataclasses.field(compare=compare, **default)))
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
 
@@ -157,6 +171,71 @@ def test_assignment_and_deletion_raise(cls):
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(record, name)
     assert cls(*[0] * len(DECLARED[cls])) == record
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_records_are_slotted_and_only_cached_properties_keep_a_dict(cls):
+    record = cls(*[0] * len(DECLARED[cls]))
+    cached = any(isinstance(value, functools.cached_property) for value in vars(cls).values())
+    assert hasattr(record, "__dict__") is cached
+    assert set(records.fields(cls)) <= set(cls.__slots__)
+    assert not hasattr(record, "__weakref__")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_a_cached_hash_is_the_hash_of_an_equal_record_built_fresh(cls, data):
+    values = [data.draw(VALUES) for _ in DECLARED[cls]]
+    record = cls(*values)
+    first = hash(record)
+    assert hash(record) == first == hash(TWINS[cls](*values))
+    assert hash(cls(*values)) == first
+    assert record == cls(*values)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal_records_that_hash_afresh(cls, round_trip):
+    values = [f"v{i}" for i in range(len(DECLARED[cls]))]
+    record = cls(*values)
+    hash(record)
+    copied = round_trip(record)
+    assert type(copied) is cls and copied == record and repr(copied) == repr(record)
+    assert copied._record_hash is None  # not carried over
+    assert hash(copied) == hash(record)
+    assert [getattr(copied, name) for name in records.fields(cls)] == values
+
+
+_VALUE = (
+    "NormalizedValue.of_children((('code', NormalizedValue.of_string('E42')),"
+    " ('tags', NormalizedValue.of_children((('level', NormalizedValue.of_enum('high')),)))))"
+)
+
+
+def test_an_unpickled_record_finds_its_entry_under_another_hash_seed(tmp_path):
+    """Unpickled under another ``PYTHONHASHSEED``, a record's string hashes change; its hash follows."""
+
+    def run(seed: int, code: str) -> str:
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", "from tagweaver import NormalizedValue\n" + code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.stderr == ""
+        return done.stdout
+
+    data = tmp_path / "value.pickle"
+    path = f"pathlib.Path({str(data)!r})"
+    run(1, f"import pathlib, pickle\nvalue = {_VALUE}\nhash(value)\n{path}.write_bytes(pickle.dumps(value))")
+    assert run(2, (
+        f"import pathlib, pickle\nvalue = pickle.loads({path}.read_bytes())\n"
+        f"fresh = {_VALUE}\n"
+        "print(value == fresh, hash(value) == hash(fresh), {fresh: 'found'}.get(value))"
+    )) == "True True found\n"
+    assert pickle.loads(data.read_bytes()) == eval(_VALUE, {"NormalizedValue": NormalizedValue})
 
 
 def test_statechart_index_is_cached_on_the_instance(samples_dir, profile):
