@@ -1,15 +1,17 @@
 """Model elements, and the one resolver of element identifiers for any DSL.
 
-A model parser fills one :class:`ElementTable` per model.
-:func:`resolve_element` reads that table and the derived language profile
-alone: a qualified name is looked up by path, in the context first; a
-bracket identifier is read by the profile's bracket forms
-(:meth:`~tagweaver.derivation.LanguageProfile.bracket_readings`).  A form
-with sketch literals names an element by the dotted paths in its slots,
-each the part of the element that the slot's word labels; a form without
-literals names it by its whitespace-normalized text, searched in the
-context first.  When several forms read the text, their matches are
-pooled.
+A model parser fills one :class:`ElementTable` per model: each named
+element by path, under its own production (``add_named(path,
+production)``), and each bracketed element in one index, by its text and
+by its labelled parts.  :func:`resolve_element` reads that table and the
+derived language profile alone: a qualified name is looked up by path, in
+the context first; a bracket identifier is read by the profile's bracket
+forms (:meth:`~tagweaver.derivation.LanguageProfile.bracket_readings`),
+and each reading is one index key.  A form with sketch literals keys an
+element by the dotted paths in its slots, each the part that the slot's
+word labels; a form without literals keys it by its whitespace-normalized
+text.  The occurrences of every reading's key are pooled, then searched
+in the context first.
 """
 
 from __future__ import annotations
@@ -43,27 +45,25 @@ def normalize_expression(text: str) -> str:
 
 
 class ElementTable:
-    """The elements of one model, with the lookups resolution needs.
+    """The elements of one model, with the one index resolution reads.
 
     ``handles`` lists them in enumeration order, ``root`` first; ``named``
-    maps each path below the root to its element (all ``named_type``).
-    ``texts`` maps (production, normalized text) of each bracketed element
-    to (owner path, element) pairs.  ``parts`` maps (production, the path
-    of each of its parts) to the elements with those parts, the parts in
-    the order of the production's labels in ``part_labels``.
+    maps each path below the root to its element, typed by its own
+    production.  ``index`` files each bracketed element, as an (owner
+    path, element) pair, under (production, normalized text) and, when
+    it has parts, under (production, its (label, path) parts sorted), so
+    that the parts match in any order.
     """
 
-    def __init__(self, root: ElementHandle, named_type: str):
-        self.root, self.named_type = root, named_type
+    def __init__(self, root: ElementHandle):
+        self.root = root
         self.handles: list[ElementHandle] = [root]
         self.named: dict[Segments, ElementHandle] = {}
-        self.texts: dict[tuple[str, str], list[tuple[Segments, ElementHandle]]] = {}
-        self.part_labels: dict[str, tuple[str, ...]] = {}
-        self.parts: dict[tuple[str, tuple[Segments, ...]], list[ElementHandle]] = {}
+        self.index: dict[tuple[str, str | tuple], list[tuple[Segments, ElementHandle]]] = {}
 
-    def add_named(self, path: Segments) -> None:
+    def add_named(self, path: Segments, production: str) -> None:
         if path not in self.named:
-            self.named[path] = handle = ElementHandle(".".join(path), self.named_type)
+            self.named[path] = handle = ElementHandle(".".join(path), production)
             self.handles.append(handle)
 
     def add_bracketed(
@@ -74,18 +74,10 @@ class ElementTable:
         norm = normalize_expression(text)
         handle = ElementHandle(f"{'.'.join(owner)}.[{norm}]" if owner else f"[{norm}]", production)
         self.handles.append(handle)
-        self.texts.setdefault((production, norm), []).append((owner, handle))
+        occurrence = (owner, handle)
+        self.index.setdefault((production, norm), []).append(occurrence)
         if parts is not None:
-            labels = self.part_labels.setdefault(production, tuple(parts))
-            self.parts.setdefault((production, tuple(map(parts.get, labels))), []).append(handle)
-
-    def with_parts(self, production: str, parts: dict[str, Segments]) -> list[ElementHandle]:
-        """The elements of ``production`` whose parts are ``parts``, label for label."""
-
-        labels = self.part_labels.get(production, ())
-        if len(parts) != len(labels):
-            return []
-        return self.parts.get((production, tuple(map(parts.get, labels))), [])
+            self.index.setdefault((production, tuple(sorted(parts.items()))), []).append(occurrence)
 
 
 def resolve_element(
@@ -125,26 +117,29 @@ def resolve_element(
     rule, slots = readings[0]
     sketched = bool(rule.sketch_literals())  # then every form read has literals
     if sketched:
-        # Slots name elements from the root, whatever the context.
+        # Slots name elements from the root, whatever the context; the
+        # elements they key are filed at the root, so the context filter
+        # below keeps every occurrence.
         readings = [(r, s) for r, s in readings if all(slot in table.named for slot in s)]
         if not readings:
-            named = table.named_type.lower()
-            raise ResolutionError(f"'[{norm}]' endpoints do not name {named}s of '{root}'")
-        matches = [
-            handle
-            for r, s in readings
-            for handle in table.with_parts(r.nonterminal, dict(zip(r.slot_labels, s)))
-        ]
-    else:
-        occurrences = [o for r, _ in readings for o in table.texts.get((r.nonterminal, norm), ())]
-        matches = []
-        if owner is not None:
-            depth = len(owner)
-            matches = [h for path, h in occurrences if len(path) > depth and path[:depth] == owner]
-            # The context's own elements count once, however often the
-            # text repeats there; each occurrence below it counts.
-            matches += [h for path, h in occurrences if path == owner][:1]
-        matches = matches or [h for _, h in occurrences]
+            productions = dict.fromkeys(h.element_type.lower() for h in table.named.values())
+            named = "s or ".join(productions) + "s" if productions else "elements"
+            raise ResolutionError(f"'[{norm}]' endpoints do not name {named} of '{root}'")
+    occurrences = [
+        occurrence
+        for r, s in readings
+        for occurrence in table.index.get(
+            (r.nonterminal, tuple(sorted(zip(r.slot_labels, s))) if sketched else norm), ()
+        )
+    ]
+    matches = []
+    if owner is not None:
+        depth = len(owner)
+        matches = [h for path, h in occurrences if len(path) > depth and path[:depth] == owner]
+        # The context's own elements count once, however often the text
+        # repeats there; each occurrence below it counts.
+        matches += [h for path, h in occurrences if path == owner][:1]
+    matches = matches or [h for _, h in occurrences]
     if len(matches) == 1:
         return matches[0]
     text = rule.render_slots(slots) if sketched else f"'[{norm}]'"

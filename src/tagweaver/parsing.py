@@ -238,8 +238,10 @@ class TokenCursor:
     # always indexes a token.  ``advance``, ``at``, ``match`` and ``expect``
     # each read the current token themselves: they run once or more per token.
 
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
+    def peek(self, ahead: int = 0) -> Token:
+        """The current token, or the one ``ahead`` places on (EOF past the end)."""
+
+        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self._tokens[self._pos]

@@ -52,6 +52,7 @@ __all__ = [
 # the labels of a bracketed production's parts, or None for a named one.
 PRODUCTIONS = dict(SCDefinition=None, State=None, Transition=("source", "target"), Invariant=())
 _CHART, _STATE, _TRANSITION, _INVARIANT = PRODUCTIONS
+_STATE_WORDS = ("state", "initial", "final")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,9 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
         if cur.match(ELLIPSIS):
             continue
         tok = cur.peek()
-        if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
+        # A state may be named ``state``, ``initial`` or ``final``: such a
+        # word before ``->`` or ``.`` is a transition's source.
+        if tok.kind == IDENT and tok.value in _STATE_WORDS and cur.peek(1).kind not in (ARROW, "."):
             states.append(_parse_state(cur, sibling_names, report))
         elif tok.kind == IDENT:
             transitions.append(_parse_transition(cur, text))
@@ -203,7 +206,7 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
             if cur.match(ELLIPSIS):
                 continue
             tok = cur.peek()
-            if tok.kind == IDENT and tok.value in ("state", "initial", "final"):
+            if tok.kind == IDENT and tok.value in _STATE_WORDS:
                 substates.append(_parse_state(cur, nested_names, report))
             elif tok.kind == BRACKET:
                 cur.advance()
@@ -288,11 +291,11 @@ def _element_table(
 ) -> ElementTable:
     """The chart's elements, by one iterative pre-order walk of its states."""
 
-    table = ElementTable(ElementHandle(name, _CHART), _STATE)
+    table = ElementTable(ElementHandle(name, _CHART))
     stack = [((st.name,), st) for st in reversed(states)]
     while stack:
         path, st = stack.pop()
-        table.add_named(path)
+        table.add_named(path, _STATE)
         for inv in st.invariants_src:
             table.add_bracketed(_INVARIANT, path, inv)
         stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))

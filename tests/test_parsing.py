@@ -246,6 +246,13 @@ class TestTokenCursor:
         assert cur.expect(EOF) is eof and cur.expect(EOF, "") is eof
         assert cur.peek() is eof and cur.at(EOF)
 
+    @pytest.mark.parametrize("index", range(len(_FOUND)))
+    def test_peek_looks_ahead_without_moving_and_stops_at_eof(self, index):
+        cur = self._cursor(index)
+        for ahead in range(len(_FOUND) + 2):
+            assert cur.peek(ahead)[:2] == _FOUND[min(index + ahead, len(_FOUND) - 1)][:2]
+        assert cur.peek()[:2] == _FOUND[index][:2]
+
     def test_expect_keyword_and_error_at_the_current_token(self):
         cur = self._cursor()
         assert cur.expect_keyword("state").value == "state"

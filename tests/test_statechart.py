@@ -26,6 +26,7 @@ from util import (
     random_statechart_text,
     transition_counts,
 )
+from tagweaver.statechart import StateDef, StatechartModel, TransitionDef
 
 Q = ElementIdentifier.qualified
 B = ElementIdentifier.bracket
@@ -487,6 +488,40 @@ class TestRoundTrip:
     def test_random_round_trip(self, seed):
         text = random_statechart_text(random.Random(seed))
         model = parse_statechart(text)
+        assert parse_statechart(pretty_print_statechart(model)) == model
+
+
+class TestStatesNamedByAKeyword:
+    """A state may be named ``state``, ``initial`` or ``final``, and lead a transition."""
+
+    @pytest.mark.parametrize("word", ["state", "initial", "final"])
+    @pytest.mark.parametrize("dotted", [False, True])
+    def test_the_word_before_an_arrow_or_a_dot_is_a_source(self, word, dotted):
+        source = f"{word}.a" if dotted else word
+        model = parse_statechart(
+            f"package p;\nstatechart X {{\n state {word} {{ state a; }}\n state B;\n"
+            f" {source} -> B;\n B -> {source};\n}}\n"
+        )
+        assert [st.name for st in model.states] == [word, "B"]
+        path = tuple(source.split("."))
+        assert [(tr.source, tr.target) for tr in model.transitions] == [
+            (path, ("B",)),
+            (("B",), path),
+        ]
+        assert model.findings == ()
+        assert parse_statechart(pretty_print_statechart(model)) == model
+
+    @pytest.mark.parametrize("word", ["state", "initial", "final"])
+    def test_a_printed_model_re_parses(self, word):
+        model = StatechartModel(
+            package="p",
+            name="X",
+            states=(StateDef(word, substates=(StateDef("a"),)), StateDef("B", final=True)),
+            transitions=(
+                TransitionDef((word,), ("B",)),
+                TransitionDef((word, "a"), ("B",), event="go()"),
+            ),
+        )
         assert parse_statechart(pretty_print_statechart(model)) == model
 
 
