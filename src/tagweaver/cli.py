@@ -71,11 +71,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="tag schema file (.tagschema); repeatable")
         sub.add_argument("--tags", action="append", required=True, type=Path,
                          help="tag model file (.tag); repeatable")
+        sub.add_argument("--format", choices=("text", "json"), default="text",
+                         help="diagnostic output format (default: text)")
 
     check_cmd = subparsers.add_parser("check", help="check tag models for conformance")
     add_workspace_flags(check_cmd)
-    check_cmd.add_argument("--format", choices=("text", "json"), default="text",
-                           help="diagnostic output format (default: text)")
     check_cmd.set_defaults(handler=_cmd_check)
 
     derive_cmd = subparsers.add_parser(
@@ -93,8 +93,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_workspace_flags(export_cmd)
     export_cmd.add_argument("--out", type=Path, default=None,
                             help="output file (default: stdout)")
-    export_cmd.add_argument("--format", choices=("text", "json"), default="text",
-                            help="diagnostic output format (default: text)")
     export_cmd.set_defaults(handler=_cmd_export)
 
     return parser

@@ -10,14 +10,15 @@
   ``CardinalityViolation`` and ``UnknownSubtagName`` inside complex
   values)?
 
-A statement that tags several elements with several tags is checked as
-its full cross product, so its diagnostics equal those of the equivalent
-single-element, single-tag statements.  An unresolved element suppresses
-the per-pair type checks, and an unknown tag type suppresses the scope
-and domain checks, so one root cause yields one diagnostic.  Re-tagging
-an element with an identical tag is reported as a warning
-(``DuplicateTagWarning``); using a ``private`` tag type directly on an
-element is the error ``PrivateTopLevelUse``.
+The body is checked in one pass, in source order.  A statement that tags
+several elements with several tags is checked as its full cross product,
+element by element and then tag by tag, so its diagnostics equal those of
+the equivalent single-element, single-tag statements.  An unresolved
+element suppresses the per-pair type checks, and an unknown tag type
+suppresses the scope and domain checks, so one root cause yields one
+diagnostic.  Re-tagging an element with an identical tag is reported as a
+warning (``DuplicateTagWarning``); using a ``private`` tag type directly
+on an element is the error ``PrivateTopLevelUse``.
 
 When no error is found, the checker also returns the resolved taggings:
 one attachment per (element, tag) pair with the value normalized into
@@ -33,7 +34,7 @@ from .diagnostics import Condition, Diagnostic, Severity, has_errors, reporter
 from .elements import ElementHandle, resolve_element
 from .errors import ResolutionError
 from .records import field, record
-from .tagmodel import Context, ElementIdentifier, TagModel, TagStatement, TagUse, TagValue, qualify
+from .tagmodel import Context, ElementIdentifier, TagModel, TagUse, TagValue, qualify
 from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
 
 if TYPE_CHECKING:
@@ -190,8 +191,6 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
             return None
         return found
 
-    pairs = _expand(model.body, None, resolve)
-
     # A tag use's value is checked once, however many elements its
     # statement tags; every pair still reports that use's value diagnostics.
     # Keyed by identity: every use lives in ``model`` for the whole call.
@@ -199,12 +198,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
 
     attachments: list[Attachment] = []
     seen: set[tuple[str, str, str, NormalizedValue]] = set()
-    for element_ref, context, tag in pairs:
-        found = resolve(element_ref, context)
-        if found is None:
-            continue
-        handle = found[1]
-
+    for handle, tag in _walk(model.body, None, resolve):
         entry = types.get(tag.name)
         if entry is None:
             known = ", ".join(sorted(types)) or "none"
@@ -290,22 +284,25 @@ def _require_matching_inputs(inp: CheckInput) -> None:
         )
 
 
-def _expand(body, context: ElementHandle | None, resolve):
-    """Flatten contexts into (element_ref, context handle, tag_use) triples."""
+def _walk(body, context: ElementHandle | None, resolve):
+    """Yield the (element handle, tag use) pairs of ``body`` in source order.
 
-    pairs: list[tuple] = []
+    A ``within`` element is resolved when the walk reaches it, so every
+    diagnostic comes in the order of the text it concerns.
+    """
+
     for item in body:
         if isinstance(item, Context):
             found = resolve(item.identifier, context)
-            if found is None:
-                # The whole block is unaddressable; one diagnostic, no cascade.
-                continue
-            pairs.extend(_expand(item.body, found[0], resolve))
-        elif isinstance(item, TagStatement):
+            # An unresolved block is unaddressable; one diagnostic, no cascade.
+            if found is not None:
+                yield from _walk(item.body, found[0], resolve)
+        else:
             for element_ref in item.element_refs:
                 for tag in item.tag_refs:
-                    pairs.append((element_ref, context, tag))
-    return pairs
+                    found = resolve(element_ref, context)
+                    if found is not None:
+                        yield found[1], tag
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ The language is a small hierarchical statechart notation::
 
 States nest arbitrarily and may carry bracketed invariant expressions,
 which are kept as opaque text.  Transitions connect states by (possibly
-dotted) name and may carry opaque event text after ``:``.  A bare ``...``
-inside a body is accepted as an elision marker and ignored.
+dotted) name and may carry opaque event text after ``:``.  One loop reads
+the chart body and every state body: transitions belong to the chart body
+only, invariants to a state body only.  A state may be named ``state``,
+``initial`` or ``final``; in either body such a word before ``->`` or
+``.`` does not start a state.  A bare ``...`` inside a body is accepted as
+an elision marker and ignored.
 
 The parser also fills the model's element table (see
 :mod:`tagweaver.elements`): the chart, its states by path, each invariant
@@ -131,29 +135,9 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     name_tok = cur.expect(IDENT)
     cur.expect("{")
 
-    states: list[StateDef] = []
-    transitions: list[TransitionDef] = []
-    sibling_names: set[str] = set()
     findings: list[Diagnostic] = []
     report = reporter(findings, filename)
-
-    while not cur.at("}"):
-        if cur.match(ELLIPSIS):
-            continue
-        tok = cur.peek()
-        # A state may be named ``state``, ``initial`` or ``final``: such a
-        # word before ``->`` or ``.`` is a transition's source.
-        if tok.kind == IDENT and tok.value in _STATE_WORDS and cur.peek(1).kind not in (ARROW, "."):
-            states.append(_parse_state(cur, sibling_names, report))
-        elif tok.kind == IDENT:
-            transitions.append(_parse_transition(cur, text))
-        elif tok.kind == BRACKET:
-            raise cur.error("invariants are only allowed inside a state body")
-        elif tok.kind == EOF:
-            raise cur.error("unexpected end of input: missing '}'")
-        else:
-            raise cur.error(f"unexpected '{tok.value}' in statechart body")
-    cur.expect("}")
+    states, transitions, _ = _parse_body(cur, text, report, "statechart")
     cur.expect(EOF)
 
     table = _element_table(name_tok.value, states, transitions)
@@ -170,21 +154,49 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     return model
 
 
-def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
-    initial = False
-    final = False
+def _parse_body(cur: TokenCursor, text: str, report, kind: str):
+    """Read a ``statechart`` or ``state`` body through its ``}``.
+
+    Returns its (states, transitions, invariants): transitions are read in
+    a chart body only, invariants in a state body only.
+    """
+
+    states: list[StateDef] = []
+    transitions: list[TransitionDef] = []
+    invariants: list[str] = []
+    sibling_names: set[str] = set()
+    while not cur.match("}"):
+        if cur.match(ELLIPSIS):
+            continue
+        tok = cur.peek()
+        # A state may be named ``state``, ``initial`` or ``final``: such a
+        # word before ``->`` or ``.`` leads a transition, so it starts no state.
+        if tok.kind == IDENT and tok.value in _STATE_WORDS and cur.peek(1).kind not in (ARROW, "."):
+            states.append(_parse_state(cur, text, sibling_names, report))
+        elif tok.kind == IDENT and kind == "statechart":
+            transitions.append(_parse_transition(cur, text))
+        elif tok.kind == BRACKET and kind == "state":
+            cur.advance()
+            cur.expect(";")
+            invariants.append(tok.value.strip())
+        elif tok.kind == BRACKET:
+            raise cur.error("invariants are only allowed inside a state body")
+        elif tok.kind == EOF:
+            raise cur.error("unexpected end of input: missing '}'")
+        else:
+            raise cur.error(f"unexpected '{tok.value}' in {kind} body")
+    return states, transitions, invariants
+
+
+def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -> StateDef:
     first = cur.peek()
+    modifiers: list[str] = []
     while cur.peek().kind == IDENT and cur.peek().value in ("initial", "final"):
         word = cur.advance().value
-        if word == "initial":
-            if initial:
-                raise cur.error("duplicate 'initial' modifier", first)
-            initial = True
-        else:
-            if final:
-                raise cur.error("duplicate 'final' modifier", first)
-            final = True
-    if initial and final:
+        if word in modifiers:
+            raise cur.error(f"duplicate '{word}' modifier", first)
+        modifiers.append(word)
+    if len(modifiers) == 2:
         raise cur.error("a state cannot be both initial and final", first)
     cur.expect_keyword("state")
     name_tok = cur.expect(IDENT)
@@ -197,34 +209,18 @@ def _parse_state(cur: TokenCursor, sibling_names: set[str], report) -> StateDef:
         )
     sibling_names.add(name_tok.value)
 
-    substates: list[StateDef] = []
-    invariants: list[str] = []
     if cur.at("{"):
         cur.enter(cur.advance())
-        nested_names: set[str] = set()
-        while not cur.at("}"):
-            if cur.match(ELLIPSIS):
-                continue
-            tok = cur.peek()
-            if tok.kind == IDENT and tok.value in _STATE_WORDS:
-                substates.append(_parse_state(cur, nested_names, report))
-            elif tok.kind == BRACKET:
-                cur.advance()
-                cur.expect(";")
-                invariants.append(tok.value.strip())
-            elif tok.kind == EOF:
-                raise cur.error("unexpected end of input: missing '}'")
-            else:
-                raise cur.error(f"unexpected '{tok.value}' in state body")
-        cur.expect("}")
+        substates, _, invariants = _parse_body(cur, text, report, "state")
         cur.leave()
     else:
         cur.expect(";")
+        substates = invariants = ()
 
     return StateDef(
         name=name_tok.value,
-        initial=initial,
-        final=final,
+        initial="initial" in modifiers,
+        final="final" in modifiers,
         substates=tuple(substates),
         invariants_src=tuple(invariants),
         line=name_tok.line,

@@ -20,6 +20,7 @@ from tagweaver import (
     parse_tag_schema,
 )
 from tagweaver import conformance
+from tagweaver.cli import run_cli
 from tagweaver.conformance import INT64_MAX, INT64_MIN
 
 GOLDEN_HEADER = (
@@ -338,6 +339,47 @@ class TestExpansion:
         assert resolved.attachments[0].element == ElementHandle(
             "Active.Call.[status!=isActive]", "Invariant"
         )
+
+
+class TestSourceOrder:
+    """A ``within`` is resolved where it stands, so diagnostics follow the text."""
+
+    TAGS = (
+        GOLDEN_HEADER
+        + "    tag Ghost with Monitored;\n"
+        + "    within Nowhere { tag Call with Monitored; }\n"
+        + "    within Active {\n"
+        + "        within Phantom { tag Call with Monitored; }\n"
+        + "        tag Spectre with Monitored;\n"
+        + "    }\n"
+        + "}\n"
+    )
+    EXPECTED = [(4, 9, "Ghost"), (5, 12, "Nowhere"), (7, 16, "Phantom"), (8, 13, "Spectre")]
+
+    def test_check(self, chart, schema, profile):
+        model = parse_tag_model(self.TAGS, profile)
+        diags, resolved = check(CheckInput(model, chart, (schema,), profile))
+        assert resolved is None
+        assert conditions(diags) == ["E1"] * 4
+        assert [(d.line, d.col, d.message.split("'")[1]) for d in diags] == self.EXPECTED
+
+    def test_cli_text(self, samples_dir, tmp_path, capsys):
+        tags = tmp_path / "order.tag"
+        tags.write_text(self.TAGS)
+        argv = [
+            "check",
+            "--manifest", str(samples_dir / "statechart.glang"),
+            "--model", str(samples_dir / "mobile.sc"),
+            "--schema", str(samples_dir / "logging_schema.tagschema"),
+            "--tags", str(tags),
+        ]
+        assert run_cli(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{tags}:{line}:{col}: error[E1]: '{name}' does not name an element of 'Mobile'"
+            + (" (context 'Active')" if line > 6 else "")
+            for line, col, name in self.EXPECTED
+        ]
 
 
 class TestResolutionMemo:

@@ -371,6 +371,26 @@ PARSE_ERRORS = [
         "unterminated transition",
     ),
     ("package p;\nstatechart X {\n + ;\n}\n", ParseError, "unexpected '+'"),
+    (
+        "package p;\nstatechart X {\n state A;\n ;\n}\n",
+        ParseError,
+        "4:2: unexpected ';' in statechart body",
+    ),
+    (
+        "package p;\nstatechart X {\n state A { state final; final -> A; }\n}\n",
+        ParseError,
+        "3:25: unexpected 'final' in state body",
+    ),
+    (
+        "package p;\nstatechart X {\n state A { state -> A; }\n}\n",
+        ParseError,
+        "3:12: unexpected 'state' in state body",
+    ),
+    (
+        "package p;\nstatechart X {\n state A { initial.x; }\n}\n",
+        ParseError,
+        "3:12: unexpected 'initial' in state body",
+    ),
     ("statechart X {}\n", ParseError, "package"),
 ]
 
