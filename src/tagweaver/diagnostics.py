@@ -120,14 +120,20 @@ def render_json(obj) -> str:
     """``json.dumps(obj, indent=2)`` and a newline, byte for byte, each container joined once.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder,
-    which yields every token on its own.
+    which yields every token on its own.  A list's render keeps, by ``id``,
+    the text of each container that is a member of one of its items (all at
+    one indent), so a value that export attachments share renders once.
+    Kept for one list only, the memo stays small and its ids stay live.
     """
 
     return _render_json(obj, "\n") + "\n"
 
 
-def _render_json(obj, indent: str) -> str:
+def _render_json(obj, indent: str, own: dict | None = None, members: dict | None = None) -> str:
     # ``indent`` is the newline plus the indentation of ``obj``'s own line.
+    # When ``obj`` is a member of a list's item, ``own`` is that list's memo,
+    # which keeps ``obj``'s text by ``id``; when ``obj`` is itself a list's
+    # item, ``members`` is the memo that its members use.
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -136,18 +142,21 @@ def _render_json(obj, indent: str) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if own is not None and id(obj) in own:
+        return own[id(obj)]
     inner = indent + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        members = [
-            encode_basestring_ascii(key) + ": " + _render_json(value, inner)
+        open_, close = "{", "}"
+        parts = [
+            encode_basestring_ascii(key) + ": " + _render_json(value, inner, members)
             for key, value in obj.items()
         ]
-        return "{" + inner + ("," + inner).join(members) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render_json(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif isinstance(obj, (list, tuple)):
+        open_, close, memo = "[", "]", {}
+        parts = [_render_json(item, inner, members, memo) for item in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    text = open_ + inner + ("," + inner).join(parts) + indent + close if parts else open_ + close
+    if own is not None:
+        own[id(obj)] = text
+    return text

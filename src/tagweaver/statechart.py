@@ -39,6 +39,7 @@ from functools import cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .elements import ElementHandle, ElementTable
+from .errors import ParseError
 from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, tokenize
 from .records import field, record
 
@@ -319,11 +320,14 @@ def enumerate_elements(model: StatechartModel) -> tuple[ElementHandle, ...]:
 
 
 def pretty_print_statechart(model: StatechartModel) -> str:
-    """Render a model back to canonical ``.sc`` text (round-trip safe)."""
+    """Render a model back to canonical ``.sc`` text (round-trip safe).
+
+    An invariant or event whose text would not re-parse raises ``ValueError``.
+    """
 
     lines = [f"package {model.package};", "", f"statechart {model.name} {{"]
 
-    def emit_state(st: StateDef, depth: int) -> None:
+    def emit_state(st: StateDef, path: str, depth: int) -> None:
         pad = "    " * depth
         mods = ("initial " if st.initial else "") + ("final " if st.final else "")
         if not st.substates and not st.invariants_src:
@@ -331,20 +335,34 @@ def pretty_print_statechart(model: StatechartModel) -> str:
             return
         lines.append(f"{pad}{mods}state {st.name} {{")
         for inv in st.invariants_src:
+            if _token_kinds(f"[{inv}]") != [BRACKET, EOF]:
+                raise ValueError(f"state '{path}': invariant {inv!r} would not re-parse")
             lines.append(f"{pad}    [{inv}];")
         for sub in st.substates:
-            emit_state(sub, depth + 1)
+            emit_state(sub, f"{path}.{sub.name}", depth + 1)
         lines.append(f"{pad}}}")
 
     for st in model.states:
-        emit_state(st, 1)
+        emit_state(st, st.name, 1)
     if model.transitions:
         lines.append("")
     for tr in model.transitions:
         src, tgt = ".".join(tr.source), ".".join(tr.target)
         if tr.event is not None:
+            kinds = _token_kinds(f"{tr.event};")  # the parser reads an event up to its first ';'
+            if kinds[-2:] != [";", EOF] or kinds.count(";") > 1:
+                raise ValueError(f"transition {src} -> {tgt}: event {tr.event!r} would not re-parse")
             lines.append(f"    {src} -> {tgt} : {tr.event};")
         else:
             lines.append(f"    {src} -> {tgt};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _token_kinds(text: str) -> list[str]:
+    """The kinds of the tokens that the parser reads from ``text``, or none if it cannot."""
+
+    try:
+        return [tok.kind for tok in tokenize(text, raw_brackets=True)]
+    except ParseError:
+        return []

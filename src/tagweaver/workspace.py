@@ -210,7 +210,8 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
 
     Returns the diagnostics plus the JSON-ready report, or ``None`` in
     place of the report when any check produced an error.  All tag models
-    must share one target model.
+    must share one target model.  Attachments with equal values share one
+    ``value`` dict, so a caller copies a value before it mutates it.
     """
 
     targets = {
@@ -226,12 +227,18 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     if has_errors(diags):
         return diags, None
 
-    # Each value is serialized once, for both the sort key and the report.
+    # Equal values (their hash is cached) are serialized once, for both the
+    # sort key and the report.  The key puts content first so that merged
+    # exports equal re-sorted concatenations; source position only breaks
+    # ties between truly identical records.
+    forms = _ValueForms()
     records: list[tuple[tuple, Attachment, dict]] = []
     for tagging in resolved:
         for att in tagging.attachments:
-            value = value_to_json(att.value)
-            records.append((_attachment_sort_key(att, value), att, value))
+            value, canonical = forms[att.value]
+            key = (att.element.path, att.tag_type, att.schema, canonical,
+                   att.file or "", att.line, att.col)
+            records.append((key, att, value))
     records.sort(key=itemgetter(0))
 
     target_name = next(iter(targets)) if targets else ""
@@ -251,18 +258,13 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     return diags, report
 
 
-def _attachment_sort_key(att: Attachment, value: dict) -> tuple:
-    # Content first so that merged exports equal re-sorted concatenations;
-    # source position only breaks ties between truly identical records.
-    return (
-        att.element.path,
-        att.tag_type,
-        att.schema,
-        json.dumps(value, sort_keys=True),
-        att.file or "",
-        att.line,
-        att.col,
-    )
+class _ValueForms(dict):
+    """Each distinct value's JSON dict and canonical string, made on its first lookup."""
+
+    def __missing__(self, value: NormalizedValue) -> tuple[dict, str]:
+        as_json = value_to_json(value)
+        self[value] = entry = (as_json, json.dumps(as_json, sort_keys=True))
+        return entry
 
 
 def value_to_json(value: NormalizedValue) -> dict:

@@ -545,6 +545,47 @@ class TestStatesNamedByAKeyword:
         assert parse_statechart(pretty_print_statechart(model)) == model
 
 
+class TestPrinterRefusesTextThatDoesNotReParse:
+    """A hand-built record whose text the parser would read otherwise is refused by name."""
+
+    def test_an_event_holding_a_semicolon(self):
+        model = StatechartModel(
+            package="p", name="X", states=(StateDef("A"),),
+            transitions=(TransitionDef(("A",), ("A",), event="go; stop"),),
+        )
+        with pytest.raises(ValueError, match=r"^transition A -> A: event 'go; stop' would not re-parse$"):
+            pretty_print_statechart(model)
+
+    def test_an_invariant_holding_a_closing_bracket(self):
+        model = StatechartModel(
+            package="p", name="X",
+            states=(StateDef("A", substates=(StateDef("B", invariants_src=("x ] y",)),)),),
+            transitions=(),
+        )
+        with pytest.raises(ValueError, match=r"^state 'A\.B': invariant 'x \] y' would not re-parse$"):
+            pretty_print_statechart(model)
+
+    @pytest.mark.parametrize("event", ["go // later", 'say "hi', "open [door"])
+    def test_other_events_that_swallow_the_semicolon(self, event):
+        model = StatechartModel(
+            package="p", name="X", states=(StateDef("A"),),
+            transitions=(TransitionDef(("A",), ("A",), event=event),),
+        )
+        with pytest.raises(ValueError, match="^transition A -> A: event"):
+            pretty_print_statechart(model)
+
+    def test_semicolons_and_brackets_that_re_parse_are_kept(self):
+        model = StatechartModel(
+            package="p", name="X",
+            states=(StateDef("A", invariants_src=("a [b] c", "[x;y]")),),
+            transitions=(
+                TransitionDef(("A",), ("A",), event='send("a;b") [c;d]'),
+                TransitionDef(("A",), ("A",), event=""),
+            ),
+        )
+        assert parse_statechart(pretty_print_statechart(model)) == model
+
+
 def test_normalize_expression():
     assert normalize_expression("  a   >\tb ") == "a > b"
     assert normalize_expression("untouched") == "untouched"

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagweaver import (
@@ -19,7 +20,11 @@ from tagweaver import (
     render_export_report,
 )
 from tagweaver import records
-from tagweaver.workspace import qualify, value_to_json
+from tagweaver.conformance import INT64_MAX, INT64_MIN
+from tagweaver.diagnostics import render_json
+from tagweaver.workspace import _ValueForms, qualify, value_to_json
+
+GOLDEN_EXPORT = Path(__file__).resolve().parent / "golden_export.json"
 
 
 @pytest.fixture()
@@ -390,6 +395,129 @@ _TREES = st.recursive(
 @given(tree=_TREES)
 def test_render_matches_json_dumps(tree):
     assert render_export_report(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+# Trees that hold one container object in several places: in several items
+# of one list, inside tuples, at different depths (so at different
+# indents), and inside another container that is itself reused.
+_SMALL_TREES = st.recursive(
+    _SCALARS, lambda children: st.lists(children, max_size=3), max_leaves=4
+)
+_CONTAINERS = (
+    st.lists(_SMALL_TREES, max_size=3)
+    | st.lists(_SMALL_TREES, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, _SMALL_TREES, max_size=3)
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    inner = draw(_CONTAINERS)
+    outer = draw(st.sampled_from([{"inner": inner}, [inner, inner], (inner, 1)]))
+    reused = st.sampled_from([inner, outer])
+    items = st.dictionaries(_STRINGS, reused | _SCALARS, min_size=1, max_size=3) | reused
+    return draw(st.recursive(
+        items,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, children, max_size=4),
+        max_leaves=12,
+    ))
+
+
+_SHARED = {"kind": "complex", "subtags": [{"name": "n", "value": {"kind": "flag"}}]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(tree=_shared_trees())
+@example(tree=[{"value": _SHARED}, {"value": _SHARED}, {"value": _SHARED}])
+@example(tree=({"v": _SHARED}, [{"v": _SHARED}, ({"v": _SHARED},)], {"v": [_SHARED]}))
+@example(tree=[{"outer": {"in": _SHARED}}, {"outer": {"in": _SHARED}, "in": _SHARED}])
+def test_render_of_shared_containers_matches_json_dumps(tree):
+    assert render_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, object()])
+def test_render_of_shared_containers_refuses_unsupported_members(bad):
+    shared = {"bad": bad}
+    with pytest.raises(TypeError):
+        render_json([{"value": {"ok": 1}}, {"value": shared}, {"value": shared}])
+    with pytest.raises(TypeError):
+        render_json([{"value": [shared]}, {"value": [shared]}])
+
+
+_SCALAR_VALUES = (
+    st.just(NormalizedValue.flag())
+    | st.sampled_from([0, 1, INT64_MIN, INT64_MAX]).map(NormalizedValue.of_int)
+    | st.integers(min_value=INT64_MIN, max_value=INT64_MAX).map(NormalizedValue.of_int)
+    | st.booleans().map(NormalizedValue.of_bool)
+    | _STRINGS.map(NormalizedValue.of_string)
+    | st.sampled_from(["low", "naïve ✓", "𝄞"]).map(NormalizedValue.of_enum)
+)
+_VALUES = st.recursive(
+    _SCALAR_VALUES,
+    lambda children: st.lists(st.tuples(_STRINGS, children), max_size=3).map(
+        lambda subtags: NormalizedValue.of_children(tuple(subtags))
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(values=st.lists(_VALUES, max_size=6))
+def test_each_distinct_value_is_serialized_as_on_its_own(values):
+    """The export's value memo gives each value the dict and sort string it would get alone.
+
+    Equal copies (hashed afresh) and bools beside equal ints go through one memo.
+    """
+
+    forms = _ValueForms()
+    for value in values + [records.replace(v) for v in values]:
+        as_json, canonical = forms[value]
+        assert canonical == json.dumps(value_to_json(value), sort_keys=True)
+        assert json.dumps(as_json, sort_keys=True) == canonical
+    assert len(forms) == len(set(values))
+
+
+class TestExportOfBothSampleTagModels:
+    @pytest.fixture()
+    def loaded(self, golden_workspace, samples_dir):
+        return load_workspace(records.replace(
+            golden_workspace,
+            tag_files=golden_workspace.tag_files + (samples_dir / "mobile_tags_full.tag",),
+        ))
+
+    def test_bytes_equal_the_golden_file(self, loaded):
+        _, report = build_export_report(loaded)
+        assert render_export_report(report).encode("utf-8") == GOLDEN_EXPORT.read_bytes()
+
+    def test_order_is_the_content_then_position_key(self, loaded):
+        """The attachments sort by path, tag type, schema, canonical value, file, line, col."""
+
+        _, resolved = check_workspace(loaded)
+        attachments = [att for tagging in resolved for att in tagging.attachments]
+        attachments.sort(key=lambda att: (
+            att.element.path, att.tag_type, att.schema,
+            json.dumps(value_to_json(att.value), sort_keys=True),
+            att.file or "", att.line, att.col,
+        ))
+        _, report = build_export_report(loaded)
+        assert report["attachments"] == [
+            {
+                "elementPath": att.element.path,
+                "elementType": att.element.element_type,
+                "tagType": att.tag_type,
+                "schema": att.schema,
+                "value": value_to_json(att.value),
+            }
+            for att in attachments
+        ]
+        assert len(attachments) > len({att.value for att in attachments})
+
+    def test_equal_values_share_one_dict(self, loaded):
+        _, report = build_export_report(loaded)
+        values = [a["value"] for a in report["attachments"]]
+        assert len({id(v) for v in values}) == len({json.dumps(v, sort_keys=True) for v in values})
 
 
 class TestValueToJson:
