@@ -631,6 +631,92 @@ class TestValueDomains:
         assert "needs a String value" in diags[0].message
 
 
+@pytest.fixture(scope="module")
+def kind_schema(profile):
+    return parse_tag_schema(
+        "package k;\ntagschema K {\n"
+        " tagtype Flag;\n"
+        " tagtype Count:int;\n"
+        ' tagtype Level:["low"|"high"];\n'
+        " tagtype Box { n:int; }\n"
+        " tagtype Holder { f:Flag?, c:Count?, l:Level?, b:Box?, n:int?; }\n"
+        " tagtype Card { one:int, opt:int?, some:int+, any:int*; }\n"
+        "}\n",
+        profile,
+    )
+
+
+# One value of each shape: simple, valued, complex.
+SIMPLE = TagValue.simple()
+VALUED = TagValue.valued("x")
+COMPLEX = TagValue.complex_of()
+
+# The message for a value of the wrong shape, by tag type.
+WRONG_KIND = {
+    "Flag": "tag type 'Flag' is a simple flag and takes no value",
+    "Count": "tag type 'Count' needs a int value",
+    "Level": "tag type 'Level' needs one of its enumeration values",
+    "Box": "tag type 'Box' is complex and needs a '{...}' value",
+}
+WRONG_SHAPES = [
+    ("Flag", VALUED), ("Flag", COMPLEX),
+    ("Count", SIMPLE), ("Count", COMPLEX),
+    ("Level", SIMPLE), ("Level", COMPLEX),
+    ("Box", SIMPLE), ("Box", VALUED),
+]
+
+
+def found(diags) -> list[tuple]:
+    return [(d.condition, d.message, d.line, d.col) for d in diags]
+
+
+class TestValueMessages:
+    """The domain and cardinality messages, verbatim."""
+
+    @pytest.mark.parametrize("type_name,value", WRONG_SHAPES)
+    def test_wrong_kind_on_the_tag_type(self, kind_schema, type_name, value):
+        diags, norm = check_value_domain(value, kind_schema.tag_type(type_name), kind_schema)
+        assert found(diags) == [("E3_3", WRONG_KIND[type_name], 0, 0)] and norm is None
+
+    @pytest.mark.parametrize("type_name,value", WRONG_SHAPES)
+    def test_wrong_kind_through_a_named_reference(self, kind_schema, type_name, value):
+        slot = {"Flag": "f", "Count": "c", "Level": "l", "Box": "b"}[type_name]
+        holder = TagValue.complex_of(TagUse(slot, value, 3, 7))
+        diags, norm = check_value_domain(holder, kind_schema.tag_type("Holder"), kind_schema)
+        assert found(diags) == [("E3_3", WRONG_KIND[type_name], 3, 7)] and norm is None
+
+    @pytest.mark.parametrize("value", [SIMPLE, COMPLEX])
+    def test_wrong_kind_on_a_native_subtag(self, kind_schema, value):
+        holder = TagValue.complex_of(TagUse("n", value, 2, 4))
+        diags, norm = check_value_domain(holder, kind_schema.tag_type("Holder"), kind_schema)
+        assert found(diags) == [("E3_3", "subtag 'n' of 'Holder' needs a int value", 2, 4)]
+        assert norm is None
+
+    def test_cardinality_phrases(self, kind_schema):
+        one = TagUse("one", TagValue.valued("1"))
+        opt = TagUse("opt", TagValue.valued("1"))
+        some = TagUse("some", TagValue.valued("1"))
+        cases = [
+            ((opt, some), "'Card' needs exactly one 'one' subtag, found 0"),
+            ((one, one, some), "'Card' needs exactly one 'one' subtag, found 2"),
+            ((one, opt, opt, some), "'Card' needs at most one 'opt' subtag, found 2"),
+            ((one, opt), "'Card' needs at least one 'some' subtag, found 0"),
+        ]
+        for subtags, message in cases:
+            use = TagValue.complex_of(*subtags)
+            diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
+            assert found(diags) == [("CardinalityViolation", message, 0, 0)] and norm is None
+
+    def test_any_number_admits_every_count(self, kind_schema):
+        one = TagUse("one", TagValue.valued("1"))
+        some = TagUse("some", TagValue.valued("1"))
+        for count in (0, 1, 5):
+            subtags = (one, some) + (TagUse("any", TagValue.valued("1")),) * count
+            use = TagValue.complex_of(*subtags)
+            diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
+            assert diags == [] and len(norm.children) == 2 + count
+
+
 class TestNormalizedValues:
     def test_hashable_and_comparable(self):
         assert NormalizedValue.of_int(3) == NormalizedValue.of_int(3)

@@ -150,6 +150,13 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="expected a native type"):
             parse(" tagtype T:Floaty;\n", profile)
 
+    def test_unknown_native_kind_message(self, profile):
+        with pytest.raises(ParseError) as raised:
+            parse(" tagtype T:Floaty;\n", profile)
+        assert str(raised.value) == (
+            "<input>:3:12: expected a native type (int, String, Boolean) or an '[' enumeration"
+        )
+
     def test_empty_reference_block(self, profile):
         with pytest.raises(ParseError):
             parse(" tagtype T { }\n", profile)
