@@ -35,7 +35,7 @@ from .elements import ElementHandle, resolve_element
 from .errors import ResolutionError
 from .records import field, record
 from .tagmodel import Context, ElementIdentifier, TagModel, TagUse, TagValue, qualify
-from .tagschema import Cardinality, DomainSpec, TagSchema, TagTypeDef
+from .tagschema import DomainSpec, TagSchema, TagTypeDef
 
 if TYPE_CHECKING:
     from .statechart import StatechartModel
@@ -334,6 +334,16 @@ def _check_value(
     return diags, normalized
 
 
+# What each value domain takes: the kind of tag value it accepts, and the
+# message tail for a value of another kind (formatted with the native kind).
+_TAKES = {
+    DomainSpec.SIMPLE: (TagValue.SIMPLE, "is a simple flag and takes no value"),
+    DomainSpec.NATIVE: (TagValue.VALUED, "needs a {} value"),
+    DomainSpec.ENUM: (TagValue.VALUED, "needs one of its enumeration values"),
+    DomainSpec.COMPLEX: (TagValue.COMPLEX, "is complex and needs a '{{...}}' value"),
+}
+
+
 def _check_value_inner(
     use: TagUse, tag_type: TagTypeDef, schema: TagSchema, report
 ) -> NormalizedValue | None:
@@ -341,34 +351,19 @@ def _check_value_inner(
     value = use.value
     name = tag_type.name
 
+    takes, tail = _TAKES[domain.kind]
+    if value.kind != takes:
+        report(
+            Condition.E3_3_DOMAIN_MISMATCH,
+            f"tag type '{name}' {tail.format(domain.native)}",
+            use.line, use.col,
+        )
+        return None
     if domain.kind == DomainSpec.SIMPLE:
-        if value.kind != TagValue.SIMPLE:
-            report(
-                Condition.E3_3_DOMAIN_MISMATCH,
-                f"tag type '{name}' is a simple flag and takes no value",
-                use.line, use.col,
-            )
-            return None
         return NormalizedValue.flag()
-
     if domain.kind == DomainSpec.NATIVE:
-        if value.kind != TagValue.VALUED:
-            report(
-                Condition.E3_3_DOMAIN_MISMATCH,
-                f"tag type '{name}' needs a {domain.native} value",
-                use.line, use.col,
-            )
-            return None
         return _check_native(domain.native, value.raw, name, use, report)
-
     if domain.kind == DomainSpec.ENUM:
-        if value.kind != TagValue.VALUED:
-            report(
-                Condition.E3_3_DOMAIN_MISMATCH,
-                f"tag type '{name}' needs one of its enumeration values",
-                use.line, use.col,
-            )
-            return None
         if value.raw not in domain.values:
             options = ", ".join(domain.values)
             report(
@@ -380,14 +375,6 @@ def _check_value_inner(
         return NormalizedValue.of_enum(value.raw)
 
     # Complex domain.
-    if value.kind != TagValue.COMPLEX:
-        report(
-            Condition.E3_3_DOMAIN_MISMATCH,
-            f"tag type '{name}' is complex and needs a '{{...}}' value",
-            use.line, use.col,
-        )
-        return None
-
     children: list[tuple[str, NormalizedValue]] = []
     counts: dict[str, int] = {}
     ok = True
@@ -404,10 +391,11 @@ def _check_value_inner(
             ok = False
             continue
         if ref.is_native:
-            if sub.value.kind != TagValue.VALUED:
+            takes, tail = _TAKES[DomainSpec.NATIVE]
+            if sub.value.kind != takes:
                 report(
                     Condition.E3_3_DOMAIN_MISMATCH,
-                    f"subtag '{sub.name}' of '{name}' needs a {ref.type_name} value",
+                    f"subtag '{sub.name}' of '{name}' {tail.format(ref.type_name)}",
                     sub.line, sub.col,
                 )
                 ok = False
@@ -436,7 +424,7 @@ def _check_value_inner(
         if not ref.cardinality.admits(count):
             report(
                 Condition.CARDINALITY_VIOLATION,
-                f"'{name}' needs {_cardinality_phrase(ref.cardinality)} "
+                f"'{name}' needs {ref.cardinality.phrase} "
                 f"'{ref.name}' subtag, found {count}",
                 use.line, use.col,
             )
@@ -464,27 +452,14 @@ def _check_native(kind: str, raw: str, label: str, at: TagUse, report) -> Normal
     # int: optional minus, decimal digits, 64-bit signed range.
     body = raw[1:] if raw.startswith("-") else raw
     if not body or not body.isascii() or not body.isdigit():
-        report(
-            Condition.E3_3_DOMAIN_MISMATCH,
-            f'"{raw}" is not a decimal integer (\'{label}\' takes an int)',
-            at.line, at.col,
-        )
-        return None
-    parsed = int(raw)
-    if not INT64_MIN <= parsed <= INT64_MAX:
-        report(
-            Condition.E3_3_DOMAIN_MISMATCH,
-            f'"{raw}" does not fit a signed 64-bit integer (\'{label}\' takes an int)',
-            at.line, at.col,
-        )
-        return None
-    return NormalizedValue.of_int(parsed)
-
-
-def _cardinality_phrase(cardinality: Cardinality) -> str:
-    return {
-        Cardinality.REQUIRED: "exactly one",
-        Cardinality.OPTIONAL: "at most one",
-        Cardinality.AT_LEAST_ONE: "at least one",
-        Cardinality.MANY: "any number of",
-    }[cardinality]
+        problem = "is not a decimal integer"
+    elif not INT64_MIN <= (parsed := int(raw)) <= INT64_MAX:
+        problem = "does not fit a signed 64-bit integer"
+    else:
+        return NormalizedValue.of_int(parsed)
+    report(
+        Condition.E3_3_DOMAIN_MISMATCH,
+        f'"{raw}" {problem} (\'{label}\' takes an int)',
+        at.line, at.col,
+    )
+    return None

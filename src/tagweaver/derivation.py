@@ -205,8 +205,9 @@ class LanguageProfile:
 def derive_profile(manifest: GrammarManifest) -> LanguageProfile:
     """Compute the language profile for ``manifest``.
 
-    Raises :class:`DerivationError` when no production survives ``@skip``
-    and when keyword aliases collide.
+    Raises :class:`DerivationError` when no production survives ``@skip``,
+    when keyword aliases collide, and when a keyword is the name of a
+    skipped production, whose elements keep that name as their type.
     """
 
     active = [prod for prod in manifest.productions if not prod.skipped]
@@ -224,12 +225,18 @@ def derive_profile(manifest: GrammarManifest) -> LanguageProfile:
 
     keywords: list[ScopeKeyword] = []
     used: set[str] = set()
+    skipped = {prod.name for prod in manifest.productions if prod.skipped}
 
     def emit(keyword: ScopeKeyword) -> None:
         if keyword.keyword in used:
             raise DerivationError(
                 f"scope keyword '{keyword.keyword}' derived twice "
                 f"(second origin: production '{keyword.production}')"
+            )
+        if keyword.keyword in skipped:
+            raise DerivationError(
+                f"scope keyword '{keyword.keyword}' of production '{keyword.production}' "
+                "is the name of a skipped production, whose elements keep it as their type"
             )
         used.add(keyword.keyword)
         keywords.append(keyword)

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import repeat
+from math import inf
 
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, reporter
@@ -61,23 +62,23 @@ NATIVE_KINDS = ("int", "String", "Boolean")
 
 
 class Cardinality(str, Enum):
-    REQUIRED = "required"
-    OPTIONAL = "optional"
-    MANY = "many"
-    AT_LEAST_ONE = "atLeastOne"
+    # How many subtags of one name a complex value takes.  Each member is
+    # (value, mark in schema text, fewest, most, phrase in a
+    # CardinalityViolation message).  MANY admits every count, so its
+    # phrase is never printed.
+    REQUIRED = "required", "", 1, 1, "exactly one"
+    OPTIONAL = "optional", "?", 0, 1, "at most one"
+    MANY = "many", "*", 0, inf, "any number of"
+    AT_LEAST_ONE = "atLeastOne", "+", 1, inf, "at least one"
 
-    @property
-    def mark(self) -> str:
-        return {"required": "", "optional": "?", "many": "*", "atLeastOne": "+"}[self.value]
+    def __new__(cls, value: str, mark: str, fewest: int, most: float, phrase: str):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.mark, member.fewest, member.most, member.phrase = mark, fewest, most, phrase
+        return member
 
     def admits(self, count: int) -> bool:
-        if self is Cardinality.REQUIRED:
-            return count == 1
-        if self is Cardinality.OPTIONAL:
-            return count <= 1
-        if self is Cardinality.AT_LEAST_ONE:
-            return count >= 1
-        return True
+        return self.fewest <= count <= self.most
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def _parse_tag_type(cur: TokenCursor) -> TagTypeDef:
             declared = DomainSpec.of_native(cur.advance().value)
         else:
             raise cur.error(
-                "expected a native type (int, String, Boolean) or an '[' enumeration"
+                f"expected a native type ({', '.join(NATIVE_KINDS)}) or an '[' enumeration"
             )
 
     scope = ScopeSpec.any_scope()
@@ -310,18 +311,12 @@ def _parse_reference(cur: TokenCursor) -> Reference:
     name_tok = cur.expect(IDENT)
     cur.expect(":")
     type_tok = cur.expect(IDENT)
-    cardinality = Cardinality.REQUIRED
-    if cur.match("?"):
-        cardinality = Cardinality.OPTIONAL
-    elif cur.match("*"):
-        cardinality = Cardinality.MANY
-    elif cur.match("+"):
-        cardinality = Cardinality.AT_LEAST_ONE
+    marked = (card for card in Cardinality if card.mark and cur.match(card.mark))
     return Reference(
         name=name_tok.value,
         type_name=type_tok.value,
         is_native=type_tok.value in NATIVE_KINDS,
-        cardinality=cardinality,
+        cardinality=next(marked, Cardinality.REQUIRED),
         line=name_tok.line,
         col=name_tok.col,
     )

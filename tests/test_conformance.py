@@ -707,15 +707,6 @@ class TestValueMessages:
             diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
             assert found(diags) == [("CardinalityViolation", message, 0, 0)] and norm is None
 
-    def test_any_number_admits_every_count(self, kind_schema):
-        one = TagUse("one", TagValue.valued("1"))
-        some = TagUse("some", TagValue.valued("1"))
-        for count in (0, 1, 5):
-            subtags = (one, some) + (TagUse("any", TagValue.valued("1")),) * count
-            use = TagValue.complex_of(*subtags)
-            diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
-            assert diags == [] and len(norm.children) == 2 + count
-
 
 class TestNormalizedValues:
     def test_hashable_and_comparable(self):

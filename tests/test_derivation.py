@@ -20,6 +20,7 @@ from tagweaver import (
     profile_to_json,
     render_derived_grammar,
 )
+from tagweaver.cli import run_cli
 from util import (
     oracle_render_slots,
     oracle_slot_values,
@@ -155,6 +156,57 @@ class TestDerivationErrors:
     def test_alias_collides_with_production_name(self):
         with pytest.raises(DerivationError, match="derived twice"):
             derive("grammar G\nproduction A\n@alias A production B\n")
+
+    def test_alias_names_a_skipped_production(self):
+        with pytest.raises(DerivationError) as raised:
+            derive("grammar G\n@skip production S\nproduction A\n@alias S production B\n")
+        assert str(raised.value) == (
+            "scope keyword 'S' of production 'B' is the name of a skipped production, "
+            "whose elements keep it as their type"
+        )
+
+    def test_prefixed_pi_names_a_skipped_production(self):
+        with pytest.raises(DerivationError, match="'A_s' of production 'A' is the name of a skipped"):
+            derive(
+                "grammar G\nexternal E\nexternal F\n"
+                "@skip production A_s\n"
+                "production A = s:E s2:E\n"
+                "production B = s:F s3:F\n"
+            )
+
+    def test_alias_of_a_skipped_state_is_refused_by_every_command(self, tmp_path, capsys):
+        manifest = tmp_path / "skip.glang"
+        manifest.write_text(
+            "grammar Statechart\nexternal Name\nexternal Expression\n"
+            "@named @alias Statechart production SCDefinition = Name State* Transition*\n"
+            "@skip @named production State = Name State* Invariant?\n"
+            '@alias State @sketch "source -> target" '
+            "production Transition = source:Name target:Name\n"
+            "production Invariant = Expression\n"
+        )
+        files = {
+            "m.sc": "package p;\nstatechart M {\n state A;\n state B;\n A -> B;\n}\n",
+            "s.tagschema": "package p;\ntagschema S {\n tagtype T for State;\n}\n",
+            "t.tag": "package p;\nconforms to p.S;\ntags TT for M {\n"
+            " tag A with T;\n tag [A -> B] with T;\n}\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        inputs = ["--model", str(tmp_path / "m.sc"), "--schema", str(tmp_path / "s.tagschema"),
+                  "--tags", str(tmp_path / "t.tag")]
+        for argv in (
+            ["derive", "--manifest", str(manifest), "--out", str(tmp_path / "out")],
+            ["check", "--manifest", str(manifest), *inputs],
+            ["export", "--manifest", str(manifest), *inputs],
+        ):
+            assert run_cli(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "error: scope keyword 'State' of production 'Transition' is the name of a "
+                "skipped production, whose elements keep it as their type\n"
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_prefixed_pi_collides_with_production_keyword(self):
         with pytest.raises(DerivationError, match="derived twice"):

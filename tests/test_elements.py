@@ -95,3 +95,24 @@ def test_a_model_with_no_named_element_says_elements(profile):
     with pytest.raises(ResolutionError) as exc:
         resolved(chart, ElementIdentifier.bracket("A -> B"), profile)
     assert str(exc.value) == "'[A -> B]' endpoints do not name elements of 'C'"
+
+
+def test_the_miss_noun_follows_a_table_filled_after_a_lookup(components_profile):
+    table = ElementTable(ElementHandle("Sys", "System"))
+    model = SimpleNamespace(element_table=table)
+    ident = ElementIdentifier.bracket("a.out -> c.in")
+    nouns = []
+    for path, production in [(("a",), "Component"), (("a", "out"), "Port"), (("b",), "Component")]:
+        with pytest.raises(ResolutionError) as exc:
+            resolved(model, ident, components_profile)
+        nouns.append(str(exc.value).split(" name ")[1])
+        table.add_named(path, production)
+    with pytest.raises(ResolutionError) as exc:
+        resolved(model, ident, components_profile)
+    nouns.append(str(exc.value).split(" name ")[1])
+    assert nouns == [
+        "elements of 'Sys'",
+        "components of 'Sys'",
+        "components or ports of 'Sys'",
+        "components or ports of 'Sys'",
+    ]
