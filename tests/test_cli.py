@@ -223,6 +223,12 @@ class TestDerive:
         assert f"wrote {profile_path}" in captured.err
         assert profile_path.read_text() == profile_to_json(profile)
 
+    def test_profile_bytes_equal_the_golden_file(self, samples_dir, tmp_path, capsys):
+        argv = ["derive", "--manifest", str(samples_dir / "statechart.glang"), "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        golden = Path(__file__).resolve().parent / "golden_profile.json"
+        assert (tmp_path / "Statechart.profile.json").read_bytes() == golden.read_bytes()
+
     def test_default_out_is_next_to_manifest(self, manifest_text, tmp_path, capsys):
         manifest_path = tmp_path / "g.glang"
         manifest_path.write_text(manifest_text)

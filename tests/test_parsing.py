@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagweaver import parse_statechart
+from tagweaver import parse_statechart, parse_tag_model, parse_tag_schema
 from tagweaver.errors import ParseError
 from tagweaver.parsing import (
     BRACKET, EOF, IDENT, STRING, TokenCursor, is_identifier, read_source, tokenize,
@@ -266,3 +266,46 @@ class TestTokenCursor:
         cur.advance()
         with pytest.raises(ParseError, match=r"^<input>:1:3: expected an identifier, found '\['$"):
             cur.expect(IDENT)
+
+
+# Where each parser reads the shared syntax, a package header or a
+# separated list, and the message a wrong token there draws.
+_TAGS = "package p;\nconforms to s.S;\ntags T for M {\n%s\n}\n"
+_SCHEMA = "package p;\ntagschema S {\n%s\n}\n"
+_SHARED_SYNTAX_ERRORS = [
+    # package headers, in each language
+    ("sc", "pkg a;\nstatechart M {}\n", "expected 'package', found 'pkg'", 1, 1),
+    ("sc", "package ;\nstatechart M {}\n", "expected an identifier, found ';'", 1, 9),
+    ("sc", "package a.;\nstatechart M {}\n", "expected an identifier, found ';'", 1, 11),
+    ("sc", "package a.b\nstatechart M {}\n", "expected ';', found 'statechart'", 2, 1),
+    ("tag", "package a.b\nconforms to s.S;\n", "expected ';', found 'conforms'", 2, 1),
+    ("schema", "tagschema S {}\n", "expected 'package', found 'tagschema'", 1, 1),
+    ("schema", "package a b;\n", "expected ';', found 'b'", 1, 11),
+    # a trailing separator, in each list
+    ("tag", "package p;\nconforms to s.S, ;\ntags T for M {\n}\n",
+     "expected an identifier, found ';'", 2, 18),
+    ("tag", "package p;\nconforms to s.S,\ntags T for M {\n}\n", "expected ';', found 'T'", 3, 6),
+    ("tag", _TAGS % "tag A, with M;", "expected 'with', found 'M'", 4, 13),
+    ("tag", _TAGS % "tag A, ;", "expected an identifier, found ';'", 4, 8),
+    ("tag", _TAGS % "tag A with M, ;", "expected an identifier, found ';'", 4, 15),
+    ("tag", _TAGS % 'tag A with M { a = "x", ; };', "expected an identifier, found ';'", 4, 25),
+    ("tag", _TAGS % 'tag A with M { a = "x", };', "expected an identifier, found '}'", 4, 25),
+    ("schema", _SCHEMA % "tagtype A for State, ;", "expected an identifier, found ';'", 3, 22),
+    ("schema", _SCHEMA % 'tagtype A:["a"|] ;', "expected a string literal, found ']'", 3, 16),
+    ("schema", _SCHEMA % 'tagtype A:["a"|"b"|] ;', "expected a string literal, found ']'", 3, 20),
+    ("schema", _SCHEMA % "tagtype A { a:String, ; }", "expected an identifier, found ';'", 3, 23),
+    ("schema", _SCHEMA % "tagtype A { a:String, }", "expected an identifier, found '}'", 3, 23),
+]
+
+
+@pytest.mark.parametrize("language, text, message, line, col", _SHARED_SYNTAX_ERRORS)
+def test_shared_syntax_errors_through_each_parser(profile, language, text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        if language == "sc":
+            parse_statechart(text, "f")
+        elif language == "tag":
+            parse_tag_model(text, profile, "f")
+        else:
+            parse_tag_schema(text, profile, "f")
+    err = info.value
+    assert (err.message, err.line, err.col, err.filename) == (message, line, col, "f")
