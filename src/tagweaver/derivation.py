@@ -26,6 +26,7 @@ non-skipped productions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
@@ -248,23 +249,24 @@ def derive_profile(manifest: GrammarManifest) -> LanguageProfile:
     # identifiers anywhere in the grammar count, including on skipped
     # productions: a keyword that would be ambiguous in the full grammar
     # stays prefixed.
-    pi_counts: dict[str, int] = {}
-    for prod in manifest.productions:
-        for ref in prod.rhs_refs:
-            if ref.preceding_identifier is not None:
-                pi_counts[ref.preceding_identifier] = pi_counts.get(ref.preceding_identifier, 0) + 1
+    pi_counts = Counter(
+        ref.preceding_identifier
+        for prod in manifest.productions
+        for ref in prod.rhs_refs
+        if ref.preceding_identifier is not None
+    )
     production_names = {prod.name for prod in manifest.productions}
     plain_keywords = {prod.keyword for prod in active}
 
     for prod in active:
-        for st, pi in _distinguishing_identifiers(prod):
+        for pi in _distinguishing_identifiers(prod):
             bare_is_unambiguous = (
-                pi_counts.get(pi, 0) == 1
+                pi_counts[pi] == 1
                 and pi not in production_names
                 and pi not in plain_keywords
             )
             name = pi if bare_is_unambiguous else f"{prod.keyword}_{pi}"
-            emit(ScopeKeyword(name, st, preceding_identifier=pi))
+            emit(ScopeKeyword(name, prod.name, preceding_identifier=pi))
 
     return LanguageProfile(
         grammar_name=manifest.grammar_name,
@@ -273,14 +275,12 @@ def derive_profile(manifest: GrammarManifest) -> LanguageProfile:
     )
 
 
-def _distinguishing_identifiers(prod: Production) -> list[tuple[str, str]]:
+def _distinguishing_identifiers(prod: Production) -> list[str]:
     """Preceding identifiers on nonterminals that repeat within ``prod``."""
 
-    counts: dict[str, int] = {}
-    for ref in prod.rhs_refs:
-        counts[ref.nonterminal] = counts.get(ref.nonterminal, 0) + 1
+    counts = Counter(ref.nonterminal for ref in prod.rhs_refs)
     return [
-        (prod.name, ref.preceding_identifier)
+        ref.preceding_identifier
         for ref in prod.rhs_refs
         if ref.preceding_identifier is not None and counts[ref.nonterminal] > 1
     ]

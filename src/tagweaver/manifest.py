@@ -49,6 +49,7 @@ of ``GrammarManifest.findings``; a line it cannot read raises
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .diagnostics import Condition, Diagnostic, reporter
 from .errors import ParseError
@@ -333,9 +334,7 @@ def _parse_ref(cur: TokenCursor) -> RhsRef:
 
 
 def _check_rhs(prod_name: str, refs: list[RhsRef], report) -> None:
-    counts: dict[str, int] = {}
-    for ref in refs:
-        counts[ref.nonterminal] = counts.get(ref.nonterminal, 0) + 1
+    counts = Counter(ref.nonterminal for ref in refs)
     pis: set[str] = set()
     for ref in refs:
         pi = ref.preceding_identifier

@@ -302,6 +302,22 @@ class TokenCursor:
             parts.append(self.expect(IDENT).value)
         return tuple(parts), first
 
+    def package(self) -> str:
+        """Parse ``package a.b;`` and return ``"a.b"``."""
+
+        self.expect_keyword("package")
+        parts, _ = self.qualified_name()
+        self.expect(";")
+        return ".".join(parts)
+
+    def separated(self, read, *args, sep: str = ",") -> list:
+        """Call ``read(self, *args)`` once, then once more after each ``sep``; return the list."""
+
+        items = [read(self, *args)]
+        while self.match(sep):
+            items.append(read(self, *args))
+        return items
+
 
 def _describe_kind(kind: str) -> str:
     if kind == IDENT:

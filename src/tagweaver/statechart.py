@@ -128,10 +128,7 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
 
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
 
-    cur.expect_keyword("package")
-    package_parts, _ = cur.qualified_name()
-    cur.expect(";")
-
+    package = cur.package()
     cur.expect_keyword("statechart")
     name_tok = cur.expect(IDENT)
     cur.expect("{")
@@ -144,7 +141,7 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
     table = _element_table(name_tok.value, states, transitions)
     _check_transitions(transitions, table, report)
     model = StatechartModel(
-        package=".".join(package_parts),
+        package=package,
         name=name_tok.value,
         states=tuple(states),
         transitions=tuple(transitions),
@@ -235,14 +232,14 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
     target, _ = cur.qualified_name()
     event: str | None = None
     if cur.at(":"):
-        colon = cur.advance()
-        # Event text is opaque: take the raw source slice up to ';'.
+        colon = last = cur.advance()
+        # Event text is opaque: the raw source slice through its last token
+        # before ';', so a trailing comment is not part of it.
         while not cur.at(";") and not cur.at(EOF):
-            cur.advance()
+            last = cur.advance()
         if cur.at(EOF):
             raise cur.error("unterminated transition: missing ';'")
-        semi = cur.peek()
-        event = text[colon.end : semi.start].strip()
+        event = text[colon.end : last.end].strip()
     cur.expect(";")
     return TransitionDef(
         source=source, target=target, event=event, line=first.line, col=first.col

@@ -186,20 +186,12 @@ def parse_tag_model(
 
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
 
-    cur.expect_keyword("package")
-    package_parts, _ = cur.qualified_name()
-    cur.expect(";")
-
+    package = cur.package()
     if not cur.at_keyword("conforms"):
         raise cur.error("expected 'conforms to <schema>;' after the package declaration")
     conforms_tok = cur.advance()
     cur.expect_keyword("to")
-    conforms: list[str] = []
-    while True:
-        schema_parts, _ = cur.qualified_name()
-        conforms.append(".".join(schema_parts))
-        if not cur.match(","):
-            break
+    conforms = cur.separated(TokenCursor.qualified_name)
     cur.expect(";")
 
     cur.expect_keyword("tags")
@@ -212,8 +204,8 @@ def parse_tag_model(
     cur.expect(EOF)
 
     return TagModel(
-        package=".".join(package_parts),
-        conforms_to=tuple(conforms),
+        package=package,
+        conforms_to=tuple(".".join(parts) for parts, _ in conforms),
         name=name_tok.value,
         target_model=".".join(target_parts),
         body=body,
@@ -253,13 +245,9 @@ def _parse_context(cur: TokenCursor, profile: LanguageProfile) -> Context:
 
 def _parse_statement(cur: TokenCursor, profile: LanguageProfile) -> TagStatement:
     tag_tok = cur.expect_keyword("tag")
-    elements = [_parse_element_identifier(cur, profile)]
-    while cur.match(","):
-        elements.append(_parse_element_identifier(cur, profile))
+    elements = cur.separated(_parse_element_identifier, profile)
     cur.expect_keyword("with")
-    tags = [_parse_tag_use(cur)]
-    while cur.match(","):
-        tags.append(_parse_tag_use(cur))
+    tags = cur.separated(_parse_tag_use)
     cur.expect(";")
     return TagStatement(
         element_refs=tuple(elements),
@@ -297,9 +285,7 @@ def _parse_tag_use(cur: TokenCursor) -> TagUse:
         cur.enter(cur.advance())
         subtags: list[TagUse] = []
         if not cur.at("}"):
-            subtags.append(_parse_tag_use(cur))
-            while cur.match(","):
-                subtags.append(_parse_tag_use(cur))
+            subtags = cur.separated(_parse_tag_use)
             cur.expect(";")
         cur.expect("}")
         cur.leave()

@@ -207,10 +207,7 @@ def parse_tag_schema(
 
     cur = TokenCursor(tokenize(text, raw_brackets=False, filename=filename), filename)
 
-    cur.expect_keyword("package")
-    package_parts, _ = cur.qualified_name()
-    cur.expect(";")
-
+    package = cur.package()
     cur.expect_keyword("tagschema")
     name_tok = cur.expect(IDENT)
     cur.expect("{")
@@ -222,7 +219,7 @@ def parse_tag_schema(
     cur.expect(EOF)
 
     schema = TagSchema(
-        package=".".join(package_parts),
+        package=package,
         name=name_tok.value,
         tag_types=tuple(tag_types),
         source_name=filename,
@@ -274,9 +271,7 @@ def _parse_tag_type(cur: TokenCursor) -> TagTypeDef:
 
 def _parse_enum_domain(cur: TokenCursor) -> DomainSpec:
     cur.expect("[")
-    values = [cur.expect(STRING)]
-    while cur.match("|"):
-        values.append(cur.expect(STRING))
+    values = cur.separated(TokenCursor.expect, STRING, sep="|")
     cur.expect("]")
     return DomainSpec(
         DomainSpec.ENUM,
@@ -289,9 +284,7 @@ def _parse_scope(cur: TokenCursor) -> ScopeSpec:
     cur.expect_keyword("for")
     if cur.match("+"):
         return ScopeSpec.any_scope()
-    tokens = [cur.expect(IDENT)]
-    while cur.match(","):
-        tokens.append(cur.expect(IDENT))
+    tokens = cur.separated(TokenCursor.expect, IDENT)
     return ScopeSpec(
         tuple(tok.value for tok in tokens), tuple((tok.line, tok.col) for tok in tokens)
     )
@@ -299,9 +292,7 @@ def _parse_scope(cur: TokenCursor) -> ScopeSpec:
 
 def _parse_complex_domain(cur: TokenCursor) -> DomainSpec:
     cur.expect("{")
-    refs = [_parse_reference(cur)]
-    while cur.match(","):
-        refs.append(_parse_reference(cur))
+    refs = cur.separated(_parse_reference)
     cur.expect(";")
     cur.expect("}")
     return DomainSpec.complex_of(*refs)
@@ -425,15 +416,14 @@ def _positions(
 
 
 def _required_cycles(schema: TagSchema, report) -> None:
-    """Report each cycle of Required/AtLeastOne references (no finite instances)."""
+    """Report each cycle of references that need a subtag (no finite instances)."""
 
-    mandatory = (Cardinality.REQUIRED, Cardinality.AT_LEAST_ONE)
     types = {tt.name: tt for tt in schema.tag_types}
     edges: dict[str, list[str]] = {
         name: [
             ref.type_name
             for ref in tt.domain.references
-            if not ref.is_native and ref.type_name in types and ref.cardinality in mandatory
+            if not ref.is_native and ref.type_name in types and ref.cardinality.fewest > 0
         ]
         for name, tt in types.items()
     }

@@ -268,6 +268,62 @@ class TestTokenCursor:
             cur.expect(IDENT)
 
 
+class TestSharedReaders:
+    """``package()`` and ``separated()``: what they read, and where they stop."""
+
+    @staticmethod
+    def _cursor(text: str, raw_brackets: bool = True) -> TokenCursor:
+        return TokenCursor(tokenize(text, raw_brackets=raw_brackets), "f")
+
+    def test_package_returns_the_dotted_name_and_stops_after_the_semicolon(self):
+        cur = self._cursor("package a.b.c; tags")
+        assert cur.package() == "a.b.c"
+        assert cur.peek()[:2] == (IDENT, "tags")
+
+    @pytest.mark.parametrize("text, read, args, sep, values, after", [
+        ("a, b, c;", TokenCursor.expect, (IDENT,), ",", ["a", "b", "c"], ";"),
+        ('"x"|"y"]', TokenCursor.expect, (STRING,), "|", ["x", "y"], "]"),
+        ("a;", TokenCursor.expect, (IDENT,), ",", ["a"], ";"),
+        ('"x", "y"]', TokenCursor.expect, (STRING,), "|", ["x"], ","),
+    ])
+    def test_separated_reads_one_item_then_one_after_each_separator(
+        self, text, read, args, sep, values, after
+    ):
+        cur = self._cursor(text, raw_brackets=False)
+        assert [tok.value for tok in cur.separated(read, *args, sep=sep)] == values
+        assert cur.peek().kind == after
+
+    def test_separated_passes_the_cursor_and_its_arguments_to_the_reader(self):
+        cur = self._cursor("a.b, c with")
+        names = cur.separated(TokenCursor.qualified_name)
+        assert [parts for parts, _ in names] == [("a", "b"), ("c",)]
+        assert [(first.line, first.col) for _, first in names] == [(1, 1), (1, 6)]
+        assert cur.at_keyword("with")
+
+    def test_a_keyword_after_a_trailing_separator_is_read_as_an_item(self):
+        cur = self._cursor("A, with M;")
+        assert [parts for parts, _ in cur.separated(TokenCursor.qualified_name)] == [
+            ("A",), ("with",)
+        ]
+        with pytest.raises(ParseError) as info:
+            cur.expect_keyword("with")
+        err = info.value
+        assert (err.message, err.line, err.col) == ("expected 'with', found 'M'", 1, 9)
+
+    @pytest.mark.parametrize("text, args, sep, message, col", [
+        ("State, ;", (IDENT,), ",", "expected an identifier, found ';'", 8),
+        ('"a"|]', (STRING,), "|", "expected a string literal, found ']'", 5),
+    ])
+    def test_a_trailing_separator_is_an_error_at_the_token_after_it(
+        self, text, args, sep, message, col
+    ):
+        cur = self._cursor(text, raw_brackets=False)
+        with pytest.raises(ParseError) as info:
+            cur.separated(TokenCursor.expect, *args, sep=sep)
+        err = info.value
+        assert (err.message, err.line, err.col, err.filename) == (message, 1, col, "f")
+
+
 # Where each parser reads the shared syntax, a package header or a
 # separated list, and the message a wrong token there draws.
 _TAGS = "package p;\nconforms to s.S;\ntags T for M {\n%s\n}\n"

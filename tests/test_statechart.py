@@ -453,6 +453,19 @@ class TestEvents:
         )
         assert model.transitions[0].event is None
 
+    @pytest.mark.parametrize("source, event", [
+        ("go // note\n", "go"),
+        ("go /* note */ ", "go"),
+        ("// c\n", ""),
+        ("/* lead */ go // inner\n stop // tail\n", "/* lead */ go // inner\n stop"),
+    ])
+    def test_an_event_ends_at_its_last_token_and_round_trips(self, source, event):
+        model = parse_statechart(
+            f"package p;\nstatechart X {{\n state A;\n state B;\n A -> B : {source};\n}}\n"
+        )
+        assert model.transitions[0].event == event
+        assert parse_statechart(pretty_print_statechart(model)) == model
+
 
 class TestDuplicateTransitionWarnings:
     def test_identical_transitions_warn(self):
@@ -462,6 +475,15 @@ class TestDuplicateTransitionWarnings:
         )
         assert len(model.findings) == 1
         assert "duplicate transition A -> B : go" in model.findings[0].message
+
+    def test_a_trailing_comment_does_not_make_an_event_differ(self):
+        model = parse_statechart(
+            "package p;\nstatechart X {\n state A;\n state B;\n"
+            " A -> B : go // first\n;\n A -> B : go;\n}\n"
+        )
+        assert [d.message for d in model.findings] == [
+            "duplicate transition A -> B : go (lines 5 and 7)"
+        ]
 
     def test_differing_events_do_not_warn(self):
         model = parse_statechart(
