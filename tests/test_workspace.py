@@ -17,6 +17,8 @@ from tagweaver import (
     build_export_report,
     check_workspace,
     load_workspace,
+    parse_tag_model,
+    parse_tag_schema,
     render_export_report,
 )
 from tagweaver import records
@@ -477,6 +479,121 @@ def test_each_distinct_value_is_serialized_as_on_its_own(values):
         assert canonical == json.dumps(value_to_json(value), sort_keys=True)
         assert json.dumps(as_json, sort_keys=True) == canonical
     assert len(forms) == len(set(values))
+
+
+# A schema whose values tie records that share element, tag type and
+# schema: an int, whose canonical text orders "10" before "2", and a complex
+# value whose records differ only in a nested subtag.
+_TIE_SCHEMA = (
+    "package s;\n"
+    "tagschema S {\n"
+    "    tagtype Priority:int for State;\n"
+    "    tagtype Note for State, Transition {\n"
+    "        level:int,\n"
+    "        detail:Detail;\n"
+    "    }\n"
+    "    private tagtype Detail {\n"
+    "        code:int;\n"
+    "    }\n"
+    "    tagtype Seen;\n"
+    "}\n"
+)
+_TIE_TAGS = "package mobile;\nconforms to s.S;\ntags T for Mobile {\n%s}\n"
+
+
+def _note(code: str) -> str:
+    return f'Note {{ level = "1", detail {{ code = "{code}"; }}; }}'
+
+
+def _tied_workspace(manifest, profile, chart, *files: tuple[str, list[str]]) -> LoadedWorkspace:
+    return LoadedWorkspace(
+        manifest=manifest,
+        profile=profile,
+        models=(chart,),
+        schemas=(parse_tag_schema(_TIE_SCHEMA, profile, filename="s.tagschema"),),
+        tag_models=tuple(
+            parse_tag_model(_TIE_TAGS % "".join(f"    {s}\n" for s in statements), profile,
+                            filename=name)
+            for name, statements in files
+        ),
+    )
+
+
+def _sorted_by_the_seven_fields(loaded: LoadedWorkspace) -> list[dict]:
+    _, resolved = check_workspace(loaded)
+    attachments = [att for tagging in resolved for att in tagging.attachments]
+    attachments.sort(key=lambda att: (
+        att.element.path, att.tag_type, att.schema,
+        json.dumps(value_to_json(att.value), sort_keys=True),
+        att.file or "", att.line, att.col,
+    ))
+    return [
+        {
+            "elementPath": att.element.path,
+            "elementType": att.element.element_type,
+            "tagType": att.tag_type,
+            "schema": att.schema,
+            "value": value_to_json(att.value),
+        }
+        for att in attachments
+    ]
+
+
+def test_tied_records_with_different_values_sort_by_their_canonical_text(manifest, profile, chart):
+    """Records tied on element, tag type and schema order by value text, then by position."""
+
+    loaded = _tied_workspace(
+        manifest, profile, chart,
+        ("b.tag", ['tag Start with Priority = "2";', f"tag Done with {_note('7')};",
+                   'tag Start with Priority = "10";']),
+        ("a.tag", [f"tag Done with {_note('7')};", f"tag Done with {_note('12')};",
+                   'tag Start with Priority = "2";', "tag Active with Seen;"]),
+    )
+    diags, report = build_export_report(loaded)
+    assert report is not None, diags
+    order = [(a["elementPath"], a["tagType"], json.dumps(a["value"], separators=(",", ":")))
+             for a in report["attachments"]]
+    note = '{"kind":"complex","subtags":[{"name":"level","value":{"kind":"int","value":1}},' \
+           '{"name":"detail","value":{"kind":"complex","subtags":' \
+           '[{"name":"code","value":{"kind":"int","value":%s}}]}}]}'
+    assert order == [
+        ("Active", "Seen", '{"kind":"flag"}'),
+        ("Done", "Note", note % 12),
+        ("Done", "Note", note % 7),
+        ("Done", "Note", note % 7),
+        ("Start", "Priority", '{"kind":"int","value":10}'),
+        ("Start", "Priority", '{"kind":"int","value":2}'),
+        ("Start", "Priority", '{"kind":"int","value":2}'),
+    ]
+    assert report["attachments"] == _sorted_by_the_seven_fields(loaded)
+    assert render_export_report(report) == json.dumps(report, indent=2) + "\n"
+
+
+_TIE_ELEMENTS = ["Start", "Active", "Active.Call", "Done"]
+_TIE_USES = (
+    [f'Priority = "{n}"' for n in ("2", "10", "-1")]
+    + [_note(code) for code in ("7", "12", "007")]
+    + ["Seen"]
+)
+_TIE_STATEMENTS = st.builds(
+    lambda elements, uses: f"tag {', '.join(elements)} with {', '.join(uses)};",
+    st.lists(st.sampled_from(_TIE_ELEMENTS), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_TIE_USES), min_size=1, max_size=3),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(files=st.lists(st.lists(_TIE_STATEMENTS, min_size=1, max_size=5), min_size=1, max_size=3))
+def test_export_order_and_bytes_of_random_tag_models(manifest, profile, chart, files):
+    """The attachments follow the seven-field key, and render as ``json.dumps`` does."""
+
+    loaded = _tied_workspace(
+        manifest, profile, chart, *((f"t{len(files) - i}.tag", s) for i, s in enumerate(files))
+    )
+    diags, report = build_export_report(loaded)
+    assert report is not None, diags
+    assert report["attachments"] == _sorted_by_the_seven_fields(loaded)
+    assert render_export_report(report) == json.dumps(report, indent=2) + "\n"
 
 
 class TestExportOfBothSampleTagModels:
