@@ -117,46 +117,58 @@ def format_diagnostic(diag: Diagnostic, color: bool = False) -> str:
 
 
 def render_json(obj) -> str:
-    """``json.dumps(obj, indent=2)`` and a newline, byte for byte, each container joined once.
+    """``json.dumps(obj, indent=2)`` and a newline, byte for byte, from one list joined once.
 
-    With ``indent`` set, ``json`` falls back to its pure-Python encoder,
-    which yields every token on its own.  A list's render keeps, by ``id``,
-    the text of each container that is a member of one of its items (all at
-    one indent), so a value that export attachments share renders once.
+    Every container appends its pieces to that list, so no level copies the
+    text below it.  A list's render keeps, by ``id``, the text of each
+    container that is a member of one of its items (all at one indent),
+    joined once, so a value that export attachments share renders once.
     Kept for one list only, the memo stays small and its ids stay live.
     """
 
-    return _render_json(obj, "\n") + "\n"
+    out = _render_json(obj, "\n", [])
+    out.append("\n")
+    return "".join(out)
 
 
-def _render_json(obj, indent: str, own: dict | None = None, members: dict | None = None) -> str:
+def _render_json(obj, indent: str, out: list[str], own: dict | None = None,
+                 members: dict | None = None) -> list[str]:
     # ``indent`` is the newline plus the indentation of ``obj``'s own line.
     # When ``obj`` is a member of a list's item, ``own`` is that list's memo,
     # which keeps ``obj``'s text by ``id``; when ``obj`` is itself a list's
-    # item, ``members`` is the memo that its members use.
+    # item, ``members`` is the memo that its members use.  Returns ``out``.
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if own is not None and id(obj) in own:
-        return own[id(obj)]
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        open_, close = "{", "}"
-        parts = [
-            encode_basestring_ascii(key) + ": " + _render_json(value, inner, members)
-            for key, value in obj.items()
-        ]
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif own is not None:
+        text = own.get(id(obj))
+        if text is None:
+            own[id(obj)] = text = "".join(_render_json(obj, indent, [], None, members))
+        out.append(text)
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if value.__class__ is str:
+                out.append(sep + encode_basestring_ascii(key) + ": " + encode_basestring_ascii(value))
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _render_json(value, inner, out, members)
+            sep = "," + inner
+        out.append(indent + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        open_, close, memo = "[", "]", {}
-        parts = [_render_json(item, inner, members, memo) for item in obj]
+        inner, memo = indent + "  ", {}
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _render_json(item, inner, out, members, memo)
+            sep = "," + inner
+        out.append(indent + "]" if obj else "[]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    text = open_ + inner + ("," + inner).join(parts) + indent + close if parts else open_ + close
-    if own is not None:
-        own[id(obj)] = text
-    return text
+    return out

@@ -318,6 +318,17 @@ class TokenCursor:
             items.append(read(self, *args))
         return items
 
+    def expect_after_list(self, words: tuple[str, ...], kind: str, value: str | None = None) -> Token:
+        """``expect(kind, value)``, naming the ``,`` of a list that ran on into one of ``words``."""
+
+        try:
+            return self.expect(kind, value)
+        except ParseError:
+            comma, last = self._tokens[self._pos - 2], self._tokens[self._pos - 1]
+            if comma.kind == "," and last.kind == IDENT and last.value in words:
+                raise self.error(f"stray ',' before '{last.value}'", comma) from None
+            raise
+
 
 def _describe_kind(kind: str) -> str:
     if kind == IDENT:

@@ -192,7 +192,7 @@ def parse_tag_model(
     conforms_tok = cur.advance()
     cur.expect_keyword("to")
     conforms = cur.separated(TokenCursor.qualified_name)
-    cur.expect(";")
+    cur.expect_after_list(("tags",), ";")
 
     cur.expect_keyword("tags")
     name_tok = cur.expect(IDENT)
@@ -246,9 +246,9 @@ def _parse_context(cur: TokenCursor, profile: LanguageProfile) -> Context:
 def _parse_statement(cur: TokenCursor, profile: LanguageProfile) -> TagStatement:
     tag_tok = cur.expect_keyword("tag")
     elements = cur.separated(_parse_element_identifier, profile)
-    cur.expect_keyword("with")
+    cur.expect_after_list(("with",), IDENT, "with")
     tags = cur.separated(_parse_tag_use)
-    cur.expect(";")
+    cur.expect_after_list(("tag", "within"), ";")
     return TagStatement(
         element_refs=tuple(elements),
         tag_refs=tuple(tags),

@@ -31,10 +31,9 @@ equals concatenating their separate exports and re-sorting.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from pathlib import Path
 
-from .conformance import Attachment, CheckInput, NormalizedValue, ResolvedTagging, check
+from .conformance import CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
 from .diagnostics import Diagnostic, has_errors, render_json, require_well_formed
 from .errors import WorkspaceError
@@ -212,6 +211,9 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     place of the report when any check produced an error.  All tag models
     must share one target model.  Attachments with equal values share one
     ``value`` dict, so a caller copies a value before it mutates it.
+
+    Attachments sort by element path, tag type, schema, the value's canonical text
+    (made only for records tied on the first three), file, line and column.
     """
 
     targets = {
@@ -227,19 +229,25 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     if has_errors(diags):
         return diags, None
 
-    # Equal values (their hash is cached) are serialized once, for both the
-    # sort key and the report.  The key puts content first so that merged
-    # exports equal re-sorted concatenations; source position only breaks
-    # ties between truly identical records.
+    # Equal values (their hash is cached) are serialized once.  The key puts
+    # content first so that merged exports equal re-sorted concatenations;
+    # source position only breaks ties between truly identical records.
+    # One tuple per record sorts on all but the value (the index keeps the
+    # records themselves out of the comparison); then each run tied on path,
+    # tag type and schema is re-sorted, stably, by its values' canonical text.
     forms = _ValueForms()
-    records: list[tuple[tuple, Attachment, dict]] = []
-    for tagging in resolved:
-        for att in tagging.attachments:
-            value, canonical = forms[att.value]
-            key = (att.element.path, att.tag_type, att.schema, canonical,
-                   att.file or "", att.line, att.col)
-            records.append((key, att, value))
-    records.sort(key=itemgetter(0))
+    records = sorted(
+        (att.element.path, att.tag_type, att.schema, att.file or "", att.line, att.col, i, att,
+         forms[att.value])
+        for i, att in enumerate(att for tagging in resolved for att in tagging.attachments)
+    )
+    start = 0
+    for end in range(1, len(records) + 1):
+        if end == len(records) or records[end][:3] != records[start][:3]:
+            if end - start > 1:
+                records[start:end] = sorted(records[start:end],
+                                            key=lambda r: json.dumps(r[-1], sort_keys=True))
+            start = end
 
     target_name = next(iter(targets)) if targets else ""
     report = {
@@ -252,19 +260,18 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
                 "schema": att.schema,
                 "value": value,
             }
-            for _, att, value in records
+            for *_, att, value in records
         ],
     }
     return diags, report
 
 
 class _ValueForms(dict):
-    """Each distinct value's JSON dict and canonical string, made on its first lookup."""
+    """Each distinct value's JSON dict, made on its first lookup (its canonical text is not)."""
 
-    def __missing__(self, value: NormalizedValue) -> tuple[dict, str]:
-        as_json = value_to_json(value)
-        self[value] = entry = (as_json, json.dumps(as_json, sort_keys=True))
-        return entry
+    def __missing__(self, value: NormalizedValue) -> dict:
+        self[value] = as_json = value_to_json(value)
+        return as_json
 
 
 def value_to_json(value: NormalizedValue) -> dict:

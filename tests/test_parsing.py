@@ -306,9 +306,20 @@ class TestSharedReaders:
             ("A",), ("with",)
         ]
         with pytest.raises(ParseError) as info:
-            cur.expect_keyword("with")
+            cur.expect_after_list(("with",), IDENT, "with")
         err = info.value
-        assert (err.message, err.line, err.col) == ("expected 'with', found 'M'", 1, 9)
+        assert (err.message, err.line, err.col) == ("stray ',' before 'with'", 1, 2)
+
+    def test_a_keyword_read_as_the_last_item_stays_a_name(self):
+        cur = self._cursor("A, with with M;")
+        assert [parts for parts, _ in cur.separated(TokenCursor.qualified_name)] == [
+            ("A",), ("with",)
+        ]
+        assert cur.expect_after_list(("with",), IDENT, "with").col == 9
+        cur = self._cursor("A, B M;")
+        cur.separated(TokenCursor.qualified_name)
+        with pytest.raises(ParseError, match="expected 'with', found 'M'$"):
+            cur.expect_after_list(("with",), IDENT, "with")
 
     @pytest.mark.parametrize("text, args, sep, message, col", [
         ("State, ;", (IDENT,), ",", "expected an identifier, found ';'", 8),
@@ -340,8 +351,8 @@ _SHARED_SYNTAX_ERRORS = [
     # a trailing separator, in each list
     ("tag", "package p;\nconforms to s.S, ;\ntags T for M {\n}\n",
      "expected an identifier, found ';'", 2, 18),
-    ("tag", "package p;\nconforms to s.S,\ntags T for M {\n}\n", "expected ';', found 'T'", 3, 6),
-    ("tag", _TAGS % "tag A, with M;", "expected 'with', found 'M'", 4, 13),
+    ("tag", "package p;\nconforms to s.S,\ntags T for M {\n}\n", "stray ',' before 'tags'", 2, 16),
+    ("tag", _TAGS % "tag A, with M;", "stray ',' before 'with'", 4, 6),
     ("tag", _TAGS % "tag A, ;", "expected an identifier, found ';'", 4, 8),
     ("tag", _TAGS % "tag A with M, ;", "expected an identifier, found ';'", 4, 15),
     ("tag", _TAGS % 'tag A with M { a = "x", ; };', "expected an identifier, found ';'", 4, 25),
@@ -365,3 +376,25 @@ def test_shared_syntax_errors_through_each_parser(profile, language, text, messa
             parse_tag_schema(text, profile, "f")
     err = info.value
     assert (err.message, err.line, err.col, err.filename) == (message, line, col, "f")
+
+
+@pytest.mark.parametrize("body, message, line, col", [
+    ("tag A with M,\ntag B with N;", "stray ',' before 'tag'", 4, 13),
+    ("tag A with M,\nwithin B { }", "stray ',' before 'within'", 4, 13),
+])
+def test_a_comma_before_a_keyword_is_named_where_the_list_runs_on(profile, body, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_tag_model(_TAGS % body, profile, "f")
+    err = info.value
+    assert (err.message, err.line, err.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("body, elements, tags", [
+    ("tag A with M, tag;", [("A",)], ["M", "tag"]),
+    ("tag A, with with M;", [("A",), ("with",)], ["M"]),
+    ("tag with with within;", [("with",)], ["within"]),
+])
+def test_the_keywords_after_a_list_stay_names(profile, body, elements, tags):
+    statement, = parse_tag_model(_TAGS % body, profile, "f").body
+    assert [ref.path for ref in statement.element_refs] == elements
+    assert [tag.name for tag in statement.tag_refs] == tags
