@@ -391,7 +391,6 @@ def test_a_comma_before_a_keyword_is_named_where_the_list_runs_on(profile, body,
 
 @pytest.mark.parametrize("body, elements, tags", [
     ("tag A with M, tag;", [("A",)], ["M", "tag"]),
-    ("tag A, with with M;", [("A",), ("with",)], ["M"]),
     ("tag with with within;", [("with",)], ["within"]),
 ])
 def test_the_keywords_after_a_list_stay_names(profile, body, elements, tags):
