@@ -220,7 +220,8 @@ def run_cli(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     # A one-shot process keeps everything it builds until exit, so cyclic
     # collection would only walk live objects.  ``run_cli`` leaves the
-    # collector alone for library and in-process callers.
+    # collector alone for in-process callers; the workspace entry points it
+    # calls pause it only for their own duration.
     gc.disable()
     return run_cli(argv)
 

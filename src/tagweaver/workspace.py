@@ -22,15 +22,17 @@ The export report is a JSON document listing every resolved attachment::
       ]
     }
 
-Attachments are ordered by element path, then tag type, then the
-remaining record content, then source position, so identical inputs
-produce byte-identical reports and exporting several tag models together
-equals concatenating their separate exports and re-sorting.
+Attachments are ordered by element path, tag type, schema and the value's
+canonical text; full ties keep the order of the tag models as given.  So equal
+inputs give byte-identical reports, and exporting several tag models equals
+concatenating their separate exports, in that order, and re-sorting stably.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from functools import wraps
 from pathlib import Path
 
 from .conformance import CheckInput, NormalizedValue, ResolvedTagging, check
@@ -89,11 +91,29 @@ def _find_named(kind: str, candidates: tuple, qualified: str):
     )
 
 
+def _gc_paused(fn):
+    # Runs ``fn`` with the cyclic collector paused, then leaves it as the caller
+    # had it: a batch call keeps what it builds until it returns, so a
+    # collection during it would only walk live objects.
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
 
 
+@_gc_paused
 def load_workspace(ws: Workspace) -> LoadedWorkspace:
     """Read and parse every file of the workspace.
 
@@ -177,6 +197,7 @@ def _require_sound(files: list[tuple[str, StatechartModel | TagSchema]]) -> None
 # ---------------------------------------------------------------------------
 
 
+@_gc_paused
 def check_workspace(
     loaded: LoadedWorkspace,
 ) -> tuple[list[Diagnostic], list[ResolvedTagging]]:
@@ -204,6 +225,7 @@ def check_workspace(
 # ---------------------------------------------------------------------------
 
 
+@_gc_paused
 def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict | None]:
     """Check the workspace and assemble the export payload.
 
@@ -212,8 +234,8 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
     must share one target model.  Attachments with equal values share one
     ``value`` dict, so a caller copies a value before it mutates it.
 
-    Attachments sort by element path, tag type, schema, the value's canonical text
-    (made only for records tied on the first three), file, line and column.
+    Attachments sort by element path, tag type, schema and the value's canonical text
+    (made only for records tied on the first three), full ties in checking order.
     """
 
     targets = {
@@ -230,15 +252,14 @@ def build_export_report(loaded: LoadedWorkspace) -> tuple[list[Diagnostic], dict
         return diags, None
 
     # Equal values (their hash is cached) are serialized once.  The key puts
-    # content first so that merged exports equal re-sorted concatenations;
-    # source position only breaks ties between truly identical records.
-    # One tuple per record sorts on all but the value (the index keeps the
-    # records themselves out of the comparison); then each run tied on path,
-    # tag type and schema is re-sorted, stably, by its values' canonical text.
+    # content first so that merged exports equal re-sorted concatenations.
+    # One tuple per record sorts on path, tag type and schema, then on the
+    # attachment's index (which keeps the records themselves out of the
+    # comparison); then each run tied on the first three is re-sorted,
+    # stably, by its values' canonical text.
     forms = _ValueForms()
     records = sorted(
-        (att.element.path, att.tag_type, att.schema, att.file or "", att.line, att.col, i, att,
-         forms[att.value])
+        (att.element.path, att.tag_type, att.schema, i, att, forms[att.value])
         for i, att in enumerate(att for tagging in resolved for att in tagging.attachments)
     )
     start = 0

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from tagweaver import (
     LoadedWorkspace,
     NormalizedValue,
     Workspace,
+    ParseError,
     WorkspaceError,
     build_export_report,
     check_workspace,
@@ -24,6 +28,7 @@ from tagweaver import (
 from tagweaver import records
 from tagweaver.conformance import INT64_MAX, INT64_MIN
 from tagweaver.diagnostics import render_json
+from tagweaver import workspace as workspace_module
 from tagweaver.workspace import _ValueForms, qualify, value_to_json
 
 GOLDEN_EXPORT = Path(__file__).resolve().parent / "golden_export.json"
@@ -572,6 +577,28 @@ def test_tied_records_with_different_values_sort_by_their_canonical_text(manifes
     assert render_export_report(report) == json.dumps(report, indent=2) + "\n"
 
 
+def test_records_tied_on_the_whole_key_keep_the_order_of_the_tag_files(samples_dir, tmp_path):
+    """A chart and a state share a path; their equal records follow the files as given."""
+
+    def tags(name: str, ref: str):
+        return write(tmp_path, name, f"package p;\nconforms to s.S;\ntags {name[0].upper()} for A "
+                                     f"{{ tag {ref} with M; }}\n")
+
+    ws = Workspace(
+        manifest_file=samples_dir / "statechart.glang",
+        model_files=(write(tmp_path, "m.sc", "package p;\nstatechart A { state A; }\n"),),
+        schema_files=(write(tmp_path, "s.tagschema", "package s;\ntagschema S { tagtype M; }\n"),),
+        tag_files=(tags("z.tag", "A"), tags("a.tag", "A.A")),
+    )
+    for tag_files, types in ((ws.tag_files, ["Statechart", "State"]),
+                             (ws.tag_files[::-1], ["State", "Statechart"])):
+        diags, report = build_export_report(load_workspace(records.replace(ws, tag_files=tag_files)))
+        assert diags == []
+        assert [(a["elementPath"], a["elementType"]) for a in report["attachments"]] == [
+            ("A", t) for t in types
+        ]
+
+
 _TIE_ELEMENTS = ["Start", "Active", "Active.Call", "Done"]
 _TIE_USES = (
     [f'Priority = "{n}"' for n in ("2", "10", "-1")]
@@ -668,3 +695,110 @@ class TestValueToJson:
                 {"name": "b", "value": {"kind": "flag"}},
             ],
         }
+
+
+# ---------------------------------------------------------------------------
+# The batch entry points run without cyclic collections
+# ---------------------------------------------------------------------------
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def nested_workspace(tmp_path_factory) -> Workspace:
+    generated = _load_workloads().generate(
+        "nested-contexts", 4242, tmp_path_factory.mktemp("nested"), quick=True
+    )
+    return Workspace(
+        manifest_file=generated.manifest,
+        model_files=(generated.model,),
+        schema_files=(generated.schema,),
+        tag_files=tuple(generated.tag_files),
+    )
+
+
+def _collections_during(call, *args) -> list[int]:
+    """Call ``call(*args)``; return the generations of the collections started inside it."""
+
+    started, inside = [], [False]
+
+    def hook(phase, info):
+        if phase == "start" and inside[0]:
+            started.append(info["generation"])
+
+    gc.collect()  # a fresh count: nothing is due before the call starts
+    gc.callbacks.append(hook)
+    try:
+        inside[0] = True
+        call(*args)
+        inside[0] = False
+    finally:
+        gc.callbacks.remove(hook)
+    return started
+
+
+def _each_entry_point(ws: Workspace):
+    loaded = load_workspace(ws)
+    return [(load_workspace, ws), (check_workspace, loaded), (build_export_report, loaded)]
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("name", ["golden_workspace", "nested_workspace"])
+    def test_no_collection_starts_inside_an_entry_point(self, name, request):
+        for call, arg in _each_entry_point(request.getfixturevalue(name)):
+            assert _collections_during(call, arg) == [], call.__name__
+            assert gc.isenabled()
+
+    def test_the_same_calls_collect_unpaused(self, nested_workspace):
+        # The hook sees the collections that the pause prevents.
+        assert _collections_during(load_workspace.__wrapped__, nested_workspace)
+        loaded = load_workspace(nested_workspace)
+        assert _collections_during(check_workspace.__wrapped__, loaded)
+
+    def test_restored_after_a_parse_error(self, golden_workspace, tmp_path):
+        bad = write(tmp_path, "bad.tag", "package mobile;\ntags {\n")
+        with pytest.raises(ParseError):
+            load_workspace(records.replace(golden_workspace, tag_files=(bad,)))
+        assert gc.isenabled()
+
+    def test_restored_after_a_workspace_error(self, golden_workspace):
+        twice = golden_workspace.model_files * 2
+        with pytest.raises(WorkspaceError, match="defined by both"):
+            load_workspace(records.replace(golden_workspace, model_files=twice))
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, golden_workspace):
+        gc.disable()
+        try:
+            for call, arg in _each_entry_point(golden_workspace):
+                call(arg)
+                assert not gc.isenabled(), call.__name__
+            with pytest.raises(WorkspaceError, match="defined by both"):
+                load_workspace(records.replace(
+                    golden_workspace, model_files=golden_workspace.model_files * 2
+                ))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_the_nested_check_leaves_the_export_paused(self, golden_workspace, monkeypatch):
+        # ``has_errors`` is the export's first call after ``check_workspace``.
+        seen = []
+        real = workspace_module.has_errors
+
+        def has_errors(diags):
+            seen.append(gc.isenabled())
+            return real(diags)
+
+        monkeypatch.setattr(workspace_module, "has_errors", has_errors)
+        _, report = build_export_report(load_workspace(golden_workspace))
+        assert report is not None
+        assert seen == [False]
+        assert gc.isenabled()
