@@ -73,29 +73,33 @@ class NormalizedValue:
     value: int | str | bool | None = None
     children: tuple[tuple[str, NormalizedValue], ...] = ()
 
-    @classmethod
-    def flag(cls) -> NormalizedValue:
-        return cls("flag")
+    @staticmethod
+    def flag() -> NormalizedValue:
+        """The one flag value: records are frozen, so every flag shares it."""
+        return _FLAG
 
     @classmethod
     def of_int(cls, value: int) -> NormalizedValue:
-        return cls("int", value=value)
+        return cls("int", value)
 
     @classmethod
     def of_string(cls, value: str) -> NormalizedValue:
-        return cls("string", value=value)
+        return cls("string", value)
 
     @classmethod
     def of_bool(cls, value: bool) -> NormalizedValue:
-        return cls("bool", value=value)
+        return cls("bool", value)
 
     @classmethod
     def of_enum(cls, value: str) -> NormalizedValue:
-        return cls("enum", value=value)
+        return cls("enum", value)
 
     @classmethod
     def of_children(cls, children: tuple[tuple[str, NormalizedValue], ...]) -> NormalizedValue:
-        return cls("complex", children=children)
+        return cls("complex", None, children)
+
+
+_FLAG = NormalizedValue("flag")
 
 
 @record
@@ -251,15 +255,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
             )
         seen.add(key)
         attachments.append(
-            Attachment(
-                element=handle,
-                tag_type=tt.name,
-                schema=schema_name,
-                value=normalized,
-                file=model.source_name,
-                line=tag.line,
-                col=tag.col,
-            )
+            Attachment(handle, tt.name, schema_name, normalized, model.source_name, tag.line, tag.col)
         )
 
     if has_errors(diags):

@@ -177,24 +177,33 @@ class LanguageProfile:
         counted = [(len(rule.sketch_literals()), rule) for rule in self.bracket_rules()]
         return tuple(sorted(counted, key=lambda pair: -pair[0]))
 
-    def bracket_readings(self, raw: str) -> list[tuple[IdentifierRule, tuple[tuple[str, ...], ...]]]:
+    @cached_property
+    def _readings(self) -> dict[str, tuple[tuple[IdentifierRule, tuple[tuple[str, ...], ...]], ...]]:
+        """:meth:`bracket_readings` by text, filled as texts are asked for."""
+        return {}
+
+    def bracket_readings(self, raw: str) -> tuple[tuple[IdentifierRule, tuple[tuple[str, ...], ...]], ...]:
         """The bracket forms that read ``raw``, each with its slot values.
 
         Of the forms that fit ``raw`` (see :meth:`IdentifierRule.slot_values`),
         those with the most sketch literals read it, all of them, in
-        declaration order; [] when no form fits.  The tag-model parser and
-        the resolver both ask this one question.
+        declaration order; ``()`` when no form fits.  The tag-model parser
+        and the resolver both ask this one question, so the answer is kept
+        per ``raw`` for the life of the profile: each text is read once.
         """
 
-        readings: list[tuple[IdentifierRule, tuple[tuple[str, ...], ...]]] = []
-        most = 0
-        for literals, rule in self._bracket_order:
-            if literals < most:
-                break
-            slots = rule.slot_values(raw)
-            if slots is not None:
-                readings.append((rule, slots))
-                most = literals
+        readings = self._readings.get(raw)
+        if readings is None:
+            found = []
+            most = 0
+            for literals, rule in self._bracket_order:
+                if literals < most:
+                    break
+                slots = rule.slot_values(raw)
+                if slots is not None:
+                    found.append((rule, slots))
+                    most = literals
+            readings = self._readings[raw] = tuple(found)
         return readings
 
 

@@ -13,6 +13,14 @@ record's hash is computed on first use and kept, since nested records
 (values inside values, identifiers in memo keys) are hashed again and
 again.  Copies and pickles go through the constructor, so they hash
 afresh.
+
+The parsers and the checker call record classes positionally.  A type
+called with keywords first packs them into a dict, which ``type.__call__``
+then unpacks into ``__init__``: on CPython 3.11 that makes an
+``Attachment`` cost 1.07 µs with keywords against 0.72 µs positionally,
+and a ``TagUse`` 0.78 against 0.53 µs, paid for every record of a load
+and a check.  A record with no field of its own to vary (a simple tag
+value, a flag) is one shared instance: records are frozen.
 """
 
 from __future__ import annotations

@@ -216,13 +216,8 @@ def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -
         substates = invariants = ()
 
     return StateDef(
-        name=name_tok.value,
-        initial="initial" in modifiers,
-        final="final" in modifiers,
-        substates=tuple(substates),
-        invariants_src=tuple(invariants),
-        line=name_tok.line,
-        col=name_tok.col,
+        name_tok.value, "initial" in modifiers, "final" in modifiers,
+        tuple(substates), tuple(invariants), name_tok.line, name_tok.col,
     )
 
 
@@ -241,9 +236,7 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
             raise cur.error("unterminated transition: missing ';'")
         event = text[colon.end : last.end].strip()
     cur.expect(";")
-    return TransitionDef(
-        source=source, target=target, event=event, line=first.line, col=first.col
-    )
+    return TransitionDef(source, target, event, first.line, first.col)
 
 
 def _check_transitions(transitions: list[TransitionDef], table: ElementTable, report) -> None:

@@ -82,11 +82,11 @@ class ElementIdentifier:
 
     @classmethod
     def qualified(cls, *path: str, line: int = 0, col: int = 0) -> ElementIdentifier:
-        return cls(cls.QUALIFIED, path=tuple(path), line=line, col=col)
+        return cls(cls.QUALIFIED, path, "", line, col)
 
     @classmethod
     def bracket(cls, raw: str, line: int = 0, col: int = 0) -> ElementIdentifier:
-        return cls(cls.BRACKET, raw=raw, line=line, col=col)
+        return cls(cls.BRACKET, (), raw, line, col)
 
 
 @record
@@ -106,17 +106,21 @@ class TagValue:
     raw: str | None = None
     subtags: tuple[TagUse, ...] = ()
 
-    @classmethod
-    def simple(cls) -> TagValue:
-        return cls(cls.SIMPLE)
+    @staticmethod
+    def simple() -> TagValue:
+        """The one simple value: records are frozen, so every simple use shares it."""
+        return _SIMPLE
 
     @classmethod
     def valued(cls, raw: str) -> TagValue:
-        return cls(cls.VALUED, raw=raw)
+        return cls(cls.VALUED, raw)
 
     @classmethod
     def complex_of(cls, *subtags: TagUse) -> TagValue:
-        return cls(cls.COMPLEX, subtags=tuple(subtags))
+        return cls(cls.COMPLEX, None, subtags)
+
+
+_SIMPLE = TagValue(TagValue.SIMPLE)
 
 
 @record
@@ -240,7 +244,7 @@ def _parse_context(cur: TokenCursor, profile: LanguageProfile) -> Context:
     body = _parse_body(cur, profile)
     cur.expect("}")
     cur.leave()
-    return Context(identifier=ident, body=body, line=within_tok.line, col=within_tok.col)
+    return Context(ident, body, within_tok.line, within_tok.col)
 
 
 def _parse_statement(cur: TokenCursor, profile: LanguageProfile) -> TagStatement:
@@ -249,12 +253,7 @@ def _parse_statement(cur: TokenCursor, profile: LanguageProfile) -> TagStatement
     cur.expect_after_list(("with",), IDENT, "with")
     tags = cur.separated(_parse_tag_use)
     cur.expect_after_list(("tag", "within"), ";")
-    return TagStatement(
-        element_refs=tuple(elements),
-        tag_refs=tuple(tags),
-        line=tag_tok.line,
-        col=tag_tok.col,
-    )
+    return TagStatement(tuple(elements), tuple(tags), tag_tok.line, tag_tok.col)
 
 
 def _parse_element_identifier(cur: TokenCursor, profile: LanguageProfile) -> ElementIdentifier:
@@ -269,18 +268,16 @@ def _parse_element_identifier(cur: TokenCursor, profile: LanguageProfile) -> Ele
                 else f"the '{profile.grammar_name}' profile declares no bracket identifier forms"
             )
             raise cur.error(f"'[{raw}]' matches no bracket identifier form ({detail})", tok)
-        return ElementIdentifier.bracket(raw, line=tok.line, col=tok.col)
+        return ElementIdentifier(ElementIdentifier.BRACKET, (), raw, tok.line, tok.col)
     path, first = cur.qualified_name()
-    return ElementIdentifier(
-        ElementIdentifier.QUALIFIED, path=path, line=first.line, col=first.col
-    )
+    return ElementIdentifier(ElementIdentifier.QUALIFIED, path, "", first.line, first.col)
 
 
 def _parse_tag_use(cur: TokenCursor) -> TagUse:
     name_tok = cur.expect(IDENT)
     if cur.match("="):
         value_tok = cur.expect(STRING)
-        value = TagValue.valued(value_tok.value)
+        value = TagValue(TagValue.VALUED, value_tok.value)
     elif cur.at("{"):
         cur.enter(cur.advance())
         subtags: list[TagUse] = []
@@ -289,10 +286,10 @@ def _parse_tag_use(cur: TokenCursor) -> TagUse:
             cur.expect(";")
         cur.expect("}")
         cur.leave()
-        value = TagValue(TagValue.COMPLEX, subtags=tuple(subtags))
+        value = TagValue(TagValue.COMPLEX, None, tuple(subtags))
     else:
-        value = TagValue.simple()
-    return TagUse(name=name_tok.value, value=value, line=name_tok.line, col=name_tok.col)
+        value = _SIMPLE
+    return TagUse(name_tok.value, value, name_tok.line, name_tok.col)
 
 
 # ---------------------------------------------------------------------------

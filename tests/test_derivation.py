@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagweaver import (
+    CheckInput,
     DerivationError,
     IdentifierKind,
     IdentifierRule,
     LanguageProfile,
     ScopeKeyword,
+    Workspace,
+    check,
+    check_workspace,
     derive_profile,
+    load_workspace,
     parse_manifest,
+    parse_statechart,
+    parse_tag_model,
+    parse_tag_schema,
     profile_to_json,
     render_derived_grammar,
 )
@@ -420,3 +432,63 @@ class TestProfileJson:
 def test_scope_keyword_nested_flag():
     assert not ScopeKeyword("A", "A").is_nested
     assert ScopeKeyword("s", "T", preceding_identifier="s").is_nested
+
+
+class TestReadingsAreKept:
+    """``bracket_readings`` reads each text once per profile: the parser's reading serves the resolver."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> Counter:
+        """Count the calls of ``IdentifierRule.slot_values``, by (rule instance, text)."""
+        counted: Counter = Counter()
+        slot_values = IdentifierRule.slot_values
+
+        def counting(rule, raw):
+            counted[id(rule), raw] += 1
+            return slot_values(rule, raw)
+
+        monkeypatch.setattr(IdentifierRule, "slot_values", counting)
+        return counted
+
+    def test_parse_and_check_of_the_samples_read_each_text_once(self, reads, samples_dir, manifest_text):
+        profile = derive(manifest_text)
+        chart = parse_statechart((samples_dir / "mobile.sc").read_text())
+        schema = parse_tag_schema((samples_dir / "logging_schema.tagschema").read_text(), profile)
+        for name in ("mobile_tags.tag", "mobile_tags_full.tag"):
+            tags = parse_tag_model((samples_dir / name).read_text(), profile)
+            diags, resolved = check(CheckInput(tags, chart, (schema,), profile))
+            assert resolved is not None, diags
+        # The samples' one bracket reference, read by the transition form alone.
+        assert list(reads.values()) == [1] and [raw for _, raw in reads] == ["Start -> Active"]
+
+    def test_a_flat_brackets_workspace_reads_each_text_once(self, reads, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        generated = workloads.generate("flat-brackets", 4242, tmp_path, quick=True)
+        loaded = load_workspace(Workspace(
+            manifest_file=generated.manifest,
+            model_files=(generated.model,),
+            schema_files=(generated.schema,),
+            tag_files=tuple(generated.tag_files),
+        ))
+        diags, resolved = check_workspace(loaded)
+        assert sum(len(r.attachments) for r in resolved) == generated.expected.pairs, diags
+        texts = {raw for _, raw in reads}
+        assert len(texts) > 10 and any("->" in raw for raw in texts)
+        assert set(reads.values()) == {1}
+
+    def test_a_kept_reading_is_the_one_a_fresh_profile_makes(self, reads, manifest_text):
+        profile = derive(manifest_text)
+        first = profile.bracket_readings("Start -> Active")
+        assert isinstance(first, tuple) and profile.bracket_readings("Start -> Active") is first
+        assert first == derive(manifest_text).bracket_readings("Start -> Active")
+
+    def test_a_text_that_no_form_reads_is_kept_as_empty(self, reads):
+        rule = IdentifierRule("T", IdentifierKind.BRACKET_SYNTAX, "source -> target")
+        profile = LanguageProfile("G", (rule,), ())
+        assert profile.bracket_readings("Start ->") == ()
+        assert reads == {(id(rule), "Start ->"): 1}
+        assert profile.bracket_readings("Start ->") == ()
+        assert reads == {(id(rule), "Start ->"): 1}

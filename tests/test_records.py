@@ -28,7 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagweaver
-from tagweaver import ElementIdentifier, NormalizedValue, parse_statechart, records, resolve_element
+from tagweaver import (
+    ElementIdentifier, NormalizedValue, TagStatement, TagValue, parse_statechart, records, resolve_element,
+)
 from tagweaver.statechart import StatechartModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -252,3 +254,25 @@ def test_statechart_index_is_cached_on_the_instance(samples_dir, profile):
     assert model.__dict__["element_table"] is model.element_table
     assert model == parse_statechart(text)
     assert hash(model) == hash(parse_statechart(text))
+
+
+@pytest.mark.parametrize(
+    "shared, fresh",
+    [(TagValue.simple, lambda: TagValue(TagValue.SIMPLE)), (NormalizedValue.flag, lambda: NormalizedValue("flag"))],
+    ids=["TagValue.simple", "NormalizedValue.flag"],
+)
+def test_the_simple_value_and_the_flag_are_shared(shared, fresh):
+    one, built = shared(), fresh()
+    assert shared() is one and built is not one
+    assert built == one and hash(built) == hash(one) and repr(built) == repr(one)
+    for round_trip in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
+        assert round_trip(one) == one and hash(round_trip(one)) == hash(one)
+
+
+def test_the_parser_and_the_checker_hand_out_the_shared_instances(golden_tags, chart, schema, profile):
+    uses = [tag for item in golden_tags.body if isinstance(item, TagStatement) for tag in item.tag_refs]
+    simple = [tag.value for tag in uses if tag.value.kind == TagValue.SIMPLE]
+    assert simple and all(value is TagValue.simple() for value in simple)
+    _, resolved = tagweaver.check(tagweaver.CheckInput(golden_tags, chart, (schema,), profile))
+    flags = [a.value for a in resolved.attachments if a.value.kind == "flag"]
+    assert flags and all(value is NormalizedValue.flag() for value in flags)
