@@ -120,10 +120,10 @@ def render_json(obj) -> str:
     """``json.dumps(obj, indent=2)`` and a newline, byte for byte, from one list joined once.
 
     Every container appends its pieces to that list, so no level copies the
-    text below it.  A list's render keeps, by ``id``, the text of each
-    container that is a member of one of its items (all at one indent),
-    joined once, so a value that export attachments share renders once.
-    Kept for one list only, the memo stays small and its ids stay live.
+    text below it.  A container met twice is written twice: the export, whose
+    attachments share value dicts, is written by ``workspace.render_export_report``,
+    which keeps each shared value's text and uses this walker for any part not of
+    the export's shape.
     """
 
     out = _render_json(obj, "\n", [])
@@ -131,12 +131,8 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
-def _render_json(obj, indent: str, out: list[str], own: dict | None = None,
-                 members: dict | None = None) -> list[str]:
-    # ``indent`` is the newline plus the indentation of ``obj``'s own line.
-    # When ``obj`` is a member of a list's item, ``own`` is that list's memo,
-    # which keeps ``obj``'s text by ``id``; when ``obj`` is itself a list's
-    # item, ``members`` is the memo that its members use.  Returns ``out``.
+def _render_json(obj, indent: str, out: list[str]) -> list[str]:
+    # ``indent`` is the newline plus the indentation of ``obj``'s own line.  Returns ``out``.
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -145,11 +141,6 @@ def _render_json(obj, indent: str, out: list[str], own: dict | None = None,
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif own is not None:
-        text = own.get(id(obj))
-        if text is None:
-            own[id(obj)] = text = "".join(_render_json(obj, indent, [], None, members))
-        out.append(text)
     elif isinstance(obj, dict):
         inner = indent + "  "
         sep = "{" + inner
@@ -158,15 +149,15 @@ def _render_json(obj, indent: str, out: list[str], own: dict | None = None,
                 out.append(sep + encode_basestring_ascii(key) + ": " + encode_basestring_ascii(value))
             else:
                 out.append(sep + encode_basestring_ascii(key) + ": ")
-                _render_json(value, inner, out, members)
+                _render_json(value, inner, out)
             sep = "," + inner
         out.append(indent + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
-        inner, memo = indent + "  ", {}
+        inner = indent + "  "
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _render_json(item, inner, out, members, memo)
+            _render_json(item, inner, out)
             sep = "," + inner
         out.append(indent + "]" if obj else "[]")
     else:

@@ -15,6 +15,7 @@ vocabulary: identifiers, double-quoted strings, punctuation, ``//`` and
 
 from __future__ import annotations
 
+import codecs
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -69,11 +70,12 @@ def _string_repr(tok: Token) -> str:
 def read_source(path: Path) -> str:
     """The text of a UTF-8 source file, its newlines read as ``\\n``.
 
-    A byte sequence that is not UTF-8 raises :class:`ParseError` at its
+    One leading byte-order mark is dropped, as by ``utf-8-sig``; positions count from
+    after it.  A byte sequence that is not UTF-8 raises :class:`ParseError` at its
     line and column: the file is unusable input, not a crash.
     """
 
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

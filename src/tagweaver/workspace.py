@@ -26,6 +26,8 @@ Attachments are ordered by element path, tag type, schema and the value's
 canonical text; full ties keep the order of the tag models as given.  So equal
 inputs give byte-identical reports, and exporting several tag models equals
 concatenating their separate exports, in that order, and re-sorting stably.
+:func:`render_export_report` writes it as ``json.dumps(report, indent=2)``
+does: one templated block per attachment, each distinct value's text once.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from __future__ import annotations
 import gc
 import json
 from functools import wraps
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .conformance import CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
-from .diagnostics import Diagnostic, has_errors, render_json, require_well_formed
+from .diagnostics import Diagnostic, _render_json, has_errors, render_json, require_well_formed
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .parsing import read_source
@@ -296,7 +299,7 @@ class _ValueForms(dict):
 
 
 def value_to_json(value: NormalizedValue) -> dict:
-    """Serialize a normalized value with its ``kind`` discriminator."""
+    """Serialize a normalized value with its ``kind`` discriminator, in the forms the export writer knows."""
 
     if value.kind == "flag":
         return {"kind": "flag"}
@@ -311,5 +314,67 @@ def value_to_json(value: NormalizedValue) -> dict:
     return {"kind": value.kind, "value": value.value}
 
 
-# The export's writer, a module attribute of its own so that a tracer can wrap it.
-render_export_report = render_json
+_BLOCK = ('%s{\n      "elementPath": %s,\n      "elementType": %s,\n      "tagType": %s,'
+          '\n      "schema": %s,\n      "value": ')
+_FIELDS = ["elementPath", "elementType", "tagType", "schema", "value"]
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: lambda b: "true" if b else "false"}
+
+
+def render_export_report(report) -> str:
+    """``json.dumps(report, indent=2)`` and a newline, written from the shape of an export report.
+
+    Each attachment is one block at its fixed indent; each distinct value dict (by ``id``) is
+    one piece, written once.  Any member not of that shape goes through ``render_json``'s
+    walker at the same indent, so any input renders, or raises ``TypeError``, as it would.
+    """
+
+    attachments = report.get("attachments") if report.__class__ is dict else None
+    if attachments.__class__ is not list or list(report) != ["targetModel", "attachments"]:
+        return render_json(report)
+    out = _render_json(report["targetModel"], "\n  ", ['{\n  "targetModel": '])
+    texts: dict[int, str] = {}
+    sep = ',\n  "attachments": [\n    '
+    for att in attachments:
+        try:
+            if att.__class__ is not dict or list(att) != _FIELDS:
+                raise TypeError  # as the encoder does for a field that is not a string: the walker writes it
+            path, element_type, tag_type, schema, value = att.values()
+            out.append(_BLOCK % (sep, encode_basestring_ascii(path), encode_basestring_ascii(element_type),
+                                 encode_basestring_ascii(tag_type), encode_basestring_ascii(schema)))
+        except TypeError:
+            out.append(sep)
+            _render_json(att, "\n    ", out)
+        else:
+            if id(value) not in texts:
+                texts[id(value)] = _value_text(value, "\n      ")
+            out += (texts[id(value)], "\n    }")
+        sep = ",\n    "
+    out.append("\n  ]\n}\n" if attachments else ',\n  "attachments": []\n}\n')
+    return "".join(out)
+
+
+def _value_text(value, indent: str) -> str:
+    # ``value`` at ``indent`` as ``render_json`` writes it, from the forms of
+    # ``value_to_json``; any other object goes through the walker.
+    keys = list(value) if value.__class__ is dict else None
+    if keys and keys[0] == "kind" and value["kind"].__class__ is str:
+        inner = indent + "  "
+        head = f'{{{inner}"kind": {encode_basestring_ascii(value["kind"])}'
+        if keys == ["kind"]:
+            return f"{head}{indent}}}"
+        payload = value[keys[1]]
+        if keys == ["kind", "value"] and payload.__class__ in _SCALARS:
+            return f'{head},{inner}"value": {_SCALARS[payload.__class__](payload)}{indent}}}'
+        if keys == ["kind", "subtags"] and payload.__class__ is list:
+            item, member = inner + "  ", inner + "    "
+            subtags = []
+            for sub in payload:
+                if (sub.__class__ is not dict or list(sub) != ["name", "value"]
+                        or sub["name"].__class__ is not str):
+                    break
+                subtags.append(f'{item}{{{member}"name": {encode_basestring_ascii(sub["name"])},'
+                               f'{member}"value": {_value_text(sub["value"], member)}{item}}}')
+            else:
+                body = f'{",".join(subtags)}{inner}]' if subtags else "]"
+                return f'{head},{inner}"subtags": [{body}{indent}}}'
+    return "".join(_render_json(value, indent, []))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import os
@@ -496,6 +497,67 @@ DUP_CHART = (
 )
 DUP_MANIFEST = "grammar G\nproduction P = Ghost\nproduction P = Phantom\n"
 RHS_MANIFEST = "grammar G\nexternal N\nproduction P = N N\nproduction Q = a:N a:N\n"
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped, and every position stays as without it."""
+
+    FLAGS = ["--manifest", "--model", "--schema", "--tags"]
+    # A first line that each file kind refuses, at a column past the mark.
+    BROKEN = {"--manifest": "grammar 9\n", "--model": "package mobile; @\n",
+              "--schema": "package p; tagschema @\n", "--tags": "package mobile; ]\n"}
+
+    def run_both(self, argv, flag, data: bytes, tmp_path, capsys, command="check"):
+        """The exit code, stdout and stderr with ``data`` under ``flag``, without and with a mark."""
+
+        outcomes = []
+        for name, content in (("plain", data), ("marked", codecs.BOM_UTF8 + data)):
+            path = tmp_path / name / Path(argv[argv.index(flag) + 1]).name
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(content)
+            code = run_cli([command, *swap(argv, flag, path)])
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err.replace(str(path.parent), "<dir>")))
+        return outcomes
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_a_marked_sample_checks_and_exports_as_the_sample(self, golden_argv, tmp_path, capsys, flag):
+        data = Path(golden_argv[golden_argv.index(flag) + 1]).read_bytes()
+        assert self.run_both(golden_argv, flag, data, tmp_path, capsys) == [(0, "", "")] * 2
+        plain, marked = self.run_both(golden_argv, flag, data, tmp_path, capsys, command="export")
+        assert marked == plain
+        assert marked[0] == 0 and json.loads(marked[1])["targetModel"] == "mobile.Mobile"
+
+    def test_a_marked_manifest_derives_the_golden_profile(self, samples_dir, tmp_path, capsys):
+        marked = tmp_path / "statechart.glang"
+        marked.write_bytes(codecs.BOM_UTF8 + (samples_dir / "statechart.glang").read_bytes())
+        assert run_cli(["derive", "--manifest", str(marked), "--out", str(tmp_path)]) == 0
+        golden = Path(__file__).resolve().parent / "golden_profile.json"
+        assert (tmp_path / "Statechart.profile.json").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_errors_on_the_first_line_keep_their_positions(self, golden_argv, tmp_path, capsys, flag):
+        name = Path(golden_argv[golden_argv.index(flag) + 1]).name
+        for data in (self.BROKEN[flag].encode(), "café".encode() + b"\xff\n"):
+            plain, marked = self.run_both(golden_argv, flag, data, tmp_path, capsys)
+            assert marked == plain
+            assert marked[0] == 2 and marked[2].startswith(f"error: <dir>/{name}:1:")
+        assert marked[2].endswith(":1:5: not UTF-8 text: cannot decode byte 0xff\n")
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_a_mark_anywhere_else_is_an_error(self, golden_argv, tmp_path, capsys, flag):
+        data = Path(golden_argv[golden_argv.index(flag) + 1]).read_bytes()
+        first, rest = data.split(b"\n", 1)
+        for position, content in (("1:1", codecs.BOM_UTF8 * 2 + data),
+                                  ("2:1", first + b"\n" + codecs.BOM_UTF8 + rest)):
+            bad = tmp_path / f"bad{Path(golden_argv[golden_argv.index(flag) + 1]).suffix}"
+            bad.write_bytes(content)
+            assert run_cli(["check", *swap(golden_argv, flag, bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            reason = ("expected 'grammar <Name>' as the first declaration" if flag == "--manifest"
+                      else "unexpected character '\\ufeff'")
+            assert captured.err == f"error: {bad}:{position}: {reason}\n"
 
 
 class TestIllFormedFiles:

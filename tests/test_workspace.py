@@ -453,6 +453,139 @@ def test_render_of_shared_containers_refuses_unsupported_members(bad):
         render_json([{"value": [shared]}, {"value": [shared]}])
 
 
+# Reports of the export's own shape: ``value_to_json`` forms (flag, scalar,
+# complex with any nesting) shared by identity between attachments.  Dicts
+# are built by ``_ordered`` so that their keys keep the export's order.
+def _ordered(*keys: str):
+    return lambda *members: dict(zip(keys, members))
+
+
+_EXPORT_VALUES = st.recursive(
+    st.just("flag").map(_ordered("kind"))
+    | st.builds(_ordered("kind", "value"), _STRINGS, _STRINGS | st.integers() | st.booleans()),
+    lambda children: st.builds(_ordered("kind", "subtags"), st.just("complex"), st.lists(
+        st.builds(_ordered("name", "value"), _STRINGS, children), max_size=3)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _export_reports(draw, min_attachments=0):
+    pool = draw(st.lists(_EXPORT_VALUES, min_size=1, max_size=4))
+    attachments = draw(st.lists(st.builds(
+        _ordered("elementPath", "elementType", "tagType", "schema", "value"),
+        _STRINGS, _STRINGS, _STRINGS, _STRINGS, st.sampled_from(pool),
+    ), min_size=min_attachments, max_size=6))
+    return {"targetModel": draw(_STRINGS), "attachments": attachments}
+
+
+def _nested(depth: int) -> dict:
+    value = {"kind": "complex", "subtags": []}
+    for i in range(depth):
+        value = {"kind": "complex", "subtags": [{"name": f"n{i}", "value": value},
+                                                {"name": "\ud800", "value": {"kind": "bool", "value": True}}]}
+    return value
+
+
+_DEEP = _nested(5)
+_INT = {"kind": "int", "value": -(2**70)}
+
+
+def _attachment(value, path='say "hi" \\ \x00\x1f na\u00efve \U0001d11e'):
+    return {"elementPath": path, "elementType": "State", "tagType": "T\udfff", "schema": "s.S",
+            "value": value}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(report=_export_reports())
+@example(report={"targetModel": "m.M", "attachments": []})
+@example(report={"targetModel": "", "attachments": [_attachment(_DEEP), _attachment(_INT, "x"),
+                                                    _attachment(_DEEP, ""), _attachment(_INT)]})
+@example(report={"targetModel": "m", "attachments": [_attachment({"kind": "complex", "subtags": []})] * 2})
+def test_export_shaped_reports_render_as_json_dumps(report):
+    assert render_export_report(report) == json.dumps(report, indent=2) + "\n"
+
+
+class _Dict(dict):
+    pass
+
+
+def _outcome(render, report):
+    try:
+        return render(report)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def _slots(report) -> list:
+    """Each place that holds a dict or a list in ``report``: (container, key), once per place."""
+
+    slots, stack = [], [report]
+    while stack:
+        node = stack.pop()
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if isinstance(child, (dict, list)):
+                slots.append((node, key))
+                stack.append(child)
+    return slots
+
+
+@st.composite
+def _near_misses(draw):
+    """An export-shaped report with one thing changed: in place (so in every sharer) or in one place."""
+
+    report = draw(_export_reports(min_attachments=1))
+    slots = _slots(report)
+    how = draw(st.sampled_from(["reorder", "rename", "extra", "missing", "field", "float", "set", "tuple",
+                                "subclass"]))
+    if how == "tuple":
+        container, key = draw(st.sampled_from([(c, k) for c, k in slots if isinstance(c[k], list)]))
+        container[key] = tuple(container[key])
+        return report
+    dicts = [(c, k) for c, k in slots if isinstance(c[k], dict)]
+    container, key = draw(st.sampled_from([(None, None)] + dicts))
+    target = report if container is None else container[key]
+    if how == "subclass":
+        if container is None:
+            return _Dict(report)
+        container[key] = _Dict(target)
+    elif how in ("reorder", "rename"):
+        items = list(target.items())
+        if how == "reorder":
+            items = draw(st.permutations(items))
+        else:
+            i = draw(st.integers(0, len(items) - 1))
+            items[i] = (draw(_STRINGS), items[i][1])
+        target.clear()
+        target.update(items)
+    elif how == "extra":
+        target[draw(_STRINGS)] = draw(_SCALARS)
+    elif how == "missing":
+        del target[draw(st.sampled_from(list(target)))]
+    else:
+        member = {"float": 1.5, "set": {1}}.get(how) or draw(
+            st.integers() | st.none() | st.booleans() | st.lists(st.integers(), max_size=2))
+        target[draw(st.sampled_from(list(target)))] = member
+    return report
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(report=_near_misses())
+@example(report={"attachments": [], "targetModel": "m"})
+@example(report={"targetModel": 1, "attachments": [_attachment(_INT)], "extra": None})
+@example(report={"targetModel": "m", "attachments": [{**_attachment(_INT), "tagType": 7}, _attachment(_INT)]})
+@example(report={"targetModel": "m", "attachments": [_attachment({"kind": "int", "value": 1.5})]})
+@example(report={"targetModel": "m",
+                 "attachments": [_attachment({"kind": "c", "subtags": ({"name": "n", "value": _INT},)})]})
+@example(report={"targetModel": "m",
+                 "attachments": [_attachment(_Dict(_INT)), _attachment({"kind": "x", "value": {1}})]})
+def test_near_miss_reports_render_or_raise_as_render_json(report):
+    expected = _outcome(render_json, report)
+    assert _outcome(render_export_report, report) == expected
+    if not expected.startswith("TypeError"):
+        assert expected == json.dumps(report, indent=2) + "\n"
+
+
 _SCALAR_VALUES = (
     st.just(NormalizedValue.flag())
     | st.sampled_from([0, 1, INT64_MIN, INT64_MAX]).map(NormalizedValue.of_int)
@@ -722,6 +855,15 @@ def nested_workspace(tmp_path_factory) -> Workspace:
         schema_files=(generated.schema,),
         tag_files=tuple(generated.tag_files),
     )
+
+
+@pytest.mark.parametrize("workload", ["flat-brackets", "nested-contexts", "merged-export"])
+def test_the_export_of_each_workload_renders_as_json_dumps(workload, tmp_path):
+    generated = _load_workloads().generate(workload, 4242, tmp_path, quick=True)
+    diags, report = build_export_report(load_workspace(Workspace(
+        generated.manifest, (generated.model,), tuple(generated.tag_files), (generated.schema,))))
+    assert report is not None, diags
+    assert render_export_report(report) == json.dumps(report, indent=2) + "\n"
 
 
 def _collections_during(call, *args) -> list[int]:
