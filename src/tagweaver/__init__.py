@@ -70,7 +70,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "TagTypeDef",
         "parse_tag_schema",
         "pretty_print_tag_schema",
-        "validate_schema_well_formedness",
     ),
     "workspace": (
         "LoadedWorkspace",

@@ -122,8 +122,8 @@ def render_json(obj) -> str:
     Every container appends its pieces to that list, so no level copies the
     text below it.  A container met twice is written twice: the export, whose
     attachments share value dicts, is written by ``workspace.render_export_report``,
-    which keeps each shared value's text and uses this walker for any part not of
-    the export's shape.
+    which keeps each shared value's text and hands a report not of the export's
+    shape to this function whole.
     """
 
     out = _render_json(obj, "\n", [])

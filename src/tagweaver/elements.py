@@ -59,15 +59,12 @@ class ElementTable:
         self.root = root
         self.handles: list[ElementHandle] = [root]
         self.named: dict[Segments, ElementHandle] = {}
-        # The productions of the named elements, in first-seen order.
-        self._named_productions: dict[str, None] = {}
         self.index: dict[tuple[str, str | tuple], list[tuple[Segments, ElementHandle]]] = {}
 
     def add_named(self, path: Segments, production: str) -> None:
         if path not in self.named:
             self.named[path] = handle = ElementHandle(".".join(path), production)
             self.handles.append(handle)
-            self._named_productions[production] = None
 
     def add_bracketed(
         self, production: str, owner: Segments, text: str, parts: dict[str, Segments] | None = None
@@ -125,8 +122,8 @@ def resolve_element(
         # below keeps every occurrence.
         readings = [(r, s) for r, s in readings if all(slot in table.named for slot in s)]
         if not readings:
-            productions = dict.fromkeys(p.lower() for p in table._named_productions)
-            named = "s or ".join(productions) + "s" if productions else "elements"
+            productions = dict.fromkeys(h.element_type for h in table.named.values())
+            named = "s or ".join(map(str.lower, productions)) + "s" if productions else "elements"
             raise ResolutionError(f"'[{norm}]' endpoints do not name {named} of '{root}'")
     occurrences = [
         occurrence

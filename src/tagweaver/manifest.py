@@ -195,9 +195,12 @@ def parse_manifest(text: str, filename: str | None = None) -> GrammarManifest:
         if grammar_name is None:
             keyword = cur.match(WORD, "grammar")
             name = cur.advance()
-            if keyword is None or name.kind in (STRING, EOF) or not cur.at(EOF):
+            if keyword is None or name.kind in (STRING, EOF):
                 raise cur.error("expected 'grammar <Name>' as the first declaration", head)
             grammar_name = _ident(cur, name).value
+            extra = cur.peek()
+            if extra.kind != EOF:
+                raise cur.error(f"unexpected '{_shown(extra)}' after the grammar name", extra)
         elif cur.at(WORD, "grammar"):
             raise cur.error("duplicate 'grammar' declaration", head)
         elif cur.match(WORD, "external"):
@@ -281,9 +284,7 @@ def _parse_declaration(
         return
 
     if (keyword.kind, keyword.value) != (WORD, "production"):
-        # A quoted keyword is a string, and shows as one.
-        found = f'"{escape_string(keyword.value)}"' if keyword.kind == STRING else keyword.value
-        message = f"expected 'production', 'interface', or 'external', found '{found}'"
+        message = f"expected 'production', 'interface', or 'external', found '{_shown(keyword)}'"
         raise cur.error(message, keyword)
 
     if cur.at(EOF):
@@ -355,6 +356,11 @@ def _check_rhs(prod_name: str, refs: list[RhsRef], report) -> None:
             )
         elif pi is not None:
             pis.add(pi)
+
+
+def _shown(tok: Token) -> str:
+    # A quoted word is a string, and shows as one.
+    return f'"{escape_string(tok.value)}"' if tok.kind == STRING else tok.value
 
 
 def _ident(cur: TokenCursor, tok: Token) -> Token:

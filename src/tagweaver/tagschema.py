@@ -27,23 +27,22 @@ an element, so listing one only draws a warning: it admits nothing.
 Types marked ``private`` may only be used as subtags of other types,
 never directly on an element.
 
-The parser only builds the schema and raises syntax errors.
-:func:`validate_schema_well_formedness` alone decides whether a schema is
-well-formed; :func:`parse_tag_schema` runs it once and keeps its
-diagnostics as ``TagSchema.findings``.
+:func:`parse_tag_schema` is the one judge of a schema.  It raises syntax
+errors as it meets them, then judges the tag types it has read once, at the
+positions it read them, and keeps every finding as ``TagSchema.findings``.
+To judge a schema built by hand, print it and parse the text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from enum import Enum
-from itertools import repeat
 from math import inf
 
 from .derivation import LanguageProfile
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .parsing import EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
-from .records import field, record, replace
+from .records import field, record
 
 __all__ = [
     "NATIVE_KINDS",
@@ -54,7 +53,6 @@ __all__ = [
     "TagTypeDef",
     "TagSchema",
     "parse_tag_schema",
-    "validate_schema_well_formedness",
     "pretty_print_tag_schema",
 ]
 
@@ -175,7 +173,7 @@ class TagSchema:
     name: str
     tag_types: tuple[TagTypeDef, ...]
     source_name: str | None = field(default=None, compare=False)
-    # What validate_schema_well_formedness found; set by parse_tag_schema.
+    # What parse_tag_schema found when it judged the text; empty when built by hand.
     findings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     @property
@@ -200,9 +198,9 @@ def parse_tag_schema(
     """Parse ``.tagschema`` source text against a language profile.
 
     Syntax errors raise :class:`~tagweaver.errors.ParseError` as they are
-    met.  The parsed schema is then judged once by
-    :func:`validate_schema_well_formedness`, and the returned schema keeps
-    every diagnostic of the judgement as ``findings``.
+    met.  The tag types read are then judged once for well-formedness, and
+    the schema is built with every diagnostic of the judgement as
+    ``findings``.
     """
 
     cur = TokenCursor(tokenize(text, raw_brackets=False, filename=filename), filename)
@@ -218,13 +216,9 @@ def parse_tag_schema(
     cur.expect("}")
     cur.expect(EOF)
 
-    schema = TagSchema(
-        package=package,
-        name=name_tok.value,
-        tag_types=tuple(tag_types),
-        source_name=filename,
+    return TagSchema(
+        package, name_tok.value, tuple(tag_types), filename, _judge(tag_types, profile, filename)
     )
-    return replace(schema, findings=tuple(validate_schema_well_formedness(schema, profile)))
 
 
 def _parse_tag_type(cur: TokenCursor) -> TagTypeDef:
@@ -318,10 +312,10 @@ def _parse_reference(cur: TokenCursor) -> Reference:
 # ---------------------------------------------------------------------------
 
 
-def validate_schema_well_formedness(
-    schema: TagSchema, profile: LanguageProfile
-) -> list[Diagnostic]:
-    """Full well-formedness sweep over a parsed (or constructed) schema.
+def _judge(
+    tag_types: list[TagTypeDef], profile: LanguageProfile, filename: str | None
+) -> tuple[Diagnostic, ...]:
+    """The well-formedness findings of the tag types of one parsed schema.
 
     Reports duplicate tag type names, duplicate enumeration values,
     unknown scope keywords, duplicate reference names and
@@ -330,19 +324,17 @@ def validate_schema_well_formedness(
     (``ScopeAdmitsNoElement``: a nested keyword such as ``source``).
     Required-reference cycles (``RecursiveRequiredReference``: a cycle of
     named references whose every edge is required or at-least-one has no
-    finite instances) follow.  An enumeration value or scope keyword of a
-    constructed schema, which has no recorded position, is reported at
-    its tag type.
+    finite instances) follow.
     """
 
     diags: list[Diagnostic] = []
     keywords = profile.keyword_set()
     nested = {kw.keyword: kw for kw in profile.scope_keywords if kw.is_nested}
-    type_names = {tt.name for tt in schema.tag_types}
+    type_names = {tt.name for tt in tag_types}
     first_lines: dict[str, int] = {}
-    report = reporter(diags, schema.source_name)
+    report = reporter(diags, filename)
 
-    for tt in schema.tag_types:
+    for tt in tag_types:
         if tt.name in first_lines:
             report(
                 Condition.DUPLICATE_TAG_TYPE_NAME,
@@ -355,7 +347,7 @@ def validate_schema_well_formedness(
 
         domain = tt.domain
         seen_values: set[str] = set()
-        for value, (line, col) in zip(domain.values, _positions(domain.value_positions, tt)):
+        for value, (line, col) in zip(domain.values, domain.value_positions):
             if value in seen_values:
                 report(
                     Condition.DUPLICATE_ENUM_VALUE,
@@ -365,7 +357,7 @@ def validate_schema_well_formedness(
                 )
             seen_values.add(value)
 
-        for kw, (line, col) in zip(tt.scope.keywords or (), _positions(tt.scope.positions, tt)):
+        for kw, (line, col) in zip(tt.scope.keywords or (), tt.scope.positions):
             if kw not in keywords:
                 report(
                     Condition.UNKNOWN_SCOPE_KEYWORD,
@@ -403,22 +395,14 @@ def validate_schema_well_formedness(
                     ref.col,
                 )
 
-    _required_cycles(schema, report)
-    return diags
+    _required_cycles(tag_types, report)
+    return tuple(diags)
 
 
-def _positions(
-    recorded: tuple[tuple[int, int], ...], tt: TagTypeDef
-) -> Iterable[tuple[int, int]]:
-    """The parser's recorded positions, else the tag type's, repeated."""
-
-    return recorded or repeat((tt.line, tt.col))
-
-
-def _required_cycles(schema: TagSchema, report) -> None:
+def _required_cycles(tag_types: list[TagTypeDef], report) -> None:
     """Report each cycle of references that need a subtag (no finite instances)."""
 
-    types = {tt.name: tt for tt in schema.tag_types}
+    types = {tt.name: tt for tt in tag_types}
     edges: dict[str, list[str]] = {
         name: [
             ref.type_name

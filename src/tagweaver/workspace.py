@@ -27,7 +27,8 @@ canonical text; full ties keep the order of the tag models as given.  So equal
 inputs give byte-identical reports, and exporting several tag models equals
 concatenating their separate exports, in that order, and re-sorting stably.
 :func:`render_export_report` writes it as ``json.dumps(report, indent=2)``
-does: one templated block per attachment, each distinct value's text once.
+does: one templated block per attachment, each distinct value's text once;
+a report not of that shape goes to ``render_json`` whole.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from .conformance import CheckInput, NormalizedValue, ResolvedTagging, check
 from .derivation import LanguageProfile, derive_profile
-from .diagnostics import Diagnostic, _render_json, has_errors, render_json, require_well_formed
+from .diagnostics import Diagnostic, has_errors, render_json, require_well_formed
 from .errors import WorkspaceError
 from .manifest import GrammarManifest, parse_manifest
 from .parsing import read_source
@@ -324,57 +325,57 @@ def render_export_report(report) -> str:
     """``json.dumps(report, indent=2)`` and a newline, written from the shape of an export report.
 
     Each attachment is one block at its fixed indent; each distinct value dict (by ``id``) is
-    one piece, written once.  Any member not of that shape goes through ``render_json``'s
-    walker at the same indent, so any input renders, or raises ``TypeError``, as it would.
+    one piece, written once.  At the first member not of that shape (a ``TypeError``, as the
+    encoder raises for a field that is not a string), the whole report goes to ``render_json``,
+    so any input renders, or raises ``TypeError``, as it would.
     """
 
-    attachments = report.get("attachments") if report.__class__ is dict else None
-    if attachments.__class__ is not list or list(report) != ["targetModel", "attachments"]:
-        return render_json(report)
-    out = _render_json(report["targetModel"], "\n  ", ['{\n  "targetModel": '])
-    texts: dict[int, str] = {}
-    sep = ',\n  "attachments": [\n    '
-    for att in attachments:
-        try:
+    try:
+        if report.__class__ is not dict or list(report) != ["targetModel", "attachments"]:
+            raise TypeError
+        attachments = report["attachments"]
+        if attachments.__class__ is not list:
+            raise TypeError
+        out = ['{\n  "targetModel": ', encode_basestring_ascii(report["targetModel"])]
+        texts: dict[int, str] = {}
+        sep = ',\n  "attachments": [\n    '
+        for att in attachments:
             if att.__class__ is not dict or list(att) != _FIELDS:
-                raise TypeError  # as the encoder does for a field that is not a string: the walker writes it
+                raise TypeError
             path, element_type, tag_type, schema, value = att.values()
             out.append(_BLOCK % (sep, encode_basestring_ascii(path), encode_basestring_ascii(element_type),
                                  encode_basestring_ascii(tag_type), encode_basestring_ascii(schema)))
-        except TypeError:
-            out.append(sep)
-            _render_json(att, "\n    ", out)
-        else:
             if id(value) not in texts:
                 texts[id(value)] = _value_text(value, "\n      ")
             out += (texts[id(value)], "\n    }")
-        sep = ",\n    "
+            sep = ",\n    "
+    except TypeError:
+        return render_json(report)
     out.append("\n  ]\n}\n" if attachments else ',\n  "attachments": []\n}\n')
     return "".join(out)
 
 
 def _value_text(value, indent: str) -> str:
     # ``value`` at ``indent`` as ``render_json`` writes it, from the forms of
-    # ``value_to_json``; any other object goes through the walker.
+    # ``value_to_json``; ``TypeError`` for any other object.
     keys = list(value) if value.__class__ is dict else None
-    if keys and keys[0] == "kind" and value["kind"].__class__ is str:
-        inner = indent + "  "
-        head = f'{{{inner}"kind": {encode_basestring_ascii(value["kind"])}'
-        if keys == ["kind"]:
-            return f"{head}{indent}}}"
-        payload = value[keys[1]]
-        if keys == ["kind", "value"] and payload.__class__ in _SCALARS:
-            return f'{head},{inner}"value": {_SCALARS[payload.__class__](payload)}{indent}}}'
-        if keys == ["kind", "subtags"] and payload.__class__ is list:
-            item, member = inner + "  ", inner + "    "
-            subtags = []
-            for sub in payload:
-                if (sub.__class__ is not dict or list(sub) != ["name", "value"]
-                        or sub["name"].__class__ is not str):
-                    break
-                subtags.append(f'{item}{{{member}"name": {encode_basestring_ascii(sub["name"])},'
-                               f'{member}"value": {_value_text(sub["value"], member)}{item}}}')
-            else:
-                body = f'{",".join(subtags)}{inner}]' if subtags else "]"
-                return f'{head},{inner}"subtags": [{body}{indent}}}'
-    return "".join(_render_json(value, indent, []))
+    if not keys or keys[0] != "kind":
+        raise TypeError
+    inner = indent + "  "
+    head = f'{{{inner}"kind": {encode_basestring_ascii(value["kind"])}'
+    if keys == ["kind"]:
+        return f"{head}{indent}}}"
+    payload = value[keys[1]]
+    if keys == ["kind", "value"] and payload.__class__ in _SCALARS:
+        return f'{head},{inner}"value": {_SCALARS[payload.__class__](payload)}{indent}}}'
+    if keys != ["kind", "subtags"] or payload.__class__ is not list:
+        raise TypeError
+    item, member = inner + "  ", inner + "    "
+    subtags = []
+    for sub in payload:
+        if sub.__class__ is not dict or list(sub) != ["name", "value"]:
+            raise TypeError
+        subtags.append(f'{item}{{{member}"name": {encode_basestring_ascii(sub["name"])},'
+                       f'{member}"value": {_value_text(sub["value"], member)}{item}}}')
+    body = f'{",".join(subtags)}{inner}]' if subtags else "]"
+    return f'{head},{inner}"subtags": [{body}{indent}}}'

@@ -707,6 +707,19 @@ class TestValueMessages:
             diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
             assert found(diags) == [("CardinalityViolation", message, 0, 0)] and norm is None
 
+    def test_a_subtag_of_an_unknown_tag_type(self, small_chart, profile):
+        # A workspace refuses this schema; check itself reports the use site.
+        schema = parse_tag_schema(
+            "package g;\ntagschema G {\n tagtype T for State { g:Ghost; }\n}\n", profile
+        )
+        assert [d.condition for d in schema.findings] == ["UnresolvedNamedReference"]
+        diags, resolved = run(
+            " tag A with T { g = \"x\"; };\n", small_chart, (schema,), profile,
+            header="package m;\nconforms to g.G;\ntags X for Chart {\n",
+        )
+        assert found(diags) == [("E3_3", "subtag 'g' references unknown tag type 'Ghost'", 4, 17)]
+        assert resolved is None
+
 
 class TestNormalizedValues:
     def test_hashable_and_comparable(self):

@@ -120,7 +120,10 @@ class TestParsing:
 ERROR_CASES = [
     ("production P\n", "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
     ('grammar "G"\n', "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
-    ("grammar G H\n", "g.glang:1:1: expected 'grammar <Name>' as the first declaration"),
+    ("grammar G H\n", "g.glang:1:11: unexpected 'H' after the grammar name"),
+    ("grammar G @\n", "g.glang:1:11: unexpected '@' after the grammar name"),
+    ("  grammar G x\n", "g.glang:1:13: unexpected 'x' after the grammar name"),
+    ('grammar G "x y"\n', "g.glang:1:11: unexpected '\"x y\"' after the grammar name"),
     ("grammar =\n", "g.glang:1:9: invalid identifier '='"),
     ("grammar G\ngrammar H\n", "g.glang:2:1: duplicate 'grammar' declaration"),
     ("grammar G\n@alias K interface I\n", "g.glang:2:10: only '@skip' may be applied to an interface"),

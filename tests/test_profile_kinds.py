@@ -29,7 +29,6 @@ from tagweaver import (
     parse_tag_schema,
     render_export_report,
     resolve_element,
-    validate_schema_well_formedness,
 )
 from tagweaver.cli import run_cli
 from util import addressable_refs, bogus_refs, random_statechart_text, transition_counts
@@ -188,8 +187,7 @@ class TestNestedKeywords:
     )
 
     def test_nested_keyword_warns(self, profile):
-        schema = parse_tag_schema(self.SCHEMA, profile)
-        diags = validate_schema_well_formedness(schema, profile)
+        diags = parse_tag_schema(self.SCHEMA, profile).findings
         assert [(d.condition, d.severity, d.line, d.col) for d in diags] == [
             ("ScopeAdmitsNoElement", Severity.WARNING, 3, 22),
             ("ScopeAdmitsNoElement", Severity.WARNING, 4, 21),

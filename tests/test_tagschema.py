@@ -21,7 +21,6 @@ from tagweaver import (
     load_workspace,
     parse_tag_schema,
     pretty_print_tag_schema,
-    validate_schema_well_formedness,
 )
 from util import random_schema_text, required_chain_schema_text
 
@@ -34,6 +33,11 @@ def parse(body: str, profile) -> TagSchema:
 
 def findings(body: str, profile) -> list[tuple]:
     return [(d.condition, d.message, d.line, d.col) for d in parse(body, profile).findings]
+
+
+def printed(schema: TagSchema, profile) -> TagSchema:
+    # How a schema built (or changed) by hand is judged: print it, then parse the text.
+    return parse_tag_schema(pretty_print_tag_schema(schema), profile)
 
 
 class TestGoldenSchema:
@@ -78,7 +82,7 @@ class TestGoldenSchema:
         assert schema.tag_type("Nope") is None
 
     def test_validates_clean(self, schema, profile):
-        assert validate_schema_well_formedness(schema, profile) == []
+        assert schema.findings == ()
 
 
 class TestParsing:
@@ -157,6 +161,11 @@ class TestParseErrors:
             "<input>:3:12: expected a native type (int, String, Boolean) or an '[' enumeration"
         )
 
+    def test_a_word_where_the_terminator_belongs(self, profile):
+        with pytest.raises(ParseError) as raised:
+            parse(" tagtype T:int State;\n", profile)
+        assert str(raised.value) == "<input>:3:16: expected ';' or a '{' reference block"
+
     def test_empty_reference_block(self, profile):
         with pytest.raises(ParseError):
             parse(" tagtype T { }\n", profile)
@@ -197,15 +206,13 @@ class TestParseErrors:
 
 class TestFindingsMatchTheValidator:
     def test_unknown_scope_keyword_becomes_diagnostic(self, profile):
-        s = parse(" tagtype Log for Transation;\n", profile)
-        diags = validate_schema_well_formedness(s, profile)
+        diags = parse(" tagtype Log for Transation;\n", profile).findings
         assert [d.condition for d in diags] == ["UnknownScopeKeyword"]
         assert "'Transation'" in diags[0].message
         assert diags[0].severity.value == "error"
 
     def test_unresolved_reference_becomes_diagnostic(self, profile):
-        s = parse(" tagtype T { g:Ghost; }\n", profile)
-        diags = validate_schema_well_formedness(s, profile)
+        diags = parse(" tagtype T { g:Ghost; }\n", profile).findings
         assert [d.condition for d in diags] == ["UnresolvedNamedReference"]
 
 
@@ -248,7 +255,7 @@ class TestOneValidationPath:
 
     @pytest.mark.parametrize(PROBLEM_ARGS, SINGLE_PROBLEMS)
     def test_validator_reports_the_same(self, profile, body, condition, message, line, col):
-        diags = validate_schema_well_formedness(parse(body, profile), profile)
+        diags = parse(body, profile).findings
         assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
             (condition, message, line, col)
         ]
@@ -285,38 +292,25 @@ class TestOneValidationPath:
         schema = parse(body, profile)
 
         def found(diags):
-            return [(d.condition, d.severity, d.message, d.line, d.col) for d in diags]
+            # The printed text lays the tag types out anew, so positions differ.
+            return [(d.condition, d.severity, d.message) for d in diags]
 
         assert [d.condition for d in schema.findings] == conditions
-        assert found(schema.findings) == found(validate_schema_well_formedness(schema, profile))
+        assert found(schema.findings) == found(printed(schema, profile).findings)
         assert schema == TagSchema(schema.package, schema.name, schema.tag_types)
 
     def test_validator_reports_tag_type_by_tag_type(self, profile):
-        def ref(name, type_name, line, col):
-            return Reference(name, type_name, type_name == "int", line=line, col=col)
-
-        schema = TagSchema(
-            package="s",
-            name="Types",
-            tag_types=(
-                TagTypeDef("C", DomainSpec.complex_of(ref("c", "C", 3, 14)), line=3, col=10),
-                TagTypeDef(
-                    "A",
-                    DomainSpec.complex_of(ref("g", "Ghost", 4, 24), ref("g", "int", 4, 33)),
-                    scope=ScopeSpec.listed("Nodee"),
-                    line=4,
-                    col=10,
-                ),
-                TagTypeDef("A", DomainSpec.enum_of("x", "x"), line=5, col=10),
-            ),
+        body = (
+            " tagtype C { c:C; }\n"
+            " tagtype A for Nodee { g:Ghost, g:int; }\n"
+            ' tagtype A:["x"|"x"];\n'
         )
-        diags = validate_schema_well_formedness(schema, profile)
-        assert [(d.condition, d.line, d.col) for d in diags] == [
-            ("UnknownScopeKeyword", 4, 10),  # constructed: at the tag type
+        assert [(c, line, col) for c, _, line, col in findings(body, profile)] == [
+            ("UnknownScopeKeyword", 4, 16),
             ("UnresolvedNamedReference", 4, 24),
             ("DuplicateReferenceName", 4, 33),
             ("DuplicateTagTypeName", 5, 10),
-            ("DuplicateEnumValue", 5, 10),
+            ("DuplicateEnumValue", 5, 17),
             ("RecursiveRequiredReference", 3, 10),  # cycles come last
         ]
 
@@ -351,17 +345,6 @@ class TestOneValidationPath:
             parse(" tagtype T;\n tagtype T;\n tagtype U:Floaty;\n", profile)
         assert (type(info.value), info.value.line, info.value.col) == (ParseError, 5, 12)
 
-    def test_constructed_schema_falls_back_to_the_tag_type_position(self, profile):
-        tt = TagTypeDef(
-            "T", DomainSpec.enum_of("x", "y", "x"), ScopeSpec.listed("State", "Nope"),
-            line=7, col=3,
-        )
-        diags = validate_schema_well_formedness(TagSchema("p", "S", (tt,)), profile)
-        assert [(d.condition, d.message, d.line, d.col) for d in diags] == [
-            ("DuplicateEnumValue", 'duplicate enumeration value "x" in \'T\'', 7, 3),
-            ("UnknownScopeKeyword", "'Nope' is not a scope keyword of grammar 'Statechart'", 7, 3),
-        ]
-
 
 class TestValidation:
     def test_duplicate_names_on_constructed_schema(self, profile):
@@ -373,7 +356,7 @@ class TestValidation:
                 TagTypeDef("A", DomainSpec.simple()),
             ),
         )
-        assert [d.condition for d in validate_schema_well_formedness(s, profile)] == [
+        assert [d.condition for d in printed(s, profile).findings] == [
             "DuplicateTagTypeName"
         ]
 
@@ -388,7 +371,7 @@ class TestValidation:
             name="S",
             tag_types=(TagTypeDef("A", DomainSpec.enum_of("x", "x")),),
         )
-        assert [d.condition for d in validate_schema_well_formedness(s, profile)] == [
+        assert [d.condition for d in printed(s, profile).findings] == [
             "DuplicateEnumValue"
         ]
 
@@ -402,15 +385,14 @@ class TestValidation:
             name="S",
             tag_types=(TagTypeDef("A", DomainSpec.complex_of(*refs)),),
         )
-        assert [d.condition for d in validate_schema_well_formedness(s, profile)] == [
+        assert [d.condition for d in printed(s, profile).findings] == [
             "DuplicateReferenceName"
         ]
 
 
 class TestRequiredCycles:
     def validate(self, body: str, profile) -> list[str]:
-        s = parse(body, profile)
-        return [d.condition for d in validate_schema_well_formedness(s, profile)]
+        return [d.condition for d in parse(body, profile).findings]
 
     def test_self_loop(self, profile):
         assert self.validate(" tagtype A { again:A; }\n", profile) == [
@@ -443,7 +425,7 @@ class TestRequiredCycles:
             " tagtype A { b:B; }\n tagtype B { c:C; }\n tagtype C { a:A; }\n",
             profile,
         )
-        (diag,) = validate_schema_well_formedness(s, profile)
+        (diag,) = s.findings
         assert diag.condition == "RecursiveRequiredReference"
         assert "A -> B -> C -> A" in diag.message
         assert diag.line == 3  # anchored at the first member by position
@@ -466,12 +448,12 @@ class TestRequiredCycles:
     def test_long_required_chain_is_clean(self, profile):
         schema = parse_tag_schema(required_chain_schema_text(1200), profile)
         assert len(schema.tag_types) == 1201
-        assert validate_schema_well_formedness(schema, profile) == []
+        assert schema.findings == ()
 
     def test_long_required_cycle_is_one_diagnostic(self, profile):
         text = required_chain_schema_text(1200, closed=True)
         schema = parse_tag_schema(text, profile)
-        (diag,) = validate_schema_well_formedness(schema, profile)
+        (diag,) = schema.findings
         assert diag.condition == "RecursiveRequiredReference"
         assert (diag.line, diag.col) == (3, 13)  # T0, the lowest position
         assert diag.message.count(" -> ") == 1201
@@ -490,27 +472,22 @@ class TestRequiredCycles:
         names = [f"N{i}" for i in range(size)]
         # Index ``size`` names a type the schema does not define.
         targets = names + ["Ghost"]
-        tag_types = tuple(
-            TagTypeDef(
-                name,
-                DomainSpec.complex_of(
-                    *(
-                        Reference(f"r{k}", targets[min(dst, size)], False, card)
-                        for k, (src, dst, card) in enumerate(refs)
-                        if src % size == i
-                    )
-                ),
-                line=size - i,  # reverse source order, so the anchor is not the first name
-                col=5,
-            )
-            for i, name in enumerate(names)
-        )
-        schema = TagSchema("p", "S", tag_types)
-        diags = [
-            d
-            for d in validate_schema_well_formedness(schema, profile)
-            if d.condition == "RecursiveRequiredReference"
+        refs_of = [
+            [
+                Reference(f"r{k}", targets[min(dst, size)], False, card)
+                for k, (src, dst, card) in enumerate(refs)
+                if src % size == i
+            ]
+            for i in range(size)
         ]
+        # Printed in reverse source order, so the anchor is not the first
+        # name.  A type with no references prints only as a simple one.
+        tag_types = tuple(
+            TagTypeDef(names[i], DomainSpec.complex_of(*refs_of[i]) if refs_of[i] else DomainSpec.simple())
+            for i in reversed(range(size))
+        )
+        schema = printed(TagSchema("p", "S", tag_types), profile)
+        diags = [d for d in schema.findings if d.condition == "RecursiveRequiredReference"]
         reported = [frozenset(d.message.split(": ")[1].split(" -> ")) for d in diags]
 
         # Oracle: i and j share a cycle when each reaches the other along
@@ -532,7 +509,7 @@ class TestRequiredCycles:
         assert len(reported) == len(set(reported))
         assert set(reported) == expected
         for diag, members in zip(diags, reported):
-            assert diag.line == min(size - names.index(m) for m in members)
+            assert diag.line == min(schema.tag_type(m).line for m in members)
 
 
 class TestCardinality:

@@ -119,19 +119,16 @@ class TestLoading:
             load_workspace(ws)
 
     def test_each_schema_is_validated_once(self, golden_workspace, tmp_path, monkeypatch):
-        from tagweaver import tagschema, workspace
+        from tagweaver import tagschema
 
         calls = []
-        original = tagschema.validate_schema_well_formedness
+        original = tagschema._judge
 
-        def counting(schema, profile):
-            calls.append(schema.qualified_name)
-            return original(schema, profile)
+        def counting(tag_types, profile, filename):
+            calls.append(Path(filename).name)
+            return original(tag_types, profile, filename)
 
-        # Patch every module that binds the validator, wherever it calls it from.
-        for module in (tagschema, workspace):
-            if hasattr(module, "validate_schema_well_formedness"):
-                monkeypatch.setattr(module, "validate_schema_well_formedness", counting)
+        monkeypatch.setattr(tagschema, "_judge", counting)
         warned = write(
             tmp_path, "warned.tagschema",
             "package s;\ntagschema S {\n    tagtype Ends for source;\n}\n",
@@ -143,7 +140,7 @@ class TestLoading:
             tag_files=golden_workspace.tag_files,
         )
         loaded = load_workspace(ws)
-        assert calls == ["loggingschema.StatechartTagSchema", "s.S"]
+        assert calls == ["logging_schema.tagschema", "warned.tagschema"]
         assert [d.condition for d in loaded.schemas[1].findings] == ["ScopeAdmitsNoElement"]
 
     def test_loaded_workspace_keeps_no_copy_of_schema_findings(self):
