@@ -583,6 +583,22 @@ def test_near_miss_reports_render_or_raise_as_render_json(report):
         assert expected == json.dumps(report, indent=2) + "\n"
 
 
+# Members the shape checks must send to ``render_json``: empty containers that are
+# not lists (iterating them writes nothing) and payloads the scalar table lacks.
+@pytest.mark.parametrize("report", [
+    *({"targetModel": "m", "attachments": empty} for empty in ("", {}, set(), ())),
+    *({"targetModel": "m", "attachments": [_attachment({"kind": "k", "value": payload})]}
+      for payload in (None, [1], {"a": 1}, _Dict())),
+    *({"targetModel": "m", "attachments": [_attachment({"kind": "complex", "subtags": empty})]}
+      for empty in ("", {}, set(), ())),
+])
+def test_unexpected_containers_render_or_raise_as_render_json(report):
+    expected = _outcome(render_json, report)
+    assert _outcome(render_export_report, report) == expected
+    if not expected.startswith("TypeError"):
+        assert expected == json.dumps(report, indent=2) + "\n"
+
+
 _SCALAR_VALUES = (
     st.just(NormalizedValue.flag())
     | st.sampled_from([0, 1, INT64_MIN, INT64_MAX]).map(NormalizedValue.of_int)
