@@ -12,6 +12,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from hypothesis import strategies as st
+
 from tagweaver import (
     ElementIdentifier,
     StatechartModel,
@@ -795,6 +797,52 @@ def flatten_statements(body: tuple) -> tuple:
                 for tag in item.tag_refs:
                     items.append(TagStatement(element_refs=(ref,), tag_refs=(tag,)))
     return tuple(items)
+
+
+# ---------------------------------------------------------------------------
+# Text mutations for the fuzz properties
+# ---------------------------------------------------------------------------
+
+# What an insert puts in: the keywords and punctuation of the four languages,
+# a comment opener, a byte-order mark, letters no identifier may start with
+# when they are not ASCII, and an integer too long for any native domain.
+FUZZ_INSERTS = (
+    "grammar", "external", "production", "interface", "@named", "@alias", "@sketch", "@skip",
+    "package", "statechart", "initial", "final", "state", "tagschema", "tagtype", "private",
+    "for", "conforms", "to", "tags", "tag", "with", "within", "String", "int", "Boolean",
+    "{", "}", "[", "]", "(", ")", ";", ",", ".", "...", "->", "=", ":", "|", "+", "*", "?",
+    '"', "\\", "\n", " ", "/*", "//", "\ufeff", "é", "Ωmega", "9" * 40,
+)
+MUTATIONS = ("insert", "delete", "duplicate", "move")
+
+
+def mutations() -> st.SearchStrategy:
+    """One to three edits for :func:`mutate`; offsets are taken modulo the text's length."""
+
+    offset = st.integers(0, 1 << 20)
+    edit = st.tuples(
+        st.sampled_from(MUTATIONS), offset, offset, st.integers(1, 40), st.sampled_from(FUZZ_INSERTS)
+    )
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def mutate(text: str, edits) -> str:
+    """Apply ``edits``: insert a piece, or delete, duplicate or move a span of up to 40 characters."""
+
+    for kind, at, to, length, piece in edits:
+        at %= len(text) + 1
+        if kind == "insert":
+            text = text[:at] + piece + text[at:]
+            continue
+        span, rest = text[at : at + length], text[:at] + text[at + length :]
+        if kind == "delete":
+            text = rest
+        elif kind == "duplicate":
+            text = text[:at] + span + text[at:]
+        else:
+            to %= len(rest) + 1
+            text = rest[:to] + span + rest[to:]
+    return text
 
 
 # ---------------------------------------------------------------------------
