@@ -100,6 +100,14 @@ def _universal_newlines(text: str) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# Whitespace and comments.  A backtracking pattern that gives back part of
+# it stops at whitespace or at a ``/``, where no token starts, or inside a
+# ``//`` comment, which the lookahead forbids: so it has one extent wherever
+# a token follows, and a pattern built on it reads the tokens ``tokenize``
+# reads.  Whitespace runs are not repeated inside the loop, which would make
+# a failing match try every split of a run.
+_SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/)[ \t\r\n]*)*"
+
 # One match skips whitespace and comments, then reads at most one token.
 # The token group is optional, so a match never fails and never backtracks
 # into the skipped part; where no token follows, ``tokenize`` takes its
@@ -111,7 +119,7 @@ def _universal_newlines(text: str) -> str:
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # one line; only \" and \\ escapes
 _SCAN = re.compile(
     r"""
-    (?: [ \t\r\n]+ | //[^\n]* | /\*[^*]*\*+(?:[^*/][^*]*\*+)*/ )*
+    (?:%s)
     (?:
         (\w+)                          # 1: identifier
       | "(%s)"                         # 2: string body
@@ -119,7 +127,7 @@ _SCAN = re.compile(
       | (\[)                           # 4: '[', raw capture or punctuation
     )?
     """
-    % _STRING_BODY,
+    % (_SKIP, _STRING_BODY),
     re.VERBOSE,
 )
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)

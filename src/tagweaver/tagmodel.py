@@ -32,11 +32,14 @@ elision marker and ignored.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from .derivation import LanguageProfile
-from .parsing import BRACKET, ELLIPSIS, EOF, IDENT, STRING, TokenCursor, escape_string, tokenize
-from .records import field, record
+from .errors import ParseError
+from .parsing import _SKIP, _STRING_BODY, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, STRING
+from .parsing import TokenCursor, escape_string, tokenize, unescape_string
+from .records import field, record, replace
 
 __all__ = [
     "ElementIdentifier",
@@ -186,9 +189,129 @@ def parse_tag_model(
     them a missing ``conforms to`` clause and a bracketed identifier that
     matches no bracket rule of the profile: the profile's bracket forms
     are productions of the derived tag language.
+
+    The statement reader reads the common case; any other text goes whole
+    to the token parser, so both give the same records and positions, and
+    every error is the token parser's.
     """
 
+    return _read_statements(text, profile, filename) or _parse_tokens(text, profile, filename)
+
+
+# The statement reader.  Each match reads one piece of a body: ``_ITEM`` a
+# keyword (``tag``, ``within``), ``}`` or ``...``; ``_REF`` an element
+# reference with the ``,``, ``with`` or ``{`` after it; ``_USE`` a tag use,
+# simple or ``= "..."``, with the ``,`` or ``;`` after it.  Identifiers start
+# with an ASCII letter or ``_``, and bracket texts hold no ``[``.  The pieces
+# are the tokenizer's, each of one extent (see ``parsing._SKIP``), so a match
+# reads the tokens that ``tokenize`` reads, and the reader takes them as the
+# token parser does.  The skip is written once in each pattern a piece needs:
+# one pattern for a whole statement repeats it some thirty times and costs
+# every process over 10 ms of ``re.compile``.
+_ID = r"[A-Za-z_]\w*\b"
+_ITEM = re.compile(rf"{_SKIP}(?:(tag\b)|(within\b)|(\}})|(\.\.\.))?{_SKIP}")  # lastindex 1-4
+_REF = re.compile(  # lastindex 3: ',', 4: 'with', 5: '{'
+    rf"(?:\[([^\[\]]*)\]|({_ID}(?:{_SKIP}\.{_SKIP}{_ID})*))"
+    rf"{_SKIP}(?:(,)|(with\b)|(\{{)){_SKIP}"
+)
+_USE = re.compile(  # lastindex 3: ',', 4: ';'
+    rf'({_ID})(?:{_SKIP}={_SKIP}"({_STRING_BODY})")?{_SKIP}(?:(,)|(;)){_SKIP}'
+)
+_UNSKIP = re.compile(_SKIP).sub
+
+
+def _read_statements(text: str, profile: LanguageProfile, filename: str | None) -> TagModel | None:
+    """The tag model of ``text`` if the statement reader reads all of it, else ``None``."""
+
+    try:  # the header up to its '{', by the token parser's own code
+        cur = TokenCursor(tokenize(text[: text.find("{") + 1], raw_brackets=True), filename)
+        head = _parse_header(cur, filename)
+        brace = cur.expect(EOF)
+    except ParseError:
+        return None
+    item, next_ref, next_use = _ITEM.match, _REF.match, _USE.match
+    readings = profile.bracket_readings
+    count, rindex = text.count, text.rindex
+    line, line_start, seen = brace.line, brace.start - brace.col + 1, brace.start
+
+    def place(offset: int) -> tuple[int, int]:
+        # Line and column of ``offset``, counted on from the last offset placed.
+        nonlocal line, line_start, seen
+        newlines = count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            line_start = rindex("\n", seen, offset) + 1
+        seen = offset
+        return line, offset - line_start + 1
+
+    def element(r) -> ElementIdentifier | None:
+        # The reference ``r`` read; None at a bracket text that no form reads.
+        raw, name = r.group(1, 2)
+        where = place(r.start())
+        if raw is None:
+            path = tuple(_UNSKIP("", name).split(".")) if "." in name else (name,)
+            return ElementIdentifier(ElementIdentifier.QUALIFIED, path, "", *where)
+        raw = raw.strip()
+        return ElementIdentifier(ElementIdentifier.BRACKET, (), raw, *where) if readings(raw) else None
+
+    outer, items, pos = [], [], brace.start  # ``outer``: (context, place, enclosing items)
+    while True:
+        m = item(text, pos)
+        pos, kind = m.end(), m.lastindex
+        if kind == 1:
+            at, refs, uses, sep = place(m.start(1)), [], [], 3
+            while sep == 3:
+                r = next_ref(text, pos)
+                ref = r and element(r)
+                if ref is None:
+                    return None
+                refs.append(ref)
+                pos, sep = r.end(), r.lastindex
+            if sep != 4:
+                return None
+            sep = 3
+            while sep == 3:
+                u = next_use(text, pos)
+                if u is None:
+                    return None
+                name, raw = u.group(1, 2)
+                value = _SIMPLE if raw is None else TagValue(
+                    TagValue.VALUED, unescape_string(raw) if "\\" in raw else raw)
+                uses.append(TagUse(name, value, *place(pos)))
+                pos, sep = u.end(), u.lastindex
+            items.append(TagStatement(tuple(refs), tuple(uses), *at))
+        elif kind == 2:
+            at, r = place(m.start(2)), next_ref(text, pos)
+            ref = r and element(r)
+            if ref is None or r.lastindex != 5 or len(outer) == MAX_NESTING:
+                return None
+            outer.append((ref, at, items))
+            items, pos = [], r.end()
+        elif kind == 3 and outer:
+            ref, at, enclosing = outer.pop()
+            enclosing.append(Context(ref, tuple(items), *at))
+            items = enclosing
+        elif kind != 4:
+            break
+    rest = item(text, pos)
+    if kind is None or rest.lastindex is not None or rest.end() < len(text):
+        return None
+    return replace(head, body=tuple(items))
+
+
+def _parse_tokens(text: str, profile: LanguageProfile, filename: str | None) -> TagModel:
+    """The token parser: the reference for every tag model, and the one that reports errors."""
+
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
+    head = _parse_header(cur, filename)
+    body = _parse_body(cur, profile)
+    cur.expect("}")
+    cur.expect(EOF)
+    return replace(head, body=body)
+
+
+def _parse_header(cur: TokenCursor, filename: str | None) -> TagModel:
+    """Read up to the body's ``{``; the model with an empty body."""
 
     package = cur.package()
     if not cur.at_keyword("conforms"):
@@ -203,20 +326,10 @@ def parse_tag_model(
     cur.expect_keyword("for")
     target_parts, _ = cur.qualified_name()
     cur.expect("{")
-    body = _parse_body(cur, profile)
-    cur.expect("}")
-    cur.expect(EOF)
 
-    return TagModel(
-        package=package,
-        conforms_to=tuple(".".join(parts) for parts, _ in conforms),
-        name=name_tok.value,
-        target_model=".".join(target_parts),
-        body=body,
-        source_name=filename,
-        conforms_line=conforms_tok.line,
-        conforms_col=conforms_tok.col,
-    )
+    conforms_to = tuple(".".join(parts) for parts, _ in conforms)
+    return TagModel(package, conforms_to, name_tok.value, ".".join(target_parts), (), filename,
+                    conforms_tok.line, conforms_tok.col)
 
 
 def _parse_body(cur: TokenCursor, profile: LanguageProfile) -> tuple[BodyItem, ...]:

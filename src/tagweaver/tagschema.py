@@ -475,7 +475,11 @@ def _required_cycles(tag_types: list[TagTypeDef], report) -> None:
 
 
 def pretty_print_tag_schema(schema: TagSchema) -> str:
-    """Render a schema back to canonical ``.tagschema`` text (round-trip safe)."""
+    """Render a schema back to canonical ``.tagschema`` text (round-trip safe).
+
+    A complex tag type with no references raises ``ValueError``: the grammar
+    has no empty reference block, so its text would not re-parse.
+    """
 
     lines = [f"package {schema.package};", "", f"tagschema {schema.name} {{"]
     for tt in schema.tag_types:
@@ -492,6 +496,9 @@ def pretty_print_tag_schema(schema: TagSchema) -> str:
         elif domain.kind == DomainSpec.ENUM:
             values = "|".join(f'"{escape_string(v)}"' for v in domain.values)
             lines.append(f"{head}:[{values}]{scope};")
+        elif not domain.references:
+            raise ValueError(
+                f"tag type '{tt.name}': a complex type with no references would not re-parse")
         else:
             lines.append(f"{head}{scope} {{")
             for i, ref in enumerate(domain.references):

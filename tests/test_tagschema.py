@@ -558,3 +558,10 @@ class TestRoundTrip:
         text = random_schema_text(random.Random(seed))
         schema = parse_tag_schema(text, profile)
         assert parse_tag_schema(pretty_print_tag_schema(schema), profile) == schema
+
+    def test_a_complex_type_with_no_references_is_refused_by_name(self):
+        # The grammar has no empty reference block, so ``tagtype A {\n    }`` would not re-parse.
+        schema = TagSchema("p", "S", (TagTypeDef("A", DomainSpec.complex_of()),))
+        with pytest.raises(ValueError, match=r"^tag type 'A': a complex type with no references "
+                                             r"would not re-parse$"):
+            pretty_print_tag_schema(schema)
