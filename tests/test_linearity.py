@@ -9,8 +9,6 @@ Clocks are not used: counts repeat exactly, timings on a shared machine do not.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -20,19 +18,12 @@ import pytest
 from tagweaver import conformance, elements, tagmodel
 from tagweaver.derivation import IdentifierRule
 from tagweaver.workspace import Workspace, check_workspace, load_workspace
+from util import load_workloads
 
 # On ``nested-contexts`` the planted duplicates and the chart's root add a
 # few operations that do not scale with the pairs.  This is the most any
 # count per pair may differ between the two depths.
 NESTED_SLACK = Fraction(1, 20)
-
-
-def load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture

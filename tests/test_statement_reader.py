@@ -10,9 +10,7 @@ exactly what the token parser does.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -35,7 +33,9 @@ from tagweaver import tagmodel
 from tagweaver.errors import ParseError
 from tagweaver.parsing import MAX_NESTING, read_source, tokenize
 from tagweaver.records import replace
-from util import mutate, mutations, random_schema_text, random_statechart_text, random_tag_model
+from util import (
+    load_workloads, mutate, mutations, random_schema_text, random_statechart_text, random_tag_model,
+)
 
 HEADER = "package m;\nconforms to s.Types;\n\ntags T for Chart {\n"
 # What may stand between two tokens.
@@ -63,14 +63,6 @@ def agree(text: str, profile) -> bool:
     if read is not None:
         assert repr(read) == reference
     return read is not None
-
-
-def load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def flat_brackets(root: Path, quick: bool):

@@ -8,9 +8,12 @@ can catch structural mistakes in the real implementations.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -797,6 +800,16 @@ def flatten_statements(body: tuple) -> tuple:
                 for tag in item.tag_refs:
                     items.append(TagStatement(element_refs=(ref,), tag_refs=(tag,)))
     return tuple(items)
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, the benchmark's seeded workspace generator."""
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
