@@ -190,7 +190,9 @@ def parse_tag_model(
     matches no bracket rule of the profile: the profile's bracket forms
     are productions of the derived tag language.
 
-    The statement reader reads the common case; any other text goes whole
+    The statement reader reads ``within`` blocks and ``tag`` statements with
+    simple, ``= "..."`` and complex values, nested to any depth up to
+    ``MAX_NESTING`` blocks and values together; any other text goes whole
     to the token parser, so both give the same records and positions, and
     every error is the token parser's.
     """
@@ -201,22 +203,26 @@ def parse_tag_model(
 # The statement reader.  Each match reads one piece of a body: ``_ITEM`` a
 # keyword (``tag``, ``within``), ``}`` or ``...``; ``_REF`` an element
 # reference with the ``,``, ``with`` or ``{`` after it; ``_USE`` a tag use,
-# simple or ``= "..."``, with the ``,`` or ``;`` after it.  Identifiers start
-# with an ASCII letter or ``_``, and bracket texts hold no ``[``.  The pieces
-# are the tokenizer's, each of one extent (see ``parsing._SKIP``), so a match
-# reads the tokens that ``tokenize`` reads, and the reader takes them as the
-# token parser does.  The skip is written once in each pattern a piece needs:
-# one pattern for a whole statement repeats it some thirty times and costs
-# every process over 10 ms of ``re.compile``.
+# simple or ``= "..."``, with the ``,``, ``;`` or ``{`` after it, a ``{``
+# opening a complex value; ``_END`` the ``}`` that closes one, with the ``,``
+# or ``;`` after it.  Open ``within`` blocks and complex values count together
+# against ``MAX_NESTING``, as the token parser's ``enter`` counts them.
+# Identifiers start with an ASCII letter or ``_``, and bracket texts hold no
+# ``[``.  The pieces are the tokenizer's, each of one extent (see
+# ``parsing._SKIP``), so a match reads the tokens that ``tokenize`` reads, and
+# the reader takes them as the token parser does.  The skip is written once in
+# each pattern a piece needs: one pattern for a whole statement repeats it
+# some thirty times and costs every process over 10 ms of ``re.compile``.
 _ID = r"[A-Za-z_]\w*\b"
 _ITEM = re.compile(rf"{_SKIP}(?:(tag\b)|(within\b)|(\}})|(\.\.\.))?{_SKIP}")  # lastindex 1-4
 _REF = re.compile(  # lastindex 3: ',', 4: 'with', 5: '{'
     rf"(?:\[([^\[\]]*)\]|({_ID}(?:{_SKIP}\.{_SKIP}{_ID})*))"
     rf"{_SKIP}(?:(,)|(with\b)|(\{{)){_SKIP}"
 )
-_USE = re.compile(  # lastindex 3: ',', 4: ';'
-    rf'({_ID})(?:{_SKIP}={_SKIP}"({_STRING_BODY})")?{_SKIP}(?:(,)|(;)){_SKIP}'
+_USE = re.compile(  # lastindex 3: ',', 4: ';', 5: '{'
+    rf'({_ID})(?:{_SKIP}={_SKIP}"({_STRING_BODY})")?{_SKIP}(?:(,)|(;)|(\{{)){_SKIP}'
 )
+_END = re.compile(rf"\}}{_SKIP}(?:(,)|(;)){_SKIP}")  # lastindex 1: ',', 2: ';' (``_USE``'s, less 2)
 _UNSKIP = re.compile(_SKIP).sub
 
 
@@ -229,7 +235,7 @@ def _read_statements(text: str, profile: LanguageProfile, filename: str | None) 
         brace = cur.expect(EOF)
     except ParseError:
         return None
-    item, next_ref, next_use = _ITEM.match, _REF.match, _USE.match
+    item, next_ref, next_use, end = _ITEM.match, _REF.match, _USE.match, _END.match
     readings = profile.bracket_readings
     count, rindex = text.count, text.rindex
     line, line_start, seen = brace.line, brace.start - brace.col + 1, brace.start
@@ -269,16 +275,29 @@ def _read_statements(text: str, profile: LanguageProfile, filename: str | None) 
                 pos, sep = r.end(), r.lastindex
             if sep != 4:
                 return None
-            sep = 3
-            while sep == 3:
-                u = next_use(text, pos)
-                if u is None:
+            sep, values = 3, []  # ``values``: open complex values, (name, place, enclosing uses)
+            while sep != 4 or values:
+                e = sep != 3 and end(text, pos)  # after '{' an empty value, after ';' its '}'
+                if e:
+                    name, where, enclosing = values.pop()
+                    value = TagValue(TagValue.COMPLEX, None, tuple(uses))
+                    enclosing.append(TagUse(name, value, *where))
+                    uses, pos, sep = enclosing, e.end(), e.lastindex + 2
+                    continue
+                u = sep != 4 and next_use(text, pos)
+                if not u:
                     return None
                 name, raw = u.group(1, 2)
-                value = _SIMPLE if raw is None else TagValue(
-                    TagValue.VALUED, unescape_string(raw) if "\\" in raw else raw)
-                uses.append(TagUse(name, value, *place(pos)))
-                pos, sep = u.end(), u.lastindex
+                where, pos, sep = place(pos), u.end(), u.lastindex
+                if sep != 5:
+                    value = _SIMPLE if raw is None else TagValue(
+                        TagValue.VALUED, unescape_string(raw) if "\\" in raw else raw)
+                    uses.append(TagUse(name, value, *where))
+                elif raw is not None or len(outer) + len(values) == MAX_NESTING:
+                    return None
+                else:
+                    values.append((name, where, uses))
+                    uses = []
             items.append(TagStatement(tuple(refs), tuple(uses), *at))
         elif kind == 2:
             at, r = place(m.start(2)), next_ref(text, pos)

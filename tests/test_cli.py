@@ -134,6 +134,15 @@ class TestCheck:
         assert diag["line"] == 4
         assert diag["file"].endswith("bad.tag")
 
+    def test_json_format_on_a_syntax_error_prints_no_payload(self, golden_argv, tmp_path, capsys):
+        bad = tmp_path / "bad.tag"
+        bad.write_text("package m;\nconforms to s.T;\ntags T for C {\n tag A with;\n}\n")
+        assert run_cli(["check", *swap_tags(golden_argv, bad), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
     def test_json_format_clean(self, golden_argv, capsys):
         assert run_cli(["check", *golden_argv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

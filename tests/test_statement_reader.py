@@ -1,11 +1,13 @@
 """The statement reader reads a tag model exactly as the token parser does.
 
 ``tagmodel._read_statements`` reads the common case of a tag model from its
-text, item by item; ``tagmodel._parse_tokens`` is the token parser, the
-reference.  Where the reader reads a file, both give the same records with
-the same ``line`` and ``col`` everywhere: ``repr`` shows them, where ``==``
-ignores them.  Where it does not, ``parse_tag_model`` returns or raises
-exactly what the token parser does.
+text, item by item: ``within`` blocks and ``tag`` statements with simple,
+``= "..."`` and complex values, nested to any depth up to ``MAX_NESTING``
+blocks and values together.  ``tagmodel._parse_tokens`` is the token parser,
+the reference.  Where the reader reads a file, both give the same records
+with the same ``line`` and ``col`` everywhere: ``repr`` shows them, where
+``==`` ignores them.  Where it does not, ``parse_tag_model`` returns or
+raises exactly what the token parser does.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tagweaver import (
-    Context,
-    TagStatement,
-    TagUse,
-    TagValue,
     derive_profile,
     parse_manifest,
     parse_statechart,
@@ -32,7 +30,6 @@ from tagweaver import (
 from tagweaver import tagmodel
 from tagweaver.errors import ParseError
 from tagweaver.parsing import MAX_NESTING, read_source, tokenize
-from tagweaver.records import replace
 from util import (
     load_workloads, mutate, mutations, random_schema_text, random_statechart_text, random_tag_model,
 )
@@ -65,28 +62,27 @@ def agree(text: str, profile) -> bool:
     return read is not None
 
 
-def flat_brackets(root: Path, quick: bool):
-    generated = load_workloads().generate("flat-brackets", 4242, root, quick=quick)
+WORKLOADS = ("flat-brackets", "nested-contexts", "merged-export")
+
+
+def workload_tag_files(workload: str, root: Path, quick: bool):
+    """The tag file texts of ``workload`` at seed 4242, and its profile."""
+
+    generated = load_workloads().generate(workload, 4242, root, quick=quick)
     profile = derive_profile(parse_manifest(read_source(generated.manifest)))
-    return read_source(generated.tag_files[0]), profile
+    return [read_source(path) for path in generated.tag_files], profile
 
 
 @pytest.fixture(scope="module")
 def flat_quick(tmp_path_factory):
-    return flat_brackets(tmp_path_factory.mktemp("flat"), quick=True)
+    texts, profile = workload_tag_files("flat-brackets", tmp_path_factory.mktemp("flat"), True)
+    return texts[0], profile
 
 
-def without_complex_values(body: tuple) -> tuple:
-    """``body`` with every complex value made simple: the reader reads no complex value."""
-
-    def simple(use: TagUse) -> TagUse:
-        return replace(use, value=TagValue.simple()) if use.value.kind == TagValue.COMPLEX else use
-
-    return tuple(
-        replace(item, body=without_complex_values(item.body)) if isinstance(item, Context)
-        else TagStatement(item.element_refs, tuple(map(simple, item.tag_refs)))
-        for item in body
-    )
+@pytest.fixture(scope="module")
+def nested_quick(tmp_path_factory):
+    texts, profile = workload_tag_files("nested-contexts", tmp_path_factory.mktemp("nested"), True)
+    return texts[0], profile
 
 
 def splice(text: str, fillers: list[tuple[int, str]]) -> str:
@@ -101,19 +97,15 @@ def splice(text: str, fillers: list[tuple[int, str]]) -> str:
 @SETTINGS
 @given(
     seed=st.integers(0, 1 << 30),
-    simple=st.booleans(),
     fillers=st.lists(st.tuples(st.integers(0, 1 << 20), st.sampled_from(FILLERS)), max_size=12),
 )
-def test_printed_random_models_read_alike(profile, seed, simple, fillers):
+def test_printed_random_models_read_alike(profile, seed, fillers):
     rng = random.Random(seed)
     target = parse_statechart(random_statechart_text(rng))
     schema = parse_tag_schema(random_schema_text(rng), profile)
     model = random_tag_model(rng, target, (schema,))
-    if simple:
-        model = replace(model, body=without_complex_values(model.body))
-    read = agree(splice(pretty_print_tag_model(model), fillers), profile)
-    # Every item of a model without complex values is of the reader's kind.
-    assert read or not simple
+    # Every item of a printed model is of the reader's kind.
+    assert agree(splice(pretty_print_tag_model(model), fillers), profile)
 
 
 @SETTINGS
@@ -125,14 +117,22 @@ def test_mutated_flat_brackets_files_read_alike(flat_quick, edits):
 
 @SETTINGS
 @given(edits=mutations())
+def test_mutated_nested_contexts_files_read_alike(nested_quick, edits):
+    text, profile = nested_quick
+    agree(mutate(text, edits), profile)
+
+
+@SETTINGS
+@given(edits=mutations())
 def test_mutated_sample_files_read_alike(samples_dir, profile, edits):
     agree(mutate(read_source(samples_dir / "mobile_tags_full.tag"), edits), profile)
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
-def test_the_reader_reads_flat_brackets(tmp_path, quick):
-    text, profile = flat_brackets(tmp_path, quick)
-    assert agree(text, profile)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_the_reader_reads_the_workloads(tmp_path, workload, quick):
+    texts, profile = workload_tag_files(workload, tmp_path, quick)
+    assert all(agree(text, profile) for text in texts)
 
 
 def arrow_only():
@@ -141,18 +141,22 @@ def arrow_only():
     ))
 
 
-def nested(depth: int) -> str:
-    return "within A {\n" * depth + "tag B with T;\n" + "}\n" * depth
+def nested(depth: int, use: str = "T") -> str:
+    return "within A {\n" * depth + f"tag B with {use};\n" + "}\n" * depth
 
 
 # One case for each kind of text the reader leaves to the token parser.
 FALLBACKS = {
-    "complex value": ' tag A with T { a = "1"; };\n',
-    "empty complex value": " tag A with T {};\n",
     "nested bracket": " tag [a[0] > 1] with T;\n",
     "non-ASCII identifier": " tag Étoile with T;\n",
     "identifier with a digit first": " tag 9a with T;\n",
     "deeper than MAX_NESTING": nested(MAX_NESTING + 1),
+    "a value deeper than MAX_NESTING": nested(MAX_NESTING - 1, "T { a { b; }; }"),
+    "'{' after a string": ' tag A with T = "x" { a; };\n',
+    "missing ';' in a value": " tag A with T { a };\n",
+    "missing '}' of a value": " tag A with T { a; ;\n",
+    "stray ',' in a value": " tag A with T { a, ; };\n",
+    "a use after ';' in a value": " tag A with T { a; b; };\n",
     "missing ';'": " tag A with T\n",
     "'with' inside a '//' comment": " tag A // with T;\n",
     "a name that runs into 'with'": " tag Awith T;\n",
@@ -207,6 +211,12 @@ def test_a_bracket_text_no_form_reads_is_the_token_parsers():
 
 READ = {
     "nested to MAX_NESTING": nested(MAX_NESTING),
+    "a value that reaches MAX_NESTING": nested(MAX_NESTING - 1, "T { a; }"),
+    "complex value": ' tag A with T { a = "1"; };\n',
+    "empty complex value": " tag A with T {};\n",
+    "nested complex values": (
+        ' tag A with T /* { */ { a { b, c {} ; } , d = "}" ; } // ;\n, U { e; } ;\n'
+    ),
     "carriage returns": " tag A,\r\n [x > 1]\r\n with T;\r\n",
     "comments and blanks everywhere": (
         ' tag /* a */ A . /* b */ B // c\n , [ x\n> 1 ] with\n\n T /**/ = "v\\"w" , U ;\n'
