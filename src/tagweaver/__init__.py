@@ -23,7 +23,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "CheckInput",
         "NormalizedValue",
         "check",
-        "check_value_domain",
     ),
     "derivation": (
         "DerivationError",

@@ -22,7 +22,8 @@ on an element is the error ``PrivateTopLevelUse``.
 
 When no error is found, the checker also returns the resolved taggings:
 one attachment per (element, tag) pair with the value normalized into
-typed form.
+typed form.  A tag value is checked through ``check`` only, and a native
+subtag's value by the same check of its domain kind as a tag type's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .elements import ElementHandle, resolve_element
 from .errors import ResolutionError
 from .records import field, record
 from .tagmodel import Context, ElementIdentifier, TagModel, TagUse, TagValue, qualify
-from .tagschema import DomainSpec, TagSchema, TagTypeDef
+from .tagschema import NATIVE_KINDS, DomainSpec, TagSchema, TagTypeDef
 
 if TYPE_CHECKING:
     from .statechart import StatechartModel
@@ -46,7 +47,6 @@ __all__ = [
     "ResolvedTagging",
     "CheckInput",
     "check",
-    "check_value_domain",
     "INT64_MIN",
     "INT64_MAX",
 ]
@@ -306,28 +306,12 @@ def _walk(body, context: ElementHandle | None, resolve):
 # ---------------------------------------------------------------------------
 
 
-def check_value_domain(
-    value: TagValue, tag_type: TagTypeDef, schema: TagSchema
-) -> tuple[list[Diagnostic], NormalizedValue | None]:
-    """Check ``value`` against ``tag_type``'s domain and normalize it.
-
-    Returns the diagnostics plus the normalized value, or ``None`` in
-    place of the value when any diagnostic is an error.  Named references
-    inside complex domains resolve within ``schema``; scopes play no role
-    here.
-    """
-
-    return _check_value(TagUse(name=tag_type.name, value=value), tag_type, schema, None)
-
-
 def _check_value(
     use: TagUse, tag_type: TagTypeDef, schema: TagSchema, file: str | None
 ) -> tuple[list[Diagnostic], NormalizedValue | None]:
+    # Every report below is an error and comes back with no value.
     diags: list[Diagnostic] = []
-    normalized = _check_value_inner(use, tag_type, schema, reporter(diags, file))
-    if has_errors(diags):
-        return diags, None
-    return diags, normalized
+    return diags, _check_value_inner(use, tag_type.domain, tag_type.name, schema, reporter(diags, file))
 
 
 # What each value domain takes: the kind of tag value it accepts, and the
@@ -338,20 +322,22 @@ _TAKES = {
     DomainSpec.ENUM: (TagValue.VALUED, "needs one of its enumeration values"),
     DomainSpec.COMPLEX: (TagValue.COMPLEX, "is complex and needs a '{{...}}' value"),
 }
+# The domain of a native subtag, by its kind.
+_NATIVE = {kind: DomainSpec.of_native(kind) for kind in NATIVE_KINDS}
 
 
 def _check_value_inner(
-    use: TagUse, tag_type: TagTypeDef, schema: TagSchema, report
+    use: TagUse, domain: DomainSpec, name: str, schema: TagSchema, report, owner: str | None = None
 ) -> NormalizedValue | None:
-    domain = tag_type.domain
-    value = use.value
-    name = tag_type.name
+    """Check ``use``'s value against ``domain``: of tag type ``name``, or subtag ``name`` of ``owner``."""
 
+    value = use.value
     takes, tail = _TAKES[domain.kind]
     if value.kind != takes:
+        label = f"tag type '{name}'" if owner is None else f"subtag '{name}' of '{owner}'"
         report(
             Condition.E3_3_DOMAIN_MISMATCH,
-            f"tag type '{name}' {tail.format(domain.native)}",
+            f"{label} {tail.format(domain.native)}",
             use.line, use.col,
         )
         return None
@@ -387,16 +373,7 @@ def _check_value_inner(
             ok = False
             continue
         if ref.is_native:
-            takes, tail = _TAKES[DomainSpec.NATIVE]
-            if sub.value.kind != takes:
-                report(
-                    Condition.E3_3_DOMAIN_MISMATCH,
-                    f"subtag '{sub.name}' of '{name}' {tail.format(ref.type_name)}",
-                    sub.line, sub.col,
-                )
-                ok = False
-                continue
-            norm = _check_native(ref.type_name, sub.value.raw, sub.name, sub, report)
+            norm = _check_value_inner(sub, _NATIVE[ref.type_name], sub.name, schema, report, name)
         else:
             target = schema.tag_type(ref.type_name)
             if target is None:
@@ -409,7 +386,7 @@ def _check_value_inner(
                 )
                 ok = False
                 continue
-            norm = _check_value_inner(sub, target, schema, report)
+            norm = _check_value_inner(sub, target.domain, target.name, schema, report)
         if norm is None:
             ok = False
             continue

@@ -148,6 +148,26 @@ def test_every_name_the_package_imports_exists():
         assert all(hasattr(tagweaver, name) for name in names)
 
 
+def test_the_public_names():
+    # Adding or removing a public name is a change to this list, on purpose.
+    assert sorted(tagweaver.__all__) == [
+        "Attachment", "Cardinality", "CheckInput", "Condition", "Context",
+        "DerivationError", "Diagnostic", "DomainSpec", "ElementHandle",
+        "ElementIdentifier", "GrammarManifest", "IdentifierKind", "IdentifierRule",
+        "LanguageProfile", "LoadedWorkspace", "NormalizedValue", "ParseError",
+        "Production", "Reference", "ResolutionError", "RhsRef", "ScopeKeyword",
+        "ScopeSpec", "Severity", "StatechartModel", "TagModel", "TagSchema",
+        "TagStatement", "TagTypeDef", "TagUse", "TagValue", "TagweaverError",
+        "Workspace", "WorkspaceError", "build_export_report", "check",
+        "check_workspace", "derive_profile", "enumerate_elements", "format_diagnostic",
+        "has_errors", "load_workspace", "normalize_expression", "parse_manifest",
+        "parse_statechart", "parse_tag_model", "parse_tag_schema", "pretty_print_manifest",
+        "pretty_print_statechart", "pretty_print_tag_model", "pretty_print_tag_schema",
+        "profile_to_json", "render_derived_grammar", "render_export_report",
+        "resolve_element",
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(tagweaver.__all__))
 def test_exported_name_is_its_module_attribute(name):
     module = importlib.import_module(f"tagweaver.{tagweaver._MODULE_OF[name]}")

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tagweaver import (
     Attachment,
     CheckInput,
     Condition,
     ElementHandle,
+    ElementIdentifier,
     NormalizedValue,
     Severity,
+    TagModel,
+    TagStatement,
     TagValue,
     TagUse,
     check,
-    check_value_domain,
     parse_statechart,
     parse_tag_model,
     parse_tag_schema,
@@ -33,6 +37,17 @@ GOLDEN_HEADER = (
 def run(body: str, chart, schemas, profile, header: str = GOLDEN_HEADER):
     model = parse_tag_model(header + body + "}\n", profile)
     return check(CheckInput(model, chart, schemas, profile))
+
+
+def check_one(schema, type_name, value, chart, profile):
+    """(diagnostics, normalized value or None) of ``check`` on a hand-built
+    model whose one statement tags ``chart``'s root with ``value``.  The
+    schemas used here scope no tag type and make none private, so every
+    diagnostic is one of the value check's."""
+    statement = TagStatement((ElementIdentifier.qualified(chart.name),), (TagUse(type_name, value),))
+    model = TagModel(chart.package, (schema.qualified_name,), "One", chart.name, (statement,))
+    diags, resolved = check(CheckInput(model, chart, (schema,), profile))
+    return diags, resolved.attachments[0].value if resolved else None
 
 
 def conditions(diags) -> list[str]:
@@ -492,8 +507,12 @@ def value_schema(profile):
 
 
 class TestValueDomains:
+    @pytest.fixture(autouse=True)
+    def _target(self, small_chart, profile):
+        self.chart, self.profile = small_chart, profile
+
     def value(self, value_schema, type_name, value):
-        return check_value_domain(value, value_schema.tag_type(type_name), value_schema)
+        return check_one(value_schema, type_name, value, self.chart, self.profile)
 
     def test_flag_accepts_bare_use(self, value_schema):
         diags, norm = self.value(value_schema, "Flag", TagValue.simple())
@@ -674,25 +693,27 @@ class TestValueMessages:
     """The domain and cardinality messages, verbatim."""
 
     @pytest.mark.parametrize("type_name,value", WRONG_SHAPES)
-    def test_wrong_kind_on_the_tag_type(self, kind_schema, type_name, value):
-        diags, norm = check_value_domain(value, kind_schema.tag_type(type_name), kind_schema)
+    def test_wrong_kind_on_the_tag_type(self, kind_schema, type_name, value, small_chart, profile):
+        diags, norm = check_one(kind_schema, type_name, value, small_chart, profile)
         assert found(diags) == [("E3_3", WRONG_KIND[type_name], 0, 0)] and norm is None
 
     @pytest.mark.parametrize("type_name,value", WRONG_SHAPES)
-    def test_wrong_kind_through_a_named_reference(self, kind_schema, type_name, value):
+    def test_wrong_kind_through_a_named_reference(
+        self, kind_schema, type_name, value, small_chart, profile
+    ):
         slot = {"Flag": "f", "Count": "c", "Level": "l", "Box": "b"}[type_name]
         holder = TagValue.complex_of(TagUse(slot, value, 3, 7))
-        diags, norm = check_value_domain(holder, kind_schema.tag_type("Holder"), kind_schema)
+        diags, norm = check_one(kind_schema, "Holder", holder, small_chart, profile)
         assert found(diags) == [("E3_3", WRONG_KIND[type_name], 3, 7)] and norm is None
 
     @pytest.mark.parametrize("value", [SIMPLE, COMPLEX])
-    def test_wrong_kind_on_a_native_subtag(self, kind_schema, value):
+    def test_wrong_kind_on_a_native_subtag(self, kind_schema, value, small_chart, profile):
         holder = TagValue.complex_of(TagUse("n", value, 2, 4))
-        diags, norm = check_value_domain(holder, kind_schema.tag_type("Holder"), kind_schema)
+        diags, norm = check_one(kind_schema, "Holder", holder, small_chart, profile)
         assert found(diags) == [("E3_3", "subtag 'n' of 'Holder' needs a int value", 2, 4)]
         assert norm is None
 
-    def test_cardinality_phrases(self, kind_schema):
+    def test_cardinality_phrases(self, kind_schema, small_chart, profile):
         one = TagUse("one", TagValue.valued("1"))
         opt = TagUse("opt", TagValue.valued("1"))
         some = TagUse("some", TagValue.valued("1"))
@@ -704,7 +725,7 @@ class TestValueMessages:
         ]
         for subtags, message in cases:
             use = TagValue.complex_of(*subtags)
-            diags, norm = check_value_domain(use, kind_schema.tag_type("Card"), kind_schema)
+            diags, norm = check_one(kind_schema, "Card", use, small_chart, profile)
             assert found(diags) == [("CardinalityViolation", message, 0, 0)] and norm is None
 
     def test_a_subtag_of_an_unknown_tag_type(self, small_chart, profile):
@@ -719,6 +740,44 @@ class TestValueMessages:
         )
         assert found(diags) == [("E3_3", "subtag 'g' references unknown tag type 'Ghost'", 4, 17)]
         assert resolved is None
+
+
+# Raw texts for every native and enumeration rule; subtag names that the
+# two schemas declare, and one (``zz``) that neither does.
+RAWS = ("true", "false", "-1", "0", "9223372036854775808", "low", "high", "x", "")
+SUBTAG_NAMES = ("label", "child", "weight", "a", "b", "f", "c", "l", "n", "one", "opt", "some", "zz")
+
+
+def tag_values(depth: int):
+    leaf = st.just(TagValue.simple()) | st.sampled_from(RAWS).map(TagValue.valued)
+    if depth == 0:
+        return leaf
+    subtag = st.builds(TagUse, st.sampled_from(SUBTAG_NAMES), tag_values(depth - 1))
+    return leaf | st.lists(subtag, max_size=3).map(lambda subs: TagValue.complex_of(*subs))
+
+
+class TestValueRule:
+    """A value check reports only errors, and returns a value exactly when
+    it reports nothing."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(value=tag_values(3))
+    @example(value=TagValue.complex_of(  # a Node two levels deep
+        TagUse("label", TagValue.valued("x")),
+        TagUse("child", TagValue.complex_of(TagUse("label", TagValue.valued("")))),
+        TagUse("weight", TagValue.valued("-1")),
+    ))
+    @example(value=TagValue.complex_of(  # a Holder
+        TagUse("n", TagValue.valued("0")), TagUse("l", TagValue.valued("low"))
+    ))
+    def test_a_value_comes_back_exactly_without_a_diagnostic(
+        self, kind_schema, value_schema, value
+    ):
+        for schema in (kind_schema, value_schema):
+            for tt in schema.tag_types:
+                diags, norm = conformance._check_value(TagUse(tt.name, value), tt, schema, None)
+                assert (norm is None) == bool(diags)
+                assert all(d.severity is Severity.ERROR for d in diags)
 
 
 class TestNormalizedValues:

@@ -49,6 +49,7 @@ class TestGoldenChart:
         assert chart.states[3].final
         assert chart.states[0].modifiers == frozenset({"initial"})
         assert chart.states[1].modifiers == frozenset()
+        assert chart.states[3].modifiers == frozenset({"final"})
 
     def test_nested_states_and_invariants(self, chart):
         active = chart.states[1]
