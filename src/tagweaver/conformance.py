@@ -264,7 +264,7 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
 
 
 def _require_matching_inputs(inp: CheckInput) -> None:
-    """Contract checks: conforms-to and target were matched by the caller."""
+    """Contract checks: conforms-to and target were matched by the caller; native kinds are known."""
 
     if not inp.schemas:
         raise ValueError("check requires at least one schema")
@@ -278,6 +278,13 @@ def _require_matching_inputs(inp: CheckInput) -> None:
             f"tag model targets '{qualified}' but the supplied model is "
             f"'{inp.target.qualified_name}'"
         )
+    for tt in (tt for schema in inp.schemas for tt in schema.tag_types):
+        domain = tt.domain
+        kinds = [domain.native] if domain.kind == DomainSpec.NATIVE else []
+        for kind in kinds + [ref.type_name for ref in domain.references if ref.is_native]:
+            if kind not in _NATIVE:
+                raise ValueError(f"tag type '{tt.name}' names native kind '{kind}', "
+                                 f"which is none of {', '.join(NATIVE_KINDS)}")
 
 
 def _walk(body, context: ElementHandle | None, resolve):
@@ -322,7 +329,8 @@ _TAKES = {
     DomainSpec.ENUM: (TagValue.VALUED, "needs one of its enumeration values"),
     DomainSpec.COMPLEX: (TagValue.COMPLEX, "is complex and needs a '{{...}}' value"),
 }
-# The domain of a native subtag, by its kind.
+# The domain of a native subtag, by its kind: the one lookup of a native kind,
+# so ``check`` refuses any other before it checks a value.
 _NATIVE = {kind: DomainSpec.of_native(kind) for kind in NATIVE_KINDS}
 
 

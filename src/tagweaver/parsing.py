@@ -130,7 +130,11 @@ _SCAN = re.compile(
     % (_SKIP, _STRING_BODY),
     re.VERBOSE,
 )
+# An identifier whose first letter is ASCII, for the readers of ``tagmodel``
+# and ``statechart``: they leave any other to the token parser.
+_ID = r"[A-Za-z_]\w*\b"
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
+_UNSKIP = re.compile(_SKIP).sub
 _WORD = re.compile(r"\w+")
 _UNESCAPE = re.compile(r'\\(["\\])')
 _BRACKETS = re.compile(r"[\[\]]")
@@ -152,6 +156,30 @@ def is_identifier(text: str) -> bool:
     """The identifier rule of ``tokenize``: word characters, the first a letter or ``_``."""
 
     return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
+
+
+def dotted(name: str) -> tuple[str, ...]:
+    """The parts of a name that a reader matched as ``_ID`` joined by ``.``, with skips between."""
+
+    return tuple(_UNSKIP("", name).split(".")) if "." in name else (name,)
+
+
+def placer(text: str, start: Token):
+    """(line, col) of offsets of ``text`` from ``start`` on, each placed at or past the last."""
+
+    count, rindex = text.count, text.rindex
+    line, line_start, seen = start.line, start.start - start.col + 1, start.start
+
+    def place(offset: int) -> tuple[int, int]:
+        nonlocal line, line_start, seen
+        newlines = count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            line_start = rindex("\n", seen, offset) + 1
+        seen = offset
+        return line, offset - line_start + 1
+
+    return place
 
 
 def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> list[Token]:

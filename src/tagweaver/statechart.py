@@ -23,6 +23,9 @@ only, invariants to a state body only.  A state may be named ``state``,
 ``.`` does not start a state.  A bare ``...`` inside a body is accepted as
 an elision marker and ignored.
 
+A chart reader reads the common case from the text, one body item per
+match; any other text goes whole to the token parser, the reference.
+
 The parser also fills the model's element table (see
 :mod:`tagweaver.elements`): the chart, its states by path, each invariant
 under its state, and each transition with its ``source`` and ``target``
@@ -34,13 +37,15 @@ bracket forms, how a reference reads as an element.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from functools import cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .elements import ElementHandle, ElementTable
 from .errors import ParseError
-from .parsing import ARROW, BRACKET, ELLIPSIS, EOF, IDENT, TokenCursor, tokenize
+from .parsing import _ID, _SKIP, ARROW, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, TokenCursor
+from .parsing import dotted, placer, tokenize
 from .records import field, record
 
 __all__ = [
@@ -123,31 +128,105 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
 
     Raises :class:`~tagweaver.errors.ParseError` on syntax errors.  Sibling
     states that share a name, transition endpoints that name no state and
-    repeated transitions are kept as ``findings``.
+    repeated transitions are kept as ``findings``.  Text the chart reader
+    does not read goes whole to the token parser, whose errors these are.
     """
 
+    return _read_chart(text, filename) or _parse_tokens(text, filename)
+
+
+# The chart reader.  One match reads one body item: a transition, ``PATH ->
+# PATH (: EVENT)? ;`` (lastindex 2, or 3 with an event); a state, ``(initial |
+# final)? state NAME`` and its ``;`` (6) or ``{`` (7); an invariant ``[text];``
+# (8); ``}`` (9); or ``...`` (10).  The pieces are the tokenizer's, as in
+# ``tagmodel``'s reader, so a match reads the tokens that ``tokenize`` reads.
+# An event is read only where its text is the token parser's slice: tokens
+# with spaces or tabs between them, whitespace only before them.  A transition
+# and a state never match the same text: a state's second token is a name, a
+# transition's ``.`` or ``->``.
+_EVENT_TOKEN = rf"(?:{_ID}|->|[(),.])"
+_PATH = rf"{_ID}(?:{_SKIP}\.{_SKIP}{_ID})*"
+_BODY = re.compile(
+    rf"{_SKIP}(?:({_PATH}){_SKIP}->{_SKIP}({_PATH}){_SKIP}"
+    rf"(?::[ \t\r\n]*({_EVENT_TOKEN}(?:[ \t]*{_EVENT_TOKEN})*){_SKIP})?;"
+    rf"|(?:(initial|final)\b{_SKIP})?state\b{_SKIP}({_ID}){_SKIP}(?:(;)|(\{{))"
+    rf"|\[([^\[\]]*)\]{_SKIP};|(\}})|(\.\.\.))?"
+)
+
+
+def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
+    """The model of ``text`` if the chart reader reads all of it, else ``None``."""
+
+    try:  # the header up to its '{', by the token parser's own code
+        cur = TokenCursor(tokenize(text[: text.find("{") + 1], raw_brackets=True), filename)
+        package, name = _parse_header(cur)
+        brace = cur.expect(EOF)
+    except ParseError:
+        return None
+    item, place, pos = _BODY.match, placer(text, brace), brace.start
+    report = reporter(findings := [], filename)
+    states, invariants, names, transitions = [], [], set(), []
+    outer = []  # the open states: (name and modifiers, place, enclosing body's lists)
+    while True:
+        m = item(text, pos)
+        pos, kind = m.end(), m.lastindex
+        if (kind is None or (kind <= 3 and outer) or (kind == 7 and len(outer) == MAX_NESTING)
+                or (kind == 8 and not outer)):
+            return None
+        if kind <= 3:
+            transitions.append(TransitionDef(dotted(m[1]), dotted(m[2]), m[3], *place(m.start(1))))
+        elif kind <= 7:
+            state, modifier, where = m.group(5), m.group(4), place(m.start(5))
+            if state in names:
+                report(Condition.DUPLICATE_SIBLING_STATE, f"duplicate sibling state '{state}'", *where)
+            names.add(state)
+            head = (state, modifier == "initial", modifier == "final")
+            if kind == 6:
+                states.append(StateDef(*head, (), (), *where))
+            else:
+                outer.append((head, where, states, invariants, names))
+                states, invariants, names = [], [], set()
+        elif kind == 8:
+            invariants.append(m.group(8).strip())
+        elif kind == 9 and outer:
+            head, where, enclosing, invariants_out, names = outer.pop()
+            enclosing.append(StateDef(*head, tuple(states), tuple(invariants), *where))
+            states, invariants = enclosing, invariants_out
+        elif kind == 9:
+            break  # the chart's '}'; ``...`` (10) reads nothing
+    rest = item(text, pos)
+    if rest.lastindex is not None or rest.end() < len(text):
+        return None
+    return _model(package, name, states, transitions, findings, report, filename)
+
+
+def _parse_tokens(text: str, filename: str | None) -> StatechartModel:
+    """The token parser: the reference for every chart, and the one that reports errors."""
+
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
+    package, name = _parse_header(cur)
+    report = reporter(findings := [], filename)
+    states, transitions, _ = _parse_body(cur, text, report, "statechart")
+    cur.expect(EOF)
+    return _model(package, name, states, transitions, findings, report, filename)
+
+
+def _parse_header(cur: TokenCursor) -> tuple[str, str]:
+    """Read up to the body's ``{``; the chart's package and name."""
 
     package = cur.package()
     cur.expect_keyword("statechart")
-    name_tok = cur.expect(IDENT)
+    name = cur.expect(IDENT).value
     cur.expect("{")
+    return package, name
 
-    findings: list[Diagnostic] = []
-    report = reporter(findings, filename)
-    states, transitions, _ = _parse_body(cur, text, report, "statechart")
-    cur.expect(EOF)
 
-    table = _element_table(name_tok.value, states, transitions)
+def _model(package, name, states, transitions, findings, report, filename) -> StatechartModel:
+    """The model of a chart read, its transitions checked against its element table."""
+
+    table = _element_table(name, states, transitions)
     _check_transitions(transitions, table, report)
-    model = StatechartModel(
-        package=package,
-        name=name_tok.value,
-        states=tuple(states),
-        transitions=tuple(transitions),
-        findings=tuple(findings),
-        source_name=filename,
-    )
+    model = StatechartModel(package, name, tuple(states), tuple(transitions), tuple(findings), filename)
     model.__dict__["element_table"] = table  # what the cached property would build
     return model
 

@@ -37,8 +37,8 @@ from typing import Union
 
 from .derivation import LanguageProfile
 from .errors import ParseError
-from .parsing import _SKIP, _STRING_BODY, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, STRING
-from .parsing import TokenCursor, escape_string, tokenize, unescape_string
+from .parsing import _ID, _SKIP, _STRING_BODY, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, STRING
+from .parsing import TokenCursor, dotted, escape_string, placer, tokenize, unescape_string
 from .records import field, record, replace
 
 __all__ = [
@@ -213,7 +213,6 @@ def parse_tag_model(
 # the reader takes them as the token parser does.  The skip is written once in
 # each pattern a piece needs: one pattern for a whole statement repeats it
 # some thirty times and costs every process over 10 ms of ``re.compile``.
-_ID = r"[A-Za-z_]\w*\b"
 _ITEM = re.compile(rf"{_SKIP}(?:(tag\b)|(within\b)|(\}})|(\.\.\.))?{_SKIP}")  # lastindex 1-4
 _REF = re.compile(  # lastindex 3: ',', 4: 'with', 5: '{'
     rf"(?:\[([^\[\]]*)\]|({_ID}(?:{_SKIP}\.{_SKIP}{_ID})*))"
@@ -223,7 +222,6 @@ _USE = re.compile(  # lastindex 3: ',', 4: ';', 5: '{'
     rf'({_ID})(?:{_SKIP}={_SKIP}"({_STRING_BODY})")?{_SKIP}(?:(,)|(;)|(\{{)){_SKIP}'
 )
 _END = re.compile(rf"\}}{_SKIP}(?:(,)|(;)){_SKIP}")  # lastindex 1: ',', 2: ';' (``_USE``'s, less 2)
-_UNSKIP = re.compile(_SKIP).sub
 
 
 def _read_statements(text: str, profile: LanguageProfile, filename: str | None) -> TagModel | None:
@@ -236,27 +234,14 @@ def _read_statements(text: str, profile: LanguageProfile, filename: str | None) 
     except ParseError:
         return None
     item, next_ref, next_use, end = _ITEM.match, _REF.match, _USE.match, _END.match
-    readings = profile.bracket_readings
-    count, rindex = text.count, text.rindex
-    line, line_start, seen = brace.line, brace.start - brace.col + 1, brace.start
-
-    def place(offset: int) -> tuple[int, int]:
-        # Line and column of ``offset``, counted on from the last offset placed.
-        nonlocal line, line_start, seen
-        newlines = count("\n", seen, offset)
-        if newlines:
-            line += newlines
-            line_start = rindex("\n", seen, offset) + 1
-        seen = offset
-        return line, offset - line_start + 1
+    readings, place = profile.bracket_readings, placer(text, brace)
 
     def element(r) -> ElementIdentifier | None:
         # The reference ``r`` read; None at a bracket text that no form reads.
         raw, name = r.group(1, 2)
         where = place(r.start())
         if raw is None:
-            path = tuple(_UNSKIP("", name).split(".")) if "." in name else (name,)
-            return ElementIdentifier(ElementIdentifier.QUALIFIED, path, "", *where)
+            return ElementIdentifier(ElementIdentifier.QUALIFIED, dotted(name), "", *where)
         raw = raw.strip()
         return ElementIdentifier(ElementIdentifier.BRACKET, (), raw, *where) if readings(raw) else None
 

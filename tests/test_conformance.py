@@ -26,6 +26,7 @@ from tagweaver import (
 from tagweaver import conformance
 from tagweaver.cli import run_cli
 from tagweaver.conformance import INT64_MAX, INT64_MIN
+from tagweaver.tagschema import DomainSpec, Reference, TagSchema, TagTypeDef
 
 GOLDEN_HEADER = (
     "package mobile;\n"
@@ -740,6 +741,26 @@ class TestValueMessages:
         )
         assert found(diags) == [("E3_3", "subtag 'g' references unknown tag type 'Ghost'", 4, 17)]
         assert resolved is None
+
+
+class TestNativeKinds:
+    """A hand-built record may name a native kind that ``parse_tag_schema``
+    never reads as one; ``check`` refuses it before it checks a value."""
+
+    REFUSAL = "tag type '{}' names native kind 'Float', which is none of int, String, Boolean"
+
+    @pytest.mark.parametrize("value", [VALUED, TagValue.valued("1"), SIMPLE])
+    def test_a_native_tag_type(self, value, small_chart, profile):
+        schema = TagSchema("h", "H", (TagTypeDef("F", DomainSpec.of_native("Float")),))
+        with pytest.raises(ValueError, match=self.REFUSAL.format("F")):
+            check_one(schema, "F", value, small_chart, profile)
+
+    @pytest.mark.parametrize("value", [VALUED, TagValue.valued("1"), SIMPLE])
+    def test_a_native_subtag(self, value, small_chart, profile):
+        holder = TagTypeDef("H", DomainSpec.complex_of(Reference("x", "Float", True)))
+        schema = TagSchema("h", "H", (holder,))
+        with pytest.raises(ValueError, match=self.REFUSAL.format("H")):
+            check_one(schema, "H", TagValue.complex_of(TagUse("x", value)), small_chart, profile)
 
 
 # Raw texts for every native and enumeration rule; subtag names that the
