@@ -11,6 +11,12 @@ vocabulary: identifiers, double-quoted strings, punctuation, ``//`` and
   enumeration domains.
 
 ``tokenize`` takes a ``raw_brackets`` flag to select between the two.
+
+The readers of ``tagmodel`` and ``statechart`` build their patterns from the
+pieces here (``_SKIP``, ``_ID``, ``_STRING_BODY``).  ``placer`` is the one
+offset-to-(line, col) counter, used by ``tokenize``, both readers and
+``read_source``; ``is_identifier`` and ``unescape_string`` are the one
+identifier rule and the one string decoder.
 """
 
 from __future__ import annotations
@@ -80,12 +86,8 @@ def read_source(path: Path) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = _universal_newlines(data[: exc.start].decode("utf-8"))
-        raise ParseError(
-            f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
-            before.count("\n") + 1,
-            len(before) - before.rfind("\n"),
-            str(path),
-        ) from None
+        raise ParseError(f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
+                         *placer(before)(len(before)), str(path)) from None
     return _universal_newlines(text)
 
 
@@ -110,12 +112,11 @@ _SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/)[ \t\
 
 # One match skips whitespace and comments, then reads at most one token.
 # The token group is optional, so a match never fails and never backtracks
-# into the skipped part; where no token follows, ``tokenize`` takes its
-# slow path (end of input, a ``[...]`` capture, or an error).  The string
-# and block-comment bodies are unrolled loops, so a missing closing quote
-# or ``*/`` costs one pass over the rest of the text.  ``\w`` is exactly
-# ``str.isalnum()`` or ``_``; an identifier must also start with a letter
-# or ``_``, which ``tokenize`` checks.
+# into the skipped part; where no token follows, ``tokenize`` is at the end
+# of input or at an error.  The string and block-comment bodies are unrolled
+# loops, so a missing closing quote or ``*/`` costs one pass over the rest
+# of the text.  ``\w`` is exactly ``str.isalnum()`` or ``_``; an identifier
+# must also start with a letter or ``_``, which ``is_identifier`` checks.
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'  # one line; only \" and \\ escapes
 _SCAN = re.compile(
     r"""
@@ -164,11 +165,15 @@ def dotted(name: str) -> tuple[str, ...]:
     return tuple(_UNSKIP("", name).split(".")) if "." in name else (name,)
 
 
-def placer(text: str, start: Token):
-    """(line, col) of offsets of ``text`` from ``start`` on, each placed at or past the last."""
+def placer(text: str, start: Token | None = None):
+    """(line, col) of offsets of ``text`` from ``start`` on, each placed at or past the last.
+
+    Without ``start``, offsets count from the start of the text.
+    """
 
     count, rindex = text.count, text.rindex
-    line, line_start, seen = start.line, start.start - start.col + 1, start.start
+    line, line_start, seen = (1, 0, 0) if start is None else (
+        start.line, start.start - start.col + 1, start.start)
 
     def place(offset: int) -> tuple[int, int]:
         nonlocal line, line_start, seen
@@ -186,74 +191,43 @@ def tokenize(text: str, *, raw_brackets: bool, filename: str | None = None) -> l
     """Split ``text`` into tokens, ending with a single EOF token."""
 
     tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # what ``Token(...)`` does, without its Python-level ``__new__``
-    scan = _SCAN.match
-    count = text.count
+    new = tuple.__new__  # ``Token(...)`` without its Python-level ``__new__``, a sixth of the time
+    place = placer(text)
     pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-
     while True:
-        m = scan(text, pos)
-        group = m.lastindex
-        start = m.end() if group is None else m.start(group)
-        if start != pos:
-            newlines = count("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, start) + 1
-        pos = m.end()
-
-        if group == 1:
-            value = m.group(1)
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise ParseError(f"unexpected character {value[0]!r}", line,
-                                 start - line_start + 1, filename)
-            append(new(Token, (IDENT, value, line, start - line_start + 1, start, pos)))
-        elif group == 3:
-            value = m.group(3)
-            append(new(Token, (value, value, line, start - line_start + 1, start, pos)))
-        elif group == 2:  # ``start`` is one past the opening quote
-            value = m.group(2)
-            if "\\" in value:
-                value = _UNESCAPE.sub(r"\1", value)
-            append(new(Token, (STRING, value, line, start - line_start, start - 1, pos)))
-        elif group == 4 and not raw_brackets:
-            append(new(Token, ("[", "[", line, start - line_start + 1, start, pos)))
-        elif group == 4:
-            depth = 1
+        m = _SCAN.match(text, pos)
+        group, pos = m.lastindex, m.end()
+        start = pos if group is None else m.start(group)
+        if group == 2:  # ``start`` is one past the opening quote
+            value = unescape_string(m[2])
+            tokens.append(new(Token, (STRING, value, *place(start - 1), start - 1, pos)))
+        elif group == 4 and raw_brackets:
+            where, depth = place(start), 1
             while depth:
                 found = _BRACKETS.search(text, pos)
                 if found is None:
-                    raise ParseError("unterminated '[' expression", line,
-                                     start - line_start + 1, filename)
+                    raise ParseError("unterminated '[' expression", *where, filename)
                 pos = found.end()
                 depth += 1 if found.group() == "[" else -1
-            append(new(Token, (BRACKET, text[start + 1 : pos - 1], line, start - line_start + 1,
-                               start, pos)))
-            newlines = count("\n", start, pos)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, pos) + 1
+            tokens.append(new(Token, (BRACKET, text[start + 1 : pos - 1], *where, start, pos)))
+        elif group is not None:
+            value = m[group]
+            if group == 1 and not is_identifier(value):
+                raise ParseError(f"unexpected character {value[0]!r}", *place(start), filename)
+            tokens.append(new(Token, (IDENT if group == 1 else value, value, *place(start), start, pos)))
         elif pos == len(text):
-            append(new(Token, (EOF, "", line, pos - line_start + 1, pos, pos)))
+            tokens.append(Token(EOF, "", *place(pos), pos, pos))
             return tokens
         elif text.startswith("/*", pos):
-            raise ParseError("unterminated block comment", line, pos - line_start + 1, filename)
+            raise ParseError("unterminated block comment", *place(pos), filename)
         elif text[pos] == '"':
             stop = _STRING_PREFIX.match(text, pos).end()
             if stop < len(text) and text[stop] == "\\":
-                raise ParseError(
-                    "unsupported escape sequence (only \\\" and \\\\ are allowed)",
-                    line,
-                    stop - line_start + 1,
-                    filename,
-                )
-            raise ParseError("unterminated string literal", line, pos - line_start + 1, filename)
+                raise ParseError("unsupported escape sequence (only \\\" and \\\\ are allowed)",
+                                 *place(stop), filename)
+            raise ParseError("unterminated string literal", *place(pos), filename)
         else:
-            raise ParseError(f"unexpected character {text[pos]!r}", line,
-                             pos - line_start + 1, filename)
+            raise ParseError(f"unexpected character {text[pos]!r}", *place(pos), filename)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +247,7 @@ class TokenCursor:
     # -- primitives ---------------------------------------------------------
 
     # The stream ends with EOF and nothing moves past it, so ``self._pos``
-    # always indexes a token.  ``advance``, ``at``, ``match`` and ``expect``
-    # each read the current token themselves: they run once or more per token.
+    # always indexes a token.
 
     def peek(self, ahead: int = 0) -> Token:
         """The current token, or the one ``ahead`` places on (EOF past the end)."""
@@ -295,21 +268,13 @@ class TokenCursor:
         return self.at(IDENT, word)
 
     def match(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self._tokens[self._pos]
-        if tok.kind != kind or (value is not None and tok.value != value):
-            return None
-        if kind != EOF:
-            self._pos += 1
-        return tok
+        return self.advance() if self.at(kind, value) else None
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != kind or (value is not None and tok.value != value):
+        if not self.at(kind, value):
             want = f"'{value}'" if value is not None else _describe_kind(kind)
-            raise self.error(f"expected {want}, found {_string_repr(tok)}", tok)
-        if kind != EOF:
-            self._pos += 1
-        return tok
+            raise self.error(f"expected {want}, found {_string_repr(self.peek())}")
+        return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
         return self.expect(IDENT, word)

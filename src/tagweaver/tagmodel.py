@@ -50,7 +50,6 @@ __all__ = [
     "TagModel",
     "parse_tag_model",
     "pretty_print_tag_model",
-    "escape_string",
     "qualify",
 ]
 

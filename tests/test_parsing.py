@@ -1,5 +1,6 @@
-"""The shared tokenizer and token cursor: agreement with a character-loop oracle, positions,
-linear time, and the cursor's moves and messages."""
+"""The shared tokenizer and token cursor: agreement with a character-loop oracle, on random
+text and on the samples and workload files, positions, the position counter, linear time, and
+the cursor's moves and messages."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from tagweaver import parse_statechart, parse_tag_model, parse_tag_schema
 from tagweaver.errors import ParseError
 from tagweaver.parsing import (
-    BRACKET, EOF, IDENT, STRING, TokenCursor, is_identifier, read_source, tokenize,
+    BRACKET, EOF, IDENT, STRING, Token, TokenCursor, is_identifier, placer, read_source, tokenize,
 )
 
-from util import oracle_tokenize
+from conftest import SAMPLES
+from test_statement_reader import WORKLOADS
+from util import load_workloads, oracle_tokenize
 
 # Pieces that tokenize on their own in both bracket modes.
 _CLEAN = [
@@ -397,3 +400,61 @@ def test_the_keywords_after_a_list_stay_names(profile, body, elements, tags):
     statement, = parse_tag_model(_TAGS % body, profile, "f").body
     assert [ref.path for ref in statement.element_refs] == elements
     assert [tag.name for tag in statement.tag_refs] == tags
+
+
+def _naive_place(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+# Line ends, carriage returns, tabs and letters of one and of several UTF-8 bytes.
+_placer_texts = st.text(st.sampled_from("\n\r\t ab\u00e9\u00df\u03a9\u20ac"), max_size=40)
+
+
+@st.composite
+def _text_and_offsets(draw):
+    text = draw(_placer_texts)
+    offsets = draw(st.lists(st.integers(0, len(text)), max_size=12))
+    return text, sorted(offsets + [len(text)])
+
+
+class TestPlacer:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_text_and_offsets())
+    def test_from_the_start_of_the_text(self, case):
+        text, offsets = case
+        place = placer(text)
+        assert [place(off) for off in offsets] == [_naive_place(text, off) for off in offsets]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_text_and_offsets(), data=st.data())
+    def test_from_a_start_token_in_the_middle(self, case, data):
+        text, offsets = case
+        first = data.draw(st.integers(0, len(text)))
+        start = Token(IDENT, "x", *_naive_place(text, first), first, first)
+        place = placer(text, start)
+        later = [off for off in offsets if off >= first]
+        assert [place(off) for off in later] == [_naive_place(text, off) for off in later]
+
+
+def _files_agree(path):
+    # A schema reads ``[`` as punctuation; every other file kind as a ``[...]`` capture.
+    raw_brackets = path.suffix != ".tagschema"
+    text = read_source(path)
+    tokens = _lex(tokenize, text, raw_brackets)
+    assert tokens == _lex(oracle_tokenize, text, raw_brackets)
+    return tokens
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*") if p.suffix != ".json"))
+def test_the_samples_tokenize_as_the_oracle_does(name):
+    tokens = _files_agree(SAMPLES / name)
+    assert name.endswith(".glang") or tokens[-1][0] == EOF
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_the_workload_files_tokenize_as_the_oracle_does(tmp_path, workload):
+    generated = load_workloads().generate(workload, 4242, tmp_path, quick=True)
+    paths = [generated.manifest, generated.model, generated.schema, *generated.tag_files]
+    for path in paths:
+        tokens = _files_agree(path)
+        assert path.suffix == ".glang" or tokens[-1][0] == EOF
