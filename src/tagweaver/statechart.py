@@ -25,14 +25,18 @@ an elision marker and ignored.
 
 A chart reader reads the common case from the text, one body item per
 match; any other text goes whole to the token parser, the reference.
+Either only reads: one walk over the records it returns builds the
+model's element table (see :mod:`tagweaver.elements`) and reports every
+finding, so a chart is judged alike whichever reader read it.
 
-The parser also fills the model's element table (see
-:mod:`tagweaver.elements`): the chart, its states by path, each invariant
-under its state, and each transition with its ``source`` and ``target``
-paths, labelled as in its production.  An element is reported with the
-grammar production it comes from, never with a scope keyword: the
-derived language profile names those, and it decides, through its
-bracket forms, how a reference reads as an element.
+The table holds the chart, its states by path, each invariant under its
+state, and each transition with its ``source`` and ``target`` paths,
+labelled as in its production.  An element is reported with the grammar
+production it comes from, never with a scope keyword: the derived
+language profile names those, and it decides, through its bracket forms,
+how a reference reads as an element.  The findings are sibling states
+that share a name, transition endpoints that name no state and repeated
+transitions.
 """
 
 from __future__ import annotations
@@ -80,15 +84,6 @@ class StateDef:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    @property
-    def modifiers(self) -> frozenset[str]:
-        mods = set()
-        if self.initial:
-            mods.add("initial")
-        if self.final:
-            mods.add("final")
-        return frozenset(mods)
-
 
 @record
 class TransitionDef:
@@ -115,7 +110,8 @@ class StatechartModel:
 
     @cached_property
     def element_table(self) -> ElementTable:
-        return _element_table(self.name, self.states, self.transitions)
+        # A model built by hand: its findings are its own, not the walk's.
+        return _element_table(self.name, self.states, self.transitions, reporter([], None))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +160,7 @@ def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
     except ParseError:
         return None
     item, place, pos = _BODY.match, placer(text, brace), brace.start
-    report = reporter(findings := [], filename)
-    states, invariants, names, transitions = [], [], set(), []
+    states, invariants, transitions = [], [], []
     outer = []  # the open states: (name and modifiers, place, enclosing body's lists)
     while True:
         m = item(text, pos)
@@ -177,19 +172,16 @@ def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
             transitions.append(TransitionDef(dotted(m[1]), dotted(m[2]), m[3], *place(m.start(1))))
         elif kind <= 7:
             state, modifier, where = m.group(5), m.group(4), place(m.start(5))
-            if state in names:
-                report(Condition.DUPLICATE_SIBLING_STATE, f"duplicate sibling state '{state}'", *where)
-            names.add(state)
             head = (state, modifier == "initial", modifier == "final")
             if kind == 6:
                 states.append(StateDef(*head, (), (), *where))
             else:
-                outer.append((head, where, states, invariants, names))
-                states, invariants, names = [], [], set()
+                outer.append((head, where, states, invariants))
+                states, invariants = [], []
         elif kind == 8:
             invariants.append(m.group(8).strip())
         elif kind == 9 and outer:
-            head, where, enclosing, invariants_out, names = outer.pop()
+            head, where, enclosing, invariants_out = outer.pop()
             enclosing.append(StateDef(*head, tuple(states), tuple(invariants), *where))
             states, invariants = enclosing, invariants_out
         elif kind == 9:
@@ -197,7 +189,7 @@ def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
     rest = item(text, pos)
     if rest.lastindex is not None or rest.end() < len(text):
         return None
-    return _model(package, name, states, transitions, findings, report, filename)
+    return _model(package, name, states, transitions, filename)
 
 
 def _parse_tokens(text: str, filename: str | None) -> StatechartModel:
@@ -205,10 +197,9 @@ def _parse_tokens(text: str, filename: str | None) -> StatechartModel:
 
     cur = TokenCursor(tokenize(text, raw_brackets=True, filename=filename), filename)
     package, name = _parse_header(cur)
-    report = reporter(findings := [], filename)
-    states, transitions, _ = _parse_body(cur, text, report, "statechart")
+    states, transitions, _ = _parse_body(cur, text, "statechart")
     cur.expect(EOF)
-    return _model(package, name, states, transitions, findings, report, filename)
+    return _model(package, name, states, transitions, filename)
 
 
 def _parse_header(cur: TokenCursor) -> tuple[str, str]:
@@ -221,17 +212,19 @@ def _parse_header(cur: TokenCursor) -> tuple[str, str]:
     return package, name
 
 
-def _model(package, name, states, transitions, findings, report, filename) -> StatechartModel:
-    """The model of a chart read, its transitions checked against its element table."""
+def _model(package, name, states, transitions, filename) -> StatechartModel:
+    """The model of a chart read: its element table and findings, from one walk of its records.
 
-    table = _element_table(name, states, transitions)
-    _check_transitions(transitions, table, report)
+    Both readers only read; this is where either's records are judged.
+    """
+
+    table = _element_table(name, states, transitions, reporter(findings := [], filename))
     model = StatechartModel(package, name, tuple(states), tuple(transitions), tuple(findings), filename)
     model.__dict__["element_table"] = table  # what the cached property would build
     return model
 
 
-def _parse_body(cur: TokenCursor, text: str, report, kind: str):
+def _parse_body(cur: TokenCursor, text: str, kind: str):
     """Read a ``statechart`` or ``state`` body through its ``}``.
 
     Returns its (states, transitions, invariants): transitions are read in
@@ -241,7 +234,6 @@ def _parse_body(cur: TokenCursor, text: str, report, kind: str):
     states: list[StateDef] = []
     transitions: list[TransitionDef] = []
     invariants: list[str] = []
-    sibling_names: set[str] = set()
     while not cur.match("}"):
         if cur.match(ELLIPSIS):
             continue
@@ -249,7 +241,7 @@ def _parse_body(cur: TokenCursor, text: str, report, kind: str):
         # A state may be named ``state``, ``initial`` or ``final``: such a
         # word before ``->`` or ``.`` leads a transition, so it starts no state.
         if tok.kind == IDENT and tok.value in _STATE_WORDS and cur.peek(1).kind not in (ARROW, "."):
-            states.append(_parse_state(cur, text, sibling_names, report))
+            states.append(_parse_state(cur, text))
         elif tok.kind == IDENT and kind == "statechart":
             transitions.append(_parse_transition(cur, text))
         elif tok.kind == BRACKET and kind == "state":
@@ -265,7 +257,7 @@ def _parse_body(cur: TokenCursor, text: str, report, kind: str):
     return states, transitions, invariants
 
 
-def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -> StateDef:
+def _parse_state(cur: TokenCursor, text: str) -> StateDef:
     first = cur.peek()
     modifiers: list[str] = []
     while cur.peek().kind == IDENT and cur.peek().value in ("initial", "final"):
@@ -277,18 +269,9 @@ def _parse_state(cur: TokenCursor, text: str, sibling_names: set[str], report) -
         raise cur.error("a state cannot be both initial and final", first)
     cur.expect_keyword("state")
     name_tok = cur.expect(IDENT)
-    if name_tok.value in sibling_names:
-        report(
-            Condition.DUPLICATE_SIBLING_STATE,
-            f"duplicate sibling state '{name_tok.value}'",
-            name_tok.line,
-            name_tok.col,
-        )
-    sibling_names.add(name_tok.value)
-
     if cur.at("{"):
         cur.enter(cur.advance())
-        substates, _, invariants = _parse_body(cur, text, report, "state")
+        substates, _, invariants = _parse_body(cur, text, "state")
         cur.leave()
     else:
         cur.expect(";")
@@ -318,57 +301,53 @@ def _parse_transition(cur: TokenCursor, text: str) -> TransitionDef:
     return TransitionDef(source, target, event, first.line, first.col)
 
 
-def _check_transitions(transitions: list[TransitionDef], table: ElementTable, report) -> None:
-    """Report each endpoint that names no state, and each repeated transition."""
-
-    seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
-    for tr in transitions:
-        for label, endpoint in zip(PRODUCTIONS[_TRANSITION], (tr.source, tr.target)):
-            if endpoint not in table.named:
-                report(
-                    Condition.UNRESOLVED_TRANSITION_ENDPOINT,
-                    f"transition {label} '{'.'.join(endpoint)}' does not name a state",
-                    tr.line,
-                    tr.col,
-                )
-        key = (tr.source, tr.target, tr.event)
-        if key in seen:
-            src, tgt = ".".join(tr.source), ".".join(tr.target)
-            event = f" : {tr.event}" if tr.event is not None else ""
-            report(
-                Condition.DUPLICATE_TRANSITION,
-                f"duplicate transition {src} -> {tgt}{event} "
-                f"(lines {seen[key].line} and {tr.line})",
-                tr.line,
-                tr.col,
-                Severity.WARNING,
-            )
-        else:
-            seen[key] = tr
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
 
 
 def _element_table(
-    name: str, states: Sequence[StateDef], transitions: Sequence[TransitionDef]
+    name: str, states: Sequence[StateDef], transitions: Sequence[TransitionDef], report
 ) -> ElementTable:
-    """The chart's elements, by one iterative pre-order walk of its states."""
+    """The chart's elements, by one iterative pre-order walk of its states, and its findings.
+
+    In source order, it reports each state whose name an earlier sibling in
+    the same body has, each transition endpoint that names no state, and
+    each repeated transition.
+    """
+
+    def body(path: tuple[str, ...], substates: Sequence[StateDef]) -> list:
+        siblings: set[str] = set()  # the names seen so far in this body
+        return [(path + (sub.name,), sub, siblings) for sub in reversed(substates)]
 
     table = ElementTable(ElementHandle(name, _CHART))
-    stack = [((st.name,), st) for st in reversed(states)]
+    stack = body((), states)
     while stack:
-        path, st = stack.pop()
+        path, st, siblings = stack.pop()
+        if st.name in siblings:
+            report(Condition.DUPLICATE_SIBLING_STATE, f"duplicate sibling state '{st.name}'", st.line, st.col)
+        siblings.add(st.name)
         table.add_named(path, _STATE)
         for inv in st.invariants_src:
             table.add_bracketed(_INVARIANT, path, inv)
-        stack.extend((path + (sub.name,), sub) for sub in reversed(st.substates))
+        stack += body(path, st.substates)
+    seen: dict[tuple[tuple[str, ...], tuple[str, ...], str | None], TransitionDef] = {}
     for tr in transitions:
-        text = f"{'.'.join(tr.source)} -> {'.'.join(tr.target)}"
+        src, tgt = ".".join(tr.source), ".".join(tr.target)
         parts = dict(zip(PRODUCTIONS[_TRANSITION], (tr.source, tr.target)))
-        table.add_bracketed(_TRANSITION, (), text, parts)
+        for label, endpoint in parts.items():
+            if endpoint not in table.named:
+                report(Condition.UNRESOLVED_TRANSITION_ENDPOINT,
+                       f"transition {label} '{'.'.join(endpoint)}' does not name a state", tr.line, tr.col)
+        key = (tr.source, tr.target, tr.event)
+        if key in seen:
+            event = f" : {tr.event}" if tr.event is not None else ""
+            report(Condition.DUPLICATE_TRANSITION,
+                   f"duplicate transition {src} -> {tgt}{event} (lines {seen[key].line} and {tr.line})",
+                   tr.line, tr.col, Severity.WARNING)
+        else:
+            seen[key] = tr
+        table.add_bracketed(_TRANSITION, (), f"{src} -> {tgt}", parts)
     return table
 
 

@@ -419,7 +419,6 @@ def _required_cycles(tag_types: list[TagTypeDef], report) -> None:
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    sccs: list[list[str]] = []
     walk: list[tuple[str, Iterator[str]]] = []
 
     def visit(node: str) -> None:
@@ -453,20 +452,13 @@ def _required_cycles(tag_types: list[TagTypeDef], report) -> None:
                         component.append(member)
                         if member == node:
                             break
-                    sccs.append(component)
-
-    for component in sccs:
-        is_cycle = len(component) > 1 or component[0] in edges[component[0]]
-        if is_cycle:
-            members = sorted(component)
-            anchor = min((types[m] for m in members), key=lambda tt: (tt.line, tt.col))
-            report(
-                Condition.RECURSIVE_REQUIRED_REFERENCE,
-                "required references form a cycle with no finite instances: "
-                + " -> ".join(members + [members[0]]),
-                anchor.line,
-                anchor.col,
-            )
+                    if len(component) > 1 or node in edges[node]:
+                        members = sorted(component)
+                        anchor = min((types[m] for m in members), key=lambda tt: (tt.line, tt.col))
+                        cycle = " -> ".join(members + [members[0]])
+                        report(Condition.RECURSIVE_REQUIRED_REFERENCE,
+                               f"required references form a cycle with no finite instances: {cycle}",
+                               anchor.line, anchor.col)
 
 
 # ---------------------------------------------------------------------------

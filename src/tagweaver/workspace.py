@@ -174,7 +174,7 @@ def _require_fit(manifest: GrammarManifest, profile: LanguageProfile) -> None:
             misfits.append(f"the sketch of '{name}' has literals {literals}, but its elements have "
                            "no parts and are named by their text")
         elif rule.sketch_literals() and sorted(rule.slot_labels) != sorted(labels):
-            words = ", ".join(map(repr, rule.slot_labels))
+            words = ", ".join(map(repr, rule.slot_labels)) or "none"
             parts = ", ".join(map(repr, labels)) or "none"
             misfits.append(f"the sketch of '{name}' labels {words}, but its parts are {parts}")
     if misfits:

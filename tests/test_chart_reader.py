@@ -8,6 +8,8 @@ is the token parser, the reference.  Where the reader reads a file, both
 give the same records with the same ``line`` and ``col`` everywhere, the
 same findings and the same element table.  Where it does not,
 ``parse_statechart`` returns or raises exactly what the token parser does.
+Either reader's findings are those that ``tests/util.oracle_chart_findings``
+derives from the records on its own.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from tagweaver import parse_statechart, pretty_print_statechart, statechart
 from tagweaver.errors import ParseError
 from tagweaver.parsing import MAX_NESTING, read_source
 from test_statement_reader import FILLERS, WORKLOADS, splice
-from util import load_workloads, mutate, mutations, random_statechart_text
+from util import load_workloads, mutate, mutations, oracle_chart_findings, random_statechart_text
 
 HEADER = "package m;\nstatechart C {\n"
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
@@ -187,3 +189,82 @@ def test_the_reader_reads_what_the_token_parser_reads(body):
 
 def test_a_header_with_comments_and_blanks_is_read():
     assert agree("// leading\npackage a . /* b */ b ;\nstatechart\n C // c\n{ state A; }\n// end")
+
+
+# Endpoints of planted transitions; the oracle decides which name a state.
+ENDPOINTS = ("S00", "S01", "S00.S10", "S01.S11", "S00.S10.S20", "Ghost", "S00.Ghost", "Ghost.S00")
+EVENTS = ("", " : go()", " : tick")
+
+
+def plant_faults(text: str, rng: random.Random) -> str:
+    """Plant one to five faults in a chart of ``random_statechart_text``.
+
+    A fault is a state line or a whole state block repeated in its own body,
+    before or after itself; a transition between paths that may name no
+    state; or a transition repeated.  A repeated block repeats its
+    children's names, and a later fault may repeat a state inside an
+    earlier copy.
+    """
+
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 5)):
+        fault = rng.choice(("state", "state", "state", "endpoint", "transition"))
+        arrows = [line for line in lines if " -> " in line]
+        if fault == "state":
+            first = rng.choice([i for i, line in enumerate(lines) if line.lstrip().startswith("state ")])
+            last = first
+            if lines[first].endswith("{"):  # the block ends at the '}' under its first letter
+                last = lines.index(lines[first][: lines[first].index("s")] + "}", first)
+            at = rng.choice((first, last + 1))
+            lines[at:at] = lines[first : last + 1]
+        elif fault == "endpoint" or not arrows:
+            lines.insert(-1, f"    {rng.choice(ENDPOINTS)} -> {rng.choice(ENDPOINTS)}{rng.choice(EVENTS)};")
+        else:
+            lines.insert(-1, rng.choice(arrows))
+    return "\n".join(lines) + "\n"
+
+
+def findings_of(model) -> list[tuple]:
+    assert {d.file for d in model.findings} <= {"t.sc"}
+    return [(d.condition, d.severity.value, d.message, d.line, d.col) for d in model.findings]
+
+
+def judged_alike(text: str) -> bool:
+    """Check both readers' findings against the oracle's; return whether the reader read ``text``."""
+
+    reference = statechart._parse_tokens(text, "t.sc")
+    expected = oracle_chart_findings(reference)
+    assert findings_of(reference) == expected
+    read = statechart._read_chart(text, "t.sc")
+    if read is not None:
+        assert findings_of(read) == expected
+    return read is not None
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 1 << 30),
+    fillers=st.lists(st.tuples(st.integers(0, 1 << 20), st.sampled_from(FILLERS)), max_size=12),
+)
+def test_planted_faults_are_found_as_the_oracle_finds_them(seed, fillers):
+    rng = random.Random(seed)
+    text = plant_faults(random_statechart_text(rng, max_extra_elements=12), rng)
+    assert judged_alike(text)
+    judged_alike(splice(text, fillers))
+
+
+# Nested duplicates, read by the reader and, after a non-ASCII state, by the token parser.
+DUPLICATES = {
+    "a repeated block whose children repeat names": " state A { state B; state C { state D; } }\n"
+                                                    " state A { state B; state C { state D; } }\n",
+    "a duplicate inside a duplicate": " state A { state B; }\n state A { state B; state B { } }\n",
+    "a duplicate 100 levels deep": nested(MAX_NESTING - 1).replace(" state B;", " state B; state B;"),
+}
+
+
+@pytest.mark.parametrize("lead", ["", " state \u00c9toile;\n"], ids=["reader", "token parser"])
+@pytest.mark.parametrize("body", DUPLICATES.values(), ids=DUPLICATES.keys())
+def test_nested_duplicates_are_found_as_the_oracle_finds_them(lead, body):
+    text = HEADER + lead + body + " A -> A;\n A -> Ghost;\n A -> A;\n}\n"
+    assert judged_alike(text) == (lead == "")
+    assert statechart._parse_tokens(text, "t.sc").findings

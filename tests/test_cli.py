@@ -409,6 +409,8 @@ class TestFailureModes:
             ("Invariant", "Guard", "it declares no production 'Invariant'"),
             ('"source -> target"', '"from -> to"',
              "the sketch of 'Transition' labels 'from', 'to', but its parts are 'source', 'target'"),
+            ('"source -> target"', '"->"',
+             "the sketch of 'Transition' labels none, but its parts are 'source', 'target'"),
             ("production Invariant", '@sketch "( )" production Invariant',
              "the sketch of 'Invariant' has literals '(', ')', but its elements have no parts "
              "and are named by their text"),

@@ -47,9 +47,9 @@ class TestGoldenChart:
         ]
         assert chart.states[0].initial
         assert chart.states[3].final
-        assert chart.states[0].modifiers == frozenset({"initial"})
-        assert chart.states[1].modifiers == frozenset()
-        assert chart.states[3].modifiers == frozenset({"final"})
+        assert not chart.states[0].final
+        assert not chart.states[1].initial and not chart.states[1].final
+        assert not chart.states[3].initial
 
     def test_nested_states_and_invariants(self, chart):
         active = chart.states[1]
@@ -421,6 +421,13 @@ FINDINGS = [
             ("UnresolvedTransitionEndpoint", "transition source 'Ghost' does not name a state", 4, 2),
             ("UnresolvedTransitionEndpoint", "transition target 'A.Nope' does not name a state", 4, 2),
             ("DuplicateTransition", "duplicate transition A -> A (lines 5 and 6)", 6, 2),
+        ],
+    ),
+    (  # the repeated block's first B is no sibling of the first block's B
+        "package p;\nstatechart X {\n state A { state B; }\n state A { state B; state B; }\n}\n",
+        [
+            ("DuplicateSiblingState", "duplicate sibling state 'A'", 4, 8),
+            ("DuplicateSiblingState", "duplicate sibling state 'B'", 4, 27),
         ],
     ),
 ]

@@ -330,6 +330,46 @@ def flat_elements(target: StatechartModel) -> dict[tuple[str, str], None]:
     return table
 
 
+def oracle_chart_findings(target: StatechartModel) -> list[tuple]:
+    """The findings of a chart, re-derived from its records.
+
+    Each is a (condition, severity, message, line, col) tuple.  Body by
+    body, recursively and in source order: each state whose name an
+    earlier state of the same body has.  Then, transition by transition:
+    each endpoint that is not the dotted path of a state, and each
+    transition whose source, target and event an earlier one has.
+    """
+
+    found: list[tuple] = []
+    paths: set[str] = set()
+
+    def walk(states, prefix: str) -> None:
+        names: list[str] = []
+        for st in states:
+            if st.name in names:
+                message = f"duplicate sibling state '{st.name}'"
+                found.append(("DuplicateSiblingState", "error", message, st.line, st.col))
+            names.append(st.name)
+            paths.add(prefix + st.name)
+            walk(st.substates, f"{prefix}{st.name}.")
+
+    walk(target.states, "")
+    earlier: list = []
+    for tr in target.transitions:
+        src, tgt = ".".join(tr.source), ".".join(tr.target)
+        for label, path in (("source", src), ("target", tgt)):
+            if path not in paths:
+                message = f"transition {label} '{path}' does not name a state"
+                found.append(("UnresolvedTransitionEndpoint", "error", message, tr.line, tr.col))
+        same = [e for e in earlier if (e.source, e.target, e.event) == (tr.source, tr.target, tr.event)]
+        if same:
+            event = "" if tr.event is None else f" : {tr.event}"
+            message = f"duplicate transition {src} -> {tgt}{event} (lines {same[0].line} and {tr.line})"
+            found.append(("DuplicateTransition", "warning", message, tr.line, tr.col))
+        earlier.append(tr)
+    return found
+
+
 def transition_counts(target: StatechartModel) -> Counter:
     counts: Counter = Counter()
     for tr in target.transitions:
