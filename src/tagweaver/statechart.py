@@ -34,9 +34,7 @@ state, and each transition with its ``source`` and ``target`` paths,
 labelled as in its production.  An element is reported with the grammar
 production it comes from, never with a scope keyword: the derived
 language profile names those, and it decides, through its bracket forms,
-how a reference reads as an element.  The findings are sibling states
-that share a name, transition endpoints that name no state and repeated
-transitions.
+how a reference reads as an element.
 """
 
 from __future__ import annotations
