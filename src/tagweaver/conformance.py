@@ -175,7 +175,8 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
     # keyword that the check, the attachment and the export all carry; a
     # production without one (``@skip``) keeps its own name.
     keywords = {kw.production: kw.keyword for kw in inp.profile.scope_keywords if not kw.is_nested}
-    # ``resolve`` returns the model's handle and the keyword handle, or None.
+    # ``resolve`` returns the model's handle and the keyword handle (the same
+    # handle where the production has no keyword), or None.
     resolved: dict[tuple, tuple[ElementHandle, ElementHandle] | str] = {}
 
     def resolve(ref: ElementIdentifier, context: ElementHandle | None):
@@ -188,7 +189,8 @@ def check(inp: CheckInput) -> tuple[list[Diagnostic], ResolvedTagging | None]:
                 found = str(exc)
             else:
                 kind = keywords.get(element.element_type, element.element_type)
-                found = (element, ElementHandle(element.path, kind))
+                keyed = element if kind == element.element_type else ElementHandle(element.path, kind)
+                found = (element, keyed)
             resolved[key] = found
         if isinstance(found, str):
             report(Condition.E1_UNRESOLVED_ELEMENT, found, ref.line, ref.col)

@@ -13,10 +13,10 @@ vocabulary: identifiers, double-quoted strings, punctuation, ``//`` and
 ``tokenize`` takes a ``raw_brackets`` flag to select between the two.
 
 The readers of ``tagmodel`` and ``statechart`` build their patterns from the
-pieces here (``_SKIP``, ``_ID``, ``_STRING_BODY``).  ``placer`` is the one
-offset-to-(line, col) counter, used by ``tokenize``, both readers and
-``read_source``; ``is_identifier`` and ``unescape_string`` are the one
-identifier rule and the one string decoder.
+pieces here (the skip that ``skip_for`` picks, ``_ID``, ``_STRING_BODY``).
+``placer`` is the one offset-to-(line, col) counter, used by ``tokenize``,
+both readers and ``read_source``; ``is_identifier`` and ``unescape_string``
+are the one identifier rule and the one string decoder.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def _universal_newlines(text: str) -> str:
 # reads.  Whitespace runs are not repeated inside the loop, which would make
 # a failing match try every split of a run.
 _SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/)[ \t\r\n]*)*"
+# What ``_SKIP`` matches in text with no ``/``, where no comment can start.
+_BLANKS = r"[ \t\r\n]*"
 
 # One match skips whitespace and comments, then reads at most one token.
 # The token group is optional, so a match never fails and never backtracks
@@ -157,6 +159,16 @@ def is_identifier(text: str) -> bool:
     """The identifier rule of ``tokenize``: word characters, the first a letter or ``_``."""
 
     return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
+
+
+def skip_for(text: str) -> str:
+    """The skip piece a reader of ``text`` builds on: ``_BLANKS`` if no comment can start in it.
+
+    Both comment forms start with ``/``.  A pattern over ``_BLANKS`` compiles in
+    a fraction of the time of one over ``_SKIP``, and matches a little faster.
+    """
+
+    return _SKIP if "/" in text else _BLANKS
 
 
 def dotted(name: str) -> tuple[str, ...]:

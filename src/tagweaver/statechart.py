@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
 
 from .diagnostics import Condition, Diagnostic, Severity, reporter
 from .elements import ElementHandle, ElementTable
 from .errors import ParseError
-from .parsing import _ID, _SKIP, ARROW, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, TokenCursor
-from .parsing import dotted, placer, tokenize
+from .parsing import _ID, ARROW, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, TokenCursor
+from .parsing import dotted, placer, skip_for, tokenize
 from .records import field, record
 
 __all__ = [
@@ -137,15 +137,22 @@ def parse_statechart(text: str, filename: str | None = None) -> StatechartModel:
 # An event is read only where its text is the token parser's slice: tokens
 # with spaces or tabs between them, whitespace only before them.  A transition
 # and a state never match the same text: a state's second token is a name, a
-# transition's ``.`` or ``->``.
+# transition's ``.`` or ``->``.  The pattern is built for the skip that
+# ``parsing.skip_for`` picks for the text.
 _EVENT_TOKEN = rf"(?:{_ID}|->|[(),.])"
-_PATH = rf"{_ID}(?:{_SKIP}\.{_SKIP}{_ID})*"
-_BODY = re.compile(
-    rf"{_SKIP}(?:({_PATH}){_SKIP}->{_SKIP}({_PATH}){_SKIP}"
-    rf"(?::[ \t\r\n]*({_EVENT_TOKEN}(?:[ \t]*{_EVENT_TOKEN})*){_SKIP})?;"
-    rf"|(?:(initial|final)\b{_SKIP})?state\b{_SKIP}({_ID}){_SKIP}(?:(;)|(\{{))"
-    rf"|\[([^\[\]]*)\]{_SKIP};|(\}})|(\.\.\.))?"
-)
+
+
+@cache
+def _body(skip: str):
+    """The matcher of one body item over the skip ``skip``."""
+
+    path = rf"{_ID}(?:{skip}\.{skip}{_ID})*"
+    return re.compile(
+        rf"{skip}(?:({path}){skip}->{skip}({path}){skip}"
+        rf"(?::[ \t\r\n]*({_EVENT_TOKEN}(?:[ \t]*{_EVENT_TOKEN})*){skip})?;"
+        rf"|(?:(initial|final)\b{skip})?state\b{skip}({_ID}){skip}(?:(;)|(\{{))"
+        rf"|\[([^\[\]]*)\]{skip};|(\}})|(\.\.\.))?"
+    ).match
 
 
 def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
@@ -157,7 +164,7 @@ def _read_chart(text: str, filename: str | None) -> StatechartModel | None:
         brace = cur.expect(EOF)
     except ParseError:
         return None
-    item, place, pos = _BODY.match, placer(text, brace), brace.start
+    item, place, pos = _body(skip_for(text)), placer(text, brace), brace.start
     states, invariants, transitions = [], [], []
     outer = []  # the open states: (name and modifiers, place, enclosing body's lists)
     while True:

@@ -33,12 +33,13 @@ elision marker and ignored.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Union
 
 from .derivation import LanguageProfile
 from .errors import ParseError
-from .parsing import _ID, _SKIP, _STRING_BODY, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, STRING
-from .parsing import TokenCursor, dotted, escape_string, placer, tokenize, unescape_string
+from .parsing import _ID, _STRING_BODY, BRACKET, ELLIPSIS, EOF, IDENT, MAX_NESTING, STRING
+from .parsing import TokenCursor, dotted, escape_string, placer, skip_for, tokenize, unescape_string
 from .records import field, record, replace
 
 __all__ = [
@@ -199,11 +200,11 @@ def parse_tag_model(
     return _read_statements(text, profile, filename) or _parse_tokens(text, profile, filename)
 
 
-# The statement reader.  Each match reads one piece of a body: ``_ITEM`` a
-# keyword (``tag``, ``within``), ``}`` or ``...``; ``_REF`` an element
-# reference with the ``,``, ``with`` or ``{`` after it; ``_USE`` a tag use,
+# The statement reader.  Each match reads one piece of a body: ``item`` a
+# keyword (``tag``, ``within``), ``}`` or ``...``; ``ref`` an element
+# reference with the ``,``, ``with`` or ``{`` after it; ``use`` a tag use,
 # simple or ``= "..."``, with the ``,``, ``;`` or ``{`` after it, a ``{``
-# opening a complex value; ``_END`` the ``}`` that closes one, with the ``,``
+# opening a complex value; ``end`` the ``}`` that closes one, with the ``,``
 # or ``;`` after it.  Open ``within`` blocks and complex values count together
 # against ``MAX_NESTING``, as the token parser's ``enter`` counts them.
 # Identifiers start with an ASCII letter or ``_``, and bracket texts hold no
@@ -211,16 +212,22 @@ def parse_tag_model(
 # ``parsing._SKIP``), so a match reads the tokens that ``tokenize`` reads, and
 # the reader takes them as the token parser does.  The skip is written once in
 # each pattern a piece needs: one pattern for a whole statement repeats it
-# some thirty times and costs every process over 10 ms of ``re.compile``.
-_ITEM = re.compile(rf"{_SKIP}(?:(tag\b)|(within\b)|(\}})|(\.\.\.))?{_SKIP}")  # lastindex 1-4
-_REF = re.compile(  # lastindex 3: ',', 4: 'with', 5: '{'
-    rf"(?:\[([^\[\]]*)\]|({_ID}(?:{_SKIP}\.{_SKIP}{_ID})*))"
-    rf"{_SKIP}(?:(,)|(with\b)|(\{{)){_SKIP}"
-)
-_USE = re.compile(  # lastindex 3: ',', 4: ';', 5: '{'
-    rf'({_ID})(?:{_SKIP}={_SKIP}"({_STRING_BODY})")?{_SKIP}(?:(,)|(;)|(\{{)){_SKIP}'
-)
-_END = re.compile(rf"\}}{_SKIP}(?:(,)|(;)){_SKIP}")  # lastindex 1: ',', 2: ';' (``_USE``'s, less 2)
+# some thirty times and costs every process over 10 ms of ``re.compile``.  The
+# patterns are built for the skip that ``parsing.skip_for`` picks for the text.
+@cache
+def _pieces(skip: str):
+    """The matchers ``item``, ``ref``, ``use`` and ``end`` over the skip ``skip``."""
+
+    item = re.compile(rf"{skip}(?:(tag\b)|(within\b)|(\}})|(\.\.\.))?{skip}")  # lastindex 1-4
+    ref = re.compile(  # lastindex 3: ',', 4: 'with', 5: '{'
+        rf"(?:\[([^\[\]]*)\]|({_ID}(?:{skip}\.{skip}{_ID})*))"
+        rf"{skip}(?:(,)|(with\b)|(\{{)){skip}"
+    )
+    use = re.compile(  # lastindex 3: ',', 4: ';', 5: '{'
+        rf'({_ID})(?:{skip}={skip}"({_STRING_BODY})")?{skip}(?:(,)|(;)|(\{{)){skip}'
+    )
+    end = re.compile(rf"\}}{skip}(?:(,)|(;)){skip}")  # lastindex 1: ',', 2: ';' (``use``'s, less 2)
+    return item.match, ref.match, use.match, end.match
 
 
 def _read_statements(text: str, profile: LanguageProfile, filename: str | None) -> TagModel | None:
@@ -232,7 +239,7 @@ def _read_statements(text: str, profile: LanguageProfile, filename: str | None) 
         brace = cur.expect(EOF)
     except ParseError:
         return None
-    item, next_ref, next_use, end = _ITEM.match, _REF.match, _USE.match, _END.match
+    item, next_ref, next_use, end = _pieces(skip_for(text))
     readings, place = profile.bracket_readings, placer(text, brace)
 
     def element(r) -> ElementIdentifier | None:

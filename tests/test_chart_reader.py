@@ -179,6 +179,7 @@ READ = {
     "duplicates": " state A; state A { state B; state B; }\n A -> A : e;\n A -> A : e;\n A -> B;\n",
     "siblings after a body": " state A { state B; }\n state B;\n state A;\n",
     "carriage returns": " state A {\r\n [x > 1];\r\n }\r\n A -> A : go();\r\n",
+    "a '/' in an invariant but no comment": " state A {\n [x / 2 > 1];\n }\n",
 }
 
 

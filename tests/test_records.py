@@ -213,6 +213,54 @@ def test_copies_are_equal_records_that_hash_afresh(cls, round_trip):
     assert [getattr(copied, name) for name in records.fields(cls)] == values
 
 
+_COUNT_COMPILES = """
+import builtins, sys
+compiled = []
+
+def counted(function):
+    def wrapper(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "tagweaver.records":
+            compiled.append(function.__name__)
+        return function(*args, **kwargs)
+    return wrapper
+
+builtins.compile, builtins.exec = counted(builtins.compile), counted(builtins.exec)
+import tagweaver.cli, tagweaver.workspace
+built = [f"{cls.__module__}.{cls.__qualname__}" for module in list(sys.modules.values())
+         if module.__name__.startswith("tagweaver.") for cls in vars(module).values()
+         if isinstance(cls, type) and cls.__module__ == module.__name__ and "__record_fields__" in cls.__dict__]
+print(len(compiled), *built)
+"""
+
+
+def test_the_record_methods_are_compiled_once_per_template_shape():
+    """A process compiles one template per shape, not the methods of each class.
+
+    ``__init__`` and ``__reduce__`` come from one template per field count,
+    ``__eq__`` and ``__hash__`` from one per count of compared fields.
+    """
+
+    done = subprocess.run([sys.executable, "-c", _COUNT_COMPILES], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stderr == ""
+    count, *built = done.stdout.split()
+    by_name = {f"{cls.__module__}.{cls.__qualname__}": cls for cls in RECORDS}
+    specs = [DECLARED[by_name[name]] for name in built]
+    shapes = {("fields", len(spec)) for spec in specs}
+    shapes |= {("compared", sum(compare for _, compare, _ in spec)) for spec in specs}
+    assert len(built) == 28
+    assert int(count) <= len(shapes) < len(built)
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    class Late:
+        first: int = 0
+        second: int
+
+    with pytest.raises(TypeError, match="^non-default field 'second' follows a default field$"):
+        records.record(Late)
+
+
 _VALUE = (
     "NormalizedValue.of_children((('code', NormalizedValue.of_string('E42')),"
     " ('tags', NormalizedValue.of_children((('level', NormalizedValue.of_enum('high')),)))))"

@@ -12,7 +12,10 @@ raises exactly what the token parser does.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,7 @@ from util import (
     load_workloads, mutate, mutations, random_schema_text, random_statechart_text, random_tag_model,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 HEADER = "package m;\nconforms to s.Types;\n\ntags T for Chart {\n"
 # What may stand between two tokens.
 FILLERS = (" ", "\t", "\n", "\r\n", "\n\n    ", "// note\n", "//\n", "/* note */", "/**/",
@@ -223,6 +227,7 @@ READ = {
         " ... within [S -> R] { } ...\n"
     ),
     "keywords as names": " tag tag, with, within . within with with, tag;\n",
+    "a '/' in a string but no comment": ' tag A with T = "a/b";\n',
 }
 
 
@@ -235,3 +240,33 @@ def test_a_header_with_comments_and_blanks_is_read(profile):
     text = ("// leading\npackage a . b ; /* c */ conforms to s.T , u /**/ . V ;\n"
             "tags T for C . D\n{ tag A with T; }\n")
     assert agree(text, profile)
+
+
+def test_text_with_no_slash_compiles_only_the_blank_skip_patterns(tmp_path):
+    """A ``/``-free workload is read through the patterns built on ``_BLANKS`` alone.
+
+    In a fresh process, a ``check`` of ``flat-brackets``, whose files hold no
+    ``/``, builds one set of patterns for each reader, over ``_BLANKS``; a text
+    with a comment then builds the set over ``_SKIP``.
+    """
+
+    generated = load_workloads().generate("flat-brackets", 4242, tmp_path, quick=True)
+    assert not any("/" in read_source(path) for path in [generated.model, *generated.tag_files])
+    code = f"""
+import contextlib, io
+from tagweaver import cli, statechart, tagmodel
+from tagweaver.parsing import _BLANKS
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run_cli({[str(arg) for arg in generated.cli_args()]!r})
+builders = (tagmodel._pieces, statechart._body)
+print([builder.cache_info().currsize for builder in builders])
+for builder in builders:
+    misses = builder.cache_info().misses
+    builder(_BLANKS)
+    assert builder.cache_info().misses == misses, builder
+statechart.parse_statechart("package m; statechart C {{ state A; // a comment\\n }}")
+print([builder.cache_info().currsize for builder in builders])
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (done.stdout, done.stderr) == ("[1, 1]\n[1, 2]\n", "")
